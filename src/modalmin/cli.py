@@ -63,11 +63,11 @@ from .kripke import (
     Model,
     PointedModel,
     ResourceCapError,
-    Universe,
     bisimilar,
     build_universe,
     eval_formula,
     frame_valid,
+    mask_bits,
     parse_frames,
     parse_model,
 )
@@ -95,6 +95,14 @@ def _read_text(path: str) -> str:
         raise click.UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _parse_file(parser, path: str, what: str):
+    """Parse a file with one of the text-format parsers; bad input is a usage error."""
+    try:
+        return parser(_read_text(path))
+    except ValueError as exc:
+        raise click.UsageError(f"bad {what} file {path}: {exc}") from None
+
+
 def _load_frames(spec: str) -> list[tuple[str, Frame]]:
     """A frame source: ``builtin:kN``, ``builtin:khatN``, or a frame file."""
     if spec.startswith("builtin:"):
@@ -107,10 +115,7 @@ def _load_frames(spec: str) -> list[tuple[str, Frame]]:
         except ValueError:
             pass
         raise click.UsageError(f"unknown builtin frame: {name!r}")
-    frames = parse_frames(_read_text(spec))
-    if not frames:
-        raise click.UsageError(f"no frames in {spec}")
-    return frames
+    return _parse_file(parse_frames, spec, "frame")
 
 
 def _load_one_frame(spec: str) -> Frame:
@@ -126,10 +131,7 @@ def _load_witnesses(spec: str) -> WitnessSet:
             return builtin_witnesses(spec.split(":", 1)[1])
         except ValueError as exc:
             raise click.UsageError(str(exc)) from None
-    try:
-        return parse_witnesses(_read_text(spec))
-    except ValueError as exc:
-        raise click.UsageError(f"bad witness file {spec}: {exc}") from None
+    return _parse_file(parse_witnesses, spec, "witness")
 
 
 def _parse_formula(text: str, language: str) -> "Formula":
@@ -154,7 +156,7 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
 
 
 def _states(mask: int) -> str:
-    return "{" + ",".join(str(s) for s in range(mask.bit_length()) if mask >> s & 1) + "}"
+    return "{" + ",".join(map(str, mask_bits(mask))) + "}"
 
 
 _language_option = click.option(
@@ -179,7 +181,7 @@ def main() -> None:
 @_capped
 def eval_cmd(model_path: str, point: int | None, formula_text: str) -> None:
     """Evaluate a formula at one state of a model file; prints TRUE or FALSE."""
-    _, model, file_point = parse_model(_read_text(model_path))
+    _, model, file_point = _parse_file(parse_model, model_path, "model")
     if point is None:
         point = file_point
     if point is None:
@@ -213,7 +215,7 @@ def bisim(left_path: str, right_path: str, language: str) -> None:
     """Decide bisimilarity of two pointed model files; prints BISIMILAR or NOT BISIMILAR."""
     sides = []
     for path in (left_path, right_path):
-        _, model, point = parse_model(_read_text(path))
+        _, model, point = _parse_file(parse_model, path, "model")
         if point is None:
             raise click.UsageError(f"{path} has no point line")
         sides.append(PointedModel(model, point))

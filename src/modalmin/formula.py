@@ -10,6 +10,7 @@ form by construction.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Iterator, NamedTuple
 
 BASIC = "basic"
@@ -282,47 +283,62 @@ class MeasureVector(NamedTuple):
 _KIND_INDEX = {kind: i for i, kind in enumerate(MeasureKind)}
 
 
-def measure_all(phi: Formula) -> MeasureVector:
-    counts = [0] * 8
-    depth = _fold(phi, counts)
-    return MeasureVector(
-        length=sum(1 for _ in subformulas(phi)),
-        modal_depth=depth,
-        var_count=len(vars_of(phi)),
-        false_count=counts[0],
-        true_count=counts[1],
-        or_count=counts[2],
-        and_count=counts[3],
-        dia_count=counts[4],
-        box_count=counts[5],
-        exists_count=counts[6],
-        forall_count=counts[7],
+# The one measure rule: a node's measures are what its type adds (below) plus
+# the sum of its children's, except that modal depth takes the children's
+# maximum and var count the size of the union of their variables.  The rule
+# therefore works on (vector, variable mask) pairs, bit v of the mask
+# standing for pv.  measure_all folds it over a tree, the enumerator applies
+# it once per candidate and the game once per search element.
+
+_ZERO = MeasureVector(*[0] * len(MeasureVector._fields))
+_OWN = {
+    FalseConst: _ZERO._replace(length=1, false_count=1),
+    TrueConst: _ZERO._replace(length=1, true_count=1),
+    PosLit: _ZERO._replace(length=1, var_count=1),
+    NegLit: _ZERO._replace(length=1, var_count=1),
+    Or: _ZERO._replace(length=1, or_count=1),
+    And: _ZERO._replace(length=1, and_count=1),
+    Dia: _ZERO._replace(length=1, modal_depth=1, dia_count=1),
+    Box: _ZERO._replace(length=1, modal_depth=1, box_count=1),
+    ExistsMod: _ZERO._replace(length=1, modal_depth=1, exists_count=1),
+    ForallMod: _ZERO._replace(length=1, modal_depth=1, forall_count=1),
+}
+
+Measured = tuple[MeasureVector, int]
+
+
+def compose(node_type: type, parts: tuple[Measured, ...] = (), var: int = 0) -> Measured:
+    """The measures of a node from its type and its children's measures.
+
+    parts holds the children's (vector, variable mask) pairs in order; var
+    is the variable of a literal leaf.
+    """
+    own = _OWN[node_type]
+    # tuple.__new__ is MeasureVector._make without its length check, which
+    # costs as much as the rest of a unary step
+    if not parts:
+        return own, 1 << var if var else 0
+    if len(parts) == 1:
+        ((a, vmask),) = parts
+        return tuple.__new__(MeasureVector, map(operator.add, a, own)), vmask
+    (a, amask), (b, bmask) = parts
+    vmask = amask | bmask
+    vals = list(map(operator.add, map(operator.add, a, b), own))
+    vals[1] = max(a[1], b[1])  # modal depth
+    vals[2] = vmask.bit_count()  # var count
+    return tuple.__new__(MeasureVector, vals), vmask
+
+
+def _measured(phi: Formula) -> Measured:
+    return compose(
+        type(phi),
+        tuple(map(_measured, phi.children())),
+        phi.var if isinstance(phi, (PosLit, NegLit)) else 0,
     )
 
 
-_COUNT_SLOT = {
-    FalseConst: 0,
-    TrueConst: 1,
-    Or: 2,
-    And: 3,
-    Dia: 4,
-    Box: 5,
-    ExistsMod: 6,
-    ForallMod: 7,
-}
-
-
-def _fold(phi: Formula, counts: list[int]) -> int:
-    slot = _COUNT_SLOT.get(type(phi))
-    if slot is not None:
-        counts[slot] += 1
-    kids = phi.children()
-    if not kids:
-        return 0
-    depth = max(_fold(c, counts) for c in kids)
-    if isinstance(phi, (Dia, Box, ExistsMod, ForallMod)):
-        return depth + 1
-    return depth
+def measure_all(phi: Formula) -> MeasureVector:
+    return _measured(phi)[0]
 
 
 def measure(phi: Formula, kind: MeasureKind) -> int:
@@ -331,8 +347,12 @@ def measure(phi: Formula, kind: MeasureKind) -> int:
 
 # --- parsing and printing ---------------------------------------------------
 
-_UNARY_BY_TAG = {"<>": Dia, "[]": Box, "E": ExistsMod, "A": ForallMod}
 _BINARY_BY_TAG = {"|": Or, "&": And}
+
+# The deepest connective nesting parse accepts: p1 has depth 0, <> p1 depth 1.
+# Printing, evaluation and the measures recurse once or twice per level, so a
+# much deeper formula would exhaust Python's default limit of 1000 frames.
+MAX_NESTING = 200
 
 
 def print_formula(phi: Formula) -> str:
@@ -356,7 +376,8 @@ def parse(text: str, language: str = GLOBAL) -> Formula:
     """Parses canonical (or any whitespace-variant) formula text.
 
     With language=BASIC the global modalities E and A are rejected.
-    Raises ParseError with a character position on any malformed input.
+    Raises ParseError with a character position on any malformed input,
+    including nesting deeper than MAX_NESTING.
     """
     check_language(language)
     parser = _Parser(text, language)
@@ -377,8 +398,10 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def formula(self) -> Formula:
+    def formula(self, depth: int = 0) -> Formula:
         self.skip_ws()
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING}", self.pos)
         if self.pos >= len(self.text):
             raise ParseError("unexpected end of input", self.pos)
         ch = self.text[self.pos]
@@ -401,29 +424,29 @@ class _Parser:
             if not self.text.startswith("<>", self.pos):
                 raise ParseError("expected '<>'", start)
             self.pos += 2
-            return Dia(self.formula())
+            return Dia(self.formula(depth + 1))
         if ch == "[":
             start = self.pos
             if not self.text.startswith("[]", self.pos):
                 raise ParseError("expected '[]'", start)
             self.pos += 2
-            return Box(self.formula())
+            return Box(self.formula(depth + 1))
         if ch in ("E", "A"):
             start = self.pos
             if self.language == BASIC:
                 raise ParseError("universal modality in basic modal context", start)
             self.pos += 1
             cls = ExistsMod if ch == "E" else ForallMod
-            return cls(self.formula())
+            return cls(self.formula(depth + 1))
         if ch == "(":
             self.pos += 1
-            left = self.formula()
+            left = self.formula(depth + 1)
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] not in "|&":
                 raise ParseError("expected '|' or '&'", self.pos)
             op = _BINARY_BY_TAG[self.text[self.pos]]
             self.pos += 1
-            right = self.formula()
+            right = self.formula(depth + 1)
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != ")":
                 raise ParseError("expected ')'", self.pos)

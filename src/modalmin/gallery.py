@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, Or, And, Dia, Box, PosLit, NegLit
-from .kripke import Frame
+from .kripke import (
+    Frame,
+    Universe,
+    expand_reduced,
+    format_frame,
+    forward_image,
+    parse_frames,
+)
 
 __all__ = [
     "FrameProperty",
@@ -24,6 +31,7 @@ __all__ = [
     "TRANSITIVE_CWF",
     "check_property",
     "WitnessSet",
+    "reduced_witnesses",
     "transfer_witnesses",
     "s4_witnesses",
     "lob_witnesses",
@@ -81,20 +89,8 @@ def _relation_power(frame: Frame, k: int) -> tuple[int, ...]:
     """Successor masks of R^k; R^0 is the identity."""
     rows = tuple(1 << s for s in range(frame.state_count))
     for _ in range(k):
-        rows = tuple(
-            _compose_row(rows[s], frame) for s in range(frame.state_count)
-        )
+        rows = tuple(forward_image(frame.succ_masks, row) for row in rows)
     return rows
-
-
-def _compose_row(mask: int, frame: Frame) -> int:
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= frame.succ_masks[low.bit_length() - 1]
-        m ^= low
-    return out
 
 
 def _is_reflexive(frame: Frame) -> bool:
@@ -185,6 +181,26 @@ class WitnessSet:
 
     def named_negatives(self) -> tuple[tuple[str, Frame], ...]:
         return tuple(zip(self.negative_names, self.negatives))
+
+
+def reduced_witnesses(
+    w: WitnessSet, var_bound: int, language: str, cap: int
+) -> tuple[Universe, int, list[tuple[str, tuple[int, ...]]]]:
+    """w's frames expanded over var_bound variables and reduced by bisimilarity.
+
+    Returns the reduced universe, the mask of its indices standing for
+    pointed models over positive frames, and per negative frame its name
+    and the indices standing for its pointed models.
+    """
+    named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
+    named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
+    red = expand_reduced(named, var_bound, language, cap)
+    positive = 0
+    for nm, _ in w.named_positives():
+        for i in red.class_reps[f"+{nm}"]:
+            positive |= 1 << i
+    negatives = [(nm, red.class_reps[f"-{nm}"]) for nm, _ in w.named_negatives()]
+    return red.universe, positive, negatives
 
 
 def _path_frame(edge_count: int) -> Frame:
@@ -447,8 +463,6 @@ def builtin_witnesses(name: str) -> WitnessSet:
 
 
 def format_witnesses(w: WitnessSet) -> str:
-    from .kripke import format_frame
-
     lines = [f"witnesses {w.name}", f"property {w.prop}"]
     if w.recommended_var_bound != 1:
         lines.append(f"vars {w.recommended_var_bound}")
@@ -462,14 +476,15 @@ def format_witnesses(w: WitnessSet) -> str:
 
 
 def parse_witnesses(text: str) -> WitnessSet:
-    from .kripke import parse_frames
-
     name = None
     prop = None
     var_bound = 1
-    sections: dict[str, list[str]] = {"positive": [], "negative": []}
+    lines = text.splitlines()
+    # each section keeps every line of the file, blanked outside the section,
+    # so that the frame parser reports true line numbers
+    sections = {"positive": [""] * len(lines), "negative": [""] * len(lines)}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -481,13 +496,13 @@ def parse_witnesses(text: str) -> WitnessSet:
             current = "negative"
             continue
         if current is not None:
-            sections[current].append(raw)
+            sections[current][lineno - 1] = raw
             continue
         parts = stripped.split()
         if parts[0] == "witnesses" and len(parts) == 2:
             name = parts[1]
         elif parts[0] == "property":
-            if parts[1] == "transfer" and len(parts) == 4:
+            if len(parts) == 4 and parts[1] == "transfer":
                 prop = FrameProperty.transfer(int(parts[2]), int(parts[3]))
             elif len(parts) == 2 and parts[1] in _PROPERTY_NAMES:
                 prop = _PROPERTY_NAMES[parts[1]]

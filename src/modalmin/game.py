@@ -11,6 +11,8 @@ Universe, handled internally as int bit masks.
 
 from __future__ import annotations
 
+import itertools
+
 from .formula import (
     BASIC,
     GLOBAL,
@@ -20,23 +22,30 @@ from .formula import (
     ExistsMod,
     FALSE,
     ForallMod,
+    FalseConst,
     Formula,
     MeasureKind,
+    Measured,
     NegLit,
     Or,
     PosLit,
     TRUE,
+    TrueConst,
     check_language,
+    compose,
     measure,
 )
-from .gallery import WitnessSet
+from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
     PointedModel,
     ResourceCapError,
     UNIVERSE_CAP,
     Universe,
+    all_pre_image,
     bisimilar,
-    expand_reduced,
+    forward_image,
+    mask_bits,
+    some_pre_image,
 )
 
 __all__ = [
@@ -65,17 +74,9 @@ _ARITY = {
     "or": 2, "and": 2,
 }
 
-_MODAL_MOVES = frozenset(("dia", "box", "exists", "forall"))
-
-_SYMBOL_OF_MOVE = {
-    "bot": MeasureKind.FALSE_COUNT,
-    "top": MeasureKind.TRUE_COUNT,
-    "or": MeasureKind.OR_COUNT,
-    "and": MeasureKind.AND_COUNT,
-    "dia": MeasureKind.DIA_COUNT,
-    "box": MeasureKind.BOX_COUNT,
-    "exists": MeasureKind.EXISTS_COUNT,
-    "forall": MeasureKind.FORALL_COUNT,
+_NODE_OF_MOVE = {
+    "bot": FalseConst, "top": TrueConst, "or": Or, "and": And,
+    "dia": Dia, "box": Box, "exists": ExistsMod, "forall": ForallMod,
 }
 
 
@@ -148,12 +149,7 @@ def psi_of_tree(t: GameTree) -> Formula:
         if t.var is None or t.positive is None:
             raise ValueError("literal leaf without a literal")
         return PosLit(t.var) if t.positive else NegLit(t.var)
-    if t.move == "or":
-        return Or(psi_of_tree(t.children[0]), psi_of_tree(t.children[1]))
-    if t.move == "and":
-        return And(psi_of_tree(t.children[0]), psi_of_tree(t.children[1]))
-    ctor = {"dia": Dia, "box": Box, "exists": ExistsMod, "forall": ForallMod}[t.move]
-    return ctor(psi_of_tree(t.children[0]))
+    return _NODE_OF_MOVE[t.move](*map(psi_of_tree, t.children))
 
 
 def node_count(t: GameTree) -> int:
@@ -265,34 +261,24 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
                 out.append(f"{path}: and move must keep the left set")
             if a.position.right | b.position.right != right:
                 out.append(f"{path}: and children do not cover the right set")
-        elif node.move in ("dia", "exists"):
-            child = node.children[0]
-            if node.move == "dia":
-                options = [u.succ[i] for i in sorted(left)]
-                if any(not o for o in options):
-                    out.append(f"{path}: dia move with a successor-less left index")
-                greedy = frozenset(j for i in right for j in u.succ[i])
+        else:
+            # dia/exists: left picks a target per left index, the reply keeps
+            # every right target; box/forall swap the two sides.
+            child = node.children[0].position
+            moves = u.succ if node.move in ("dia", "box") else u.same_model
+            masks = u.succ_masks if node.move in ("dia", "box") else u.same_masks
+            if node.move in ("dia", "exists"):
+                sides = (("left", left, child.left), ("right", right, child.right))
             else:
-                options = [u.same_model[i] for i in sorted(left)]
-                greedy = frozenset(j for i in right for j in u.same_model[i])
-            if child.position.right != greedy:
-                out.append(f"{path}: child right set is not the greedy reply")
-            if not _is_exact_image(options, child.position.left):
-                out.append(f"{path}: child left set is not an exact choice image")
-        elif node.move in ("box", "forall"):
-            child = node.children[0]
-            if node.move == "box":
-                options = [u.succ[i] for i in sorted(right)]
-                if any(not o for o in options):
-                    out.append(f"{path}: box move with a successor-less right index")
-                greedy = frozenset(j for i in left for j in u.succ[i])
-            else:
-                options = [u.same_model[i] for i in sorted(right)]
-                greedy = frozenset(j for i in left for j in u.same_model[i])
-            if child.position.left != greedy:
-                out.append(f"{path}: child left set is not the greedy reply")
-            if not _is_exact_image(options, child.position.right):
-                out.append(f"{path}: child right set is not an exact choice image")
+                sides = (("right", right, child.right), ("left", left, child.left))
+            (chooser, chosen, image), (replier, replied, reply) = sides
+            options = [moves[i] for i in sorted(chosen)]
+            if any(not o for o in options):
+                out.append(f"{path}: {node.move} move with a successor-less {chooser} index")
+            if _as_mask(reply) != forward_image(masks, _as_mask(replied)):
+                out.append(f"{path}: child {replier} set is not the greedy reply")
+            if not _is_exact_image(options, image):
+                out.append(f"{path}: child {chooser} set is not an exact choice image")
         for k, c in enumerate(node.children):
             visit(c, f"{path}.{k}")
 
@@ -354,75 +340,8 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
     return out
 
 
-# --- measure algebra for searches -------------------------------------------
-#
-# A search entry tracks (aux, length): length is the node count so far, aux
-# the measure being minimized (an int, or a frozenset of variables for
-# VAR_COUNT).  Entries are kept Pareto-minimal per position; for Length the
-# two components agree and frontiers collapse to singletons.
-
-
-def _aux_leaf(kind: MeasureKind, move: str, var: int | None):
-    if kind is MeasureKind.LENGTH:
-        return 1
-    if kind is MeasureKind.VAR_COUNT:
-        return frozenset((var,)) if move == "lit" else frozenset()
-    if kind is MeasureKind.MODAL_DEPTH:
-        return 0
-    return 1 if _SYMBOL_OF_MOVE.get(move) is kind else 0
-
-
-def _aux_zero(kind: MeasureKind):
-    if kind is MeasureKind.LENGTH:
-        return 1
-    if kind is MeasureKind.VAR_COUNT:
-        return frozenset()
-    return 0
-
-
-def _aux_combine(kind: MeasureKind, move: str, child_auxes):
-    if kind is MeasureKind.LENGTH:
-        return 1 + sum(child_auxes)
-    if kind is MeasureKind.VAR_COUNT:
-        out = frozenset()
-        for a in child_auxes:
-            out |= a
-        return out
-    if kind is MeasureKind.MODAL_DEPTH:
-        return max(child_auxes) + (1 if move in _MODAL_MOVES else 0)
-    own = 1 if _SYMBOL_OF_MOVE.get(move) is kind else 0
-    return own + sum(child_auxes)
-
-
-def _aux_value(kind: MeasureKind, aux) -> int:
-    return len(aux) if kind is MeasureKind.VAR_COUNT else aux
-
-
-def _aux_key(kind: MeasureKind, aux):
-    if kind is MeasureKind.VAR_COUNT:
-        return (len(aux), tuple(sorted(aux)))
-    return aux
-
-
-def _aux_le(kind: MeasureKind, a, b) -> bool:
-    return a <= b
-
-
-def _pareto(kind: MeasureKind, entries: list) -> tuple:
-    """Keep entries minimal under (aux, length), stable on ties."""
-    entries = sorted(entries, key=lambda e: (_aux_key(kind, e[0]), e[1]))
-    kept = []
-    for e in entries:
-        if not any(_aux_le(kind, k[0], e[0]) and k[1] <= e[1] for k in kept):
-            kept.append(e)
-    return tuple(kept)
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _as_mask(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
 def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
@@ -442,7 +361,7 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
         seen.add(chosen)
         for m in opts:
             if not m & chosen:
-                for b in _mask_bits(m):
+                for b in mask_bits(m):
                     dfs(chosen | 1 << b)
                 return
         found.append(chosen)
@@ -459,8 +378,8 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # --- the search engine ------------------------------------------------------
 #
 # One shared table serves both games: it maps each right set R to a Pareto
-# family of elements (achievable left set, aux, length), the left sets from
-# which a closed tree with those costs exists against R.  Left sets are
+# family of elements (achievable left set, measures, length), the left sets
+# from which a closed tree with those costs exists against R.  Left sets are
 # handled as whole masks (an or-move is a union of two elements), so only
 # right sets are ever partitioned; the families grow level by level in tree
 # length, and a query asks for the cheapest element covering a target left
@@ -471,10 +390,15 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # survivor that is at least as large and no more expensive, so tree
 # reconstruction re-queries the families instead of trusting stored child
 # references.
+#
+# An element's measures are the (vector, variable mask) pair formula.compose
+# builds, but elements compare only on (measure minimized, length).  For
+# VAR_COUNT a measure is at most another when its variables are a subset of
+# the other's, and ties order by the variables themselves.
 
 
 class _FamilySearch:
-    # elements are (set_mask, aux, length, prov)
+    # elements are (set_mask, measured, length, prov)
 
     def __init__(self, universe, kind, budget, length_cap, language, element_cap):
         self.u = universe
@@ -486,32 +410,38 @@ class _FamilySearch:
         self.cells: dict[int, list] = {}
         self.done_len: dict[int, int] = {}
         self.element_count = 0
-        self.vars = sorted(
-            {v for pm in universe.models for v in pm.model.valuation}
-        )
-        self.lit_masks = {
-            var: sum(
-                1 << i
-                for i, pm in enumerate(universe.models)
-                if pm.model.holds(var, pm.point)
-            )
-            for var in self.vars
-        }
+        self.slot = list(MeasureKind).index(kind)
         self.full = (1 << len(universe)) - 1
+        # leaf measures are the same in every cell
+        self.bot = compose(FalseConst)
+        self.top = compose(TrueConst)
+        self.lits = [
+            (var, universe.lit_mask(var), compose(PosLit, var=var), compose(NegLit, var=var))
+            for var in sorted({v for pm in universe.models for v in pm.model.valuation})
+        ]
+
+    def no_worse(self, a: Measured, b: Measured) -> bool:
+        if self.kind is MeasureKind.VAR_COUNT:
+            return a[1] & ~b[1] == 0
+        return a[0][self.slot] <= b[0][self.slot]
+
+    def key(self, a: Measured):
+        if self.kind is MeasureKind.VAR_COUNT:
+            return (a[0].var_count, tuple(mask_bits(a[1])))
+        return a[0][self.slot]
 
     def _insert(self, cell: list, element) -> None:
-        mask, aux, length, _ = element
-        kind = self.kind
-        if _aux_value(kind, aux) > self.budget:
+        mask, measured, length, _ = element
+        if measured[0][self.slot] > self.budget:
             return
         for m2, a2, l2, _ in cell:
-            if mask & ~m2 == 0 and _aux_le(kind, a2, aux) and l2 <= length:
+            if mask & ~m2 == 0 and self.no_worse(a2, measured) and l2 <= length:
                 return
         cell[:] = [
             e for e in cell
             if not (
                 e[0] & ~mask == 0
-                and _aux_le(kind, aux, e[1])
+                and self.no_worse(measured, e[1])
                 and length <= e[2]
             )
         ] + [element]
@@ -539,101 +469,48 @@ class _FamilySearch:
             self._level(rmask, cell, length)
             self.done_len[rmask] = length
 
-    def _greedy_succ(self, rmask: int) -> int:
-        out = 0
-        for i in _mask_bits(rmask):
-            out |= self.u.succ_masks[i]
-        return out
-
-    def _greedy_same(self, rmask: int) -> int:
-        out = 0
-        for i in _mask_bits(rmask):
-            out |= self.u.same_masks[i]
-        return out
-
-    def _admitted_exists(self, m: int) -> int:
-        u = self.u
-        return sum(1 << i for i in range(len(u)) if u.succ_masks[i] & m)
-
-    def _admitted_box(self, m: int) -> int:
-        u = self.u
-        return sum(1 << i for i in range(len(u)) if u.succ_masks[i] & ~m == 0)
-
-    def _admitted_same(self, m: int) -> int:
-        u = self.u
-        return sum(1 << i for i in range(len(u)) if u.same_masks[i] & m)
-
-    def _admitted_forall(self, m: int) -> int:
-        u = self.u
-        return sum(1 << i for i in range(len(u)) if u.same_masks[i] & ~m == 0)
-
     def _level(self, rmask: int, cell: list, length: int) -> None:
-        kind = self.kind
         u = self.u
         if length == 1:
-            self._insert(cell, (0, _aux_leaf(kind, "bot", None), 1, ("bot",)))
+            self._insert(cell, (0, self.bot, 1, ("bot",)))
             if rmask == 0:
-                self._insert(
-                    cell, (self.full, _aux_leaf(kind, "top", None), 1, ("top",))
-                )
-            for var in self.vars:
-                holds = self.lit_masks[var]
+                self._insert(cell, (self.full, self.top, 1, ("top",)))
+            for var, holds, pos, neg in self.lits:
                 if rmask & holds == 0:
-                    self._insert(
-                        cell,
-                        (holds, _aux_leaf(kind, "lit", var), 1, ("lit", var, True)),
-                    )
+                    self._insert(cell, (holds, pos, 1, ("lit", var, True)))
                 if rmask & ~holds == 0:
-                    self._insert(
-                        cell,
-                        (self.full & ~holds, _aux_leaf(kind, "lit", var), 1,
-                         ("lit", var, False)),
-                    )
+                    self._insert(cell, (self.full & ~holds, neg, 1, ("lit", var, False)))
             return
 
         def child_entries(crmask: int):
             self.compute(crmask, length - 1)
             return self._entries_at(crmask, length - 1)
 
-        # dia: the reply keeps all right successors; a subtree winning from
-        # (M, R') admits every left index with a successor inside M.
-        greedy = self._greedy_succ(rmask)
-        for m, aux, clen, _ in child_entries(greedy):
-            self._insert(
-                cell,
-                (self._admitted_exists(m), _aux_combine(kind, "dia", (aux,)),
-                 length, ("dia", greedy, aux, clen)),
-            )
-        # box: an image of the right successors is chosen; admitted left
-        # indices are those whose successors all land inside M.
-        if all(u.succ_masks[i] for i in _mask_bits(rmask)):
-            for image in _minimal_hitting_masks(
-                [u.succ_masks[i] for i in _mask_bits(rmask)]
-            ):
-                for m, aux, clen, _ in child_entries(image):
-                    self._insert(
-                        cell,
-                        (self._admitted_box(m), _aux_combine(kind, "box", (aux,)),
-                         length, ("box", image, aux, clen)),
-                    )
+        modal = [("dia", "box", u.succ_masks)]
         if self.language == GLOBAL:
-            greedy = self._greedy_same(rmask)
-            for m, aux, clen, _ in child_entries(greedy):
+            modal.append(("exists", "forall", u.same_masks))
+        for some, every, masks in modal:
+            # dia/exists: the reply keeps every right move target; a subtree
+            # winning from (M, R') admits every left index with a move into M.
+            greedy = forward_image(masks, rmask)
+            for m, measured, clen, _ in child_entries(greedy):
                 self._insert(
                     cell,
-                    (self._admitted_same(m), _aux_combine(kind, "exists", (aux,)),
-                     length, ("exists", greedy, aux, clen)),
+                    (some_pre_image(masks, m), compose(_NODE_OF_MOVE[some], (measured,)),
+                     length, (some, greedy, measured, clen)),
                 )
-            for image in _minimal_hitting_masks(
-                [u.same_masks[i] for i in _mask_bits(rmask)]
-            ):
-                for m, aux, clen, _ in child_entries(image):
-                    self._insert(
-                        cell,
-                        (self._admitted_forall(m),
-                         _aux_combine(kind, "forall", (aux,)),
-                         length, ("forall", image, aux, clen)),
-                    )
+            # box/forall: an image of the right move targets is chosen; the
+            # admitted left indices are those whose moves all land inside M.
+            options = [masks[i] for i in mask_bits(rmask)]
+            if all(options):
+                for image in _minimal_hitting_masks(options):
+                    for m, measured, clen, _ in child_entries(image):
+                        self._insert(
+                            cell,
+                            (all_pre_image(masks, m),
+                             compose(_NODE_OF_MOVE[every], (measured,)),
+                             length, (every, image, measured, clen)),
+                        )
 
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):
@@ -645,7 +522,7 @@ class _FamilySearch:
                 for m2, a2, l2, _ in twos[start:]:
                     self._insert(
                         cell,
-                        (m1 | m2, _aux_combine(kind, "or", (a1, a2)), length,
+                        (m1 | m2, compose(Or, (a1, a2)), length,
                          ("or", a1, l1, a2, l2)),
                     )
 
@@ -665,8 +542,7 @@ class _FamilySearch:
                         for m2, a2, l2, _ in self._entries_at(part2, len2):
                             self._insert(
                                 cell,
-                                (m1 & m2,
-                                 _aux_combine(kind, "and", (a1, a2)), length,
+                                (m1 & m2, compose(And, (a1, a2)), length,
                                  ("and", part1, l1, part2, l2)),
                             )
                 sub = (sub - 1) & rest
@@ -680,7 +556,7 @@ class _FamilySearch:
         ]
         if not cands:
             return None
-        return min(cands, key=lambda e: (_aux_key(self.kind, e[1]), e[2]))
+        return min(cands, key=lambda e: (self.key(e[1]), e[2]))
 
     def build(self, target: int, rmask: int, len_limit: int) -> GameTree:
         """A closed tree from (target, rmask) no costlier than the best cover.
@@ -691,10 +567,9 @@ class _FamilySearch:
         entry = self.best_cover(rmask, target, len_limit)
         if entry is None:
             raise RuntimeError("no covering element during reconstruction")
-        _, aux, length, prov = entry
-        kind = self.kind
+        prov = entry[3]
         u = self.u
-        pos = GamePosition(u, _mask_bits(target), _mask_bits(rmask))
+        pos = GamePosition(u, mask_bits(target), mask_bits(rmask))
         tag = prov[0]
         if tag == "bot":
             return GameTree("bot", pos)
@@ -703,17 +578,17 @@ class _FamilySearch:
         if tag == "lit":
             return GameTree("lit", pos, var=prov[1], positive=prov[2])
         if tag in ("dia", "exists"):
-            crmask, caux, clen = prov[1], prov[2], prov[3]
+            crmask, cmeasured, clen = prov[1], prov[2], prov[3]
             moved = u.succ_masks if tag == "dia" else u.same_masks
             child_cands = [
                 f for f in self.cells.get(crmask, ())
                 if f[2] <= clen
-                and _aux_le(kind, f[1], caux)
-                and all(moved[i] & f[0] for i in _mask_bits(target))
+                and self.no_worse(f[1], cmeasured)
+                and all(moved[i] & f[0] for i in mask_bits(target))
             ]
-            f = min(child_cands, key=lambda e: (_aux_key(kind, e[1]), e[2]))
+            f = min(child_cands, key=lambda e: (self.key(e[1]), e[2]))
             image = 0
-            for i in _mask_bits(target):
+            for i in mask_bits(target):
                 opts = moved[i] & f[0]
                 image |= opts & -opts
             child = self.build(image, crmask, f[2])
@@ -721,25 +596,21 @@ class _FamilySearch:
         if tag in ("box", "forall"):
             image, clen = prov[1], prov[3]
             moved = u.succ_masks if tag == "box" else u.same_masks
-            ctarget = 0
-            for i in _mask_bits(target):
-                ctarget |= moved[i]
-            child = self.build(ctarget, image, clen)
+            child = self.build(forward_image(moved, target), image, clen)
             return GameTree(tag, pos, (child,))
         if tag == "or":
             a1, l1, a2, l2 = prov[1:]
             cell = self.cells[rmask]
             pairs = [
                 (f, g)
-                for f in cell if f[2] <= l1 and _aux_le(kind, f[1], a1)
-                for g in cell if g[2] <= l2 and _aux_le(kind, g[1], a2)
+                for f in cell if f[2] <= l1 and self.no_worse(f[1], a1)
+                for g in cell if g[2] <= l2 and self.no_worse(g[1], a2)
                 and target & ~(f[0] | g[0]) == 0
             ]
             f, g = min(
                 pairs,
                 key=lambda p: (
-                    _aux_key(kind, _aux_combine(kind, "or", (p[0][1], p[1][1]))),
-                    p[0][2] + p[1][2],
+                    self.key(compose(Or, (p[0][1], p[1][1]))), p[0][2] + p[1][2],
                 ),
             )
             t1 = target & f[0]
@@ -753,6 +624,20 @@ class _FamilySearch:
             "and", pos,
             (self.build(target, part1, l1), self.build(target, part2, l2)),
         )
+
+
+def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> int:
+    """Checks a search's arguments; returns the tree length it searches to."""
+    check_language(language)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if not kind.applies_to(language):
+        raise ValueError(f"measure {kind.value} needs the global language")
+    if kind is MeasureKind.LENGTH:
+        return budget if length_cap is None else min(budget, length_cap)
+    if length_cap is None:
+        raise ValueError("non-Length measures need a length_cap")
+    return length_cap
 
 
 def min_cost_fgm(
@@ -769,17 +654,7 @@ def min_cost_fgm(
     than Length a length_cap is required to bound the search.  Returns
     (cost, tree) with cost <= budget, or None when no closed tree fits.
     """
-    check_language(language)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if not kind.applies_to(language):
-        raise ValueError(f"measure {kind.value} needs the global language")
-    if kind is MeasureKind.LENGTH:
-        eff_cap = budget if length_cap is None else min(budget, length_cap)
-    else:
-        if length_cap is None:
-            raise ValueError("non-Length measures need a length_cap")
-        eff_cap = length_cap
+    eff_cap = _length_bound(kind, budget, language, length_cap)
     u = pos.universe
     if not u.point_closed:
         raise ValueError("game search needs a point-closed universe")
@@ -789,8 +664,8 @@ def min_cost_fgm(
                 return None
 
     search = _FamilySearch(u, kind, budget, eff_cap, language, position_cap)
-    lmask = sum(1 << i for i in pos.left)
-    rmask = sum(1 << i for i in pos.right)
+    lmask = _as_mask(pos.left)
+    rmask = _as_mask(pos.right)
     best = None
     for upto in range(1, eff_cap + 1):
         search.compute(rmask, upto)
@@ -801,18 +676,16 @@ def min_cost_fgm(
     if lmask == 0 and eff_cap >= 1:
         # The bot leaf always closes an empty left side; prefer it on ties
         # even when a wider element shadowed it in the family.
-        bot_aux = _aux_leaf(kind, "bot", None)
-        if _aux_value(kind, bot_aux) <= budget and (
+        bot = search.bot
+        if bot[0].get(kind) <= budget and (
             best is None
-            or (_aux_key(kind, bot_aux), 1) <= (_aux_key(kind, best[1]), best[2])
+            or (search.key(bot), 1) <= (search.key(best[1]), best[2])
         ):
-            return _aux_value(kind, bot_aux), GameTree(
-                "bot", GamePosition(u, (), pos.right)
-            )
+            return bot[0].get(kind), GameTree("bot", GamePosition(u, (), pos.right))
     if best is None:
         return None
     tree = search.build(lmask, rmask, best[2])
-    return _aux_value(kind, best[1]), tree
+    return best[1][0].get(kind), tree
 
 
 def fgf_min_cost(
@@ -833,67 +706,41 @@ def fgf_min_cost(
     choice) giving the chosen pointed model per negative frame name (up to
     bisimilarity), or None when no separating formula fits the caps.
     """
-    check_language(language)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    eff_cap = _length_bound(kind, budget, language, length_cap)
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
-    if not kind.applies_to(language):
-        raise ValueError(f"measure {kind.value} needs the global language")
-    if kind is MeasureKind.LENGTH:
-        eff_cap = budget if length_cap is None else min(budget, length_cap)
-    else:
-        if length_cap is None:
-            raise ValueError("non-Length measures need a length_cap")
-        eff_cap = length_cap
 
-    named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
-    named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
-    red = expand_reduced(named, var_bound, language, cap)
-    u = red.universe
-
-    target = 0
-    for nm, _ in w.named_positives():
-        for i in red.class_reps[f"+{nm}"]:
-            target |= 1 << i
+    u, target, negatives = reduced_witnesses(w, var_bound, language, cap)
     # Classes are merged globally, so a candidate bisimilar to some positive
     # pointed model is simply a candidate index inside the target set; such
     # a choice blocks every separating formula.
     candidates: list[tuple[str, list[int]]] = []
-    for nm, _ in w.named_negatives():
-        free = [i for i in red.class_reps[f"-{nm}"] if not target >> i & 1]
+    for nm, reps in negatives:
+        free = [i for i in reps if not target >> i & 1]
         if not free:
             return None
         candidates.append((nm, free))
 
     search = _FamilySearch(u, kind, budget, eff_cap, language, element_cap)
-
-    def choices(k: int, acc: tuple):
-        if k == len(candidates):
-            yield acc
-            return
-        for i in candidates[k][1]:
-            yield from choices(k + 1, acc + (i,))
-
-    combos = list(choices(0, ()))
-    best = None  # (sort key, aux, length, combo, rmask)
+    combos = list(itertools.product(*(free for _, free in candidates)))
+    best = None  # (sort key, measured, length, combo, rmask)
     for upto in range(1, eff_cap + 1):
         last = upto == eff_cap
         for combo in combos:
-            rmask = sum(1 << i for i in combo)
+            rmask = _as_mask(combo)
             search.compute(rmask, upto)
             if kind is not MeasureKind.LENGTH and not last:
                 continue
             entry = search.best_cover(rmask, target, upto)
             if entry is not None:
-                key = (_aux_key(kind, entry[1]), entry[2], combo)
+                key = (search.key(entry[1]), entry[2], combo)
                 if best is None or key < best[0]:
                     best = (key, entry[1], entry[2], combo, rmask)
         if best is not None and kind is MeasureKind.LENGTH:
             break
     if best is None:
         return None
-    _, aux, length, combo, rmask = best
+    _, measured, length, combo, rmask = best
     tree = search.build(target, rmask, length)
     choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combo)}
-    return _aux_value(kind, aux), tree, choice
+    return measured[0].get(kind), tree, choice

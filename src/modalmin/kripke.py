@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from . import formula as fm
 from .formula import (
     BASIC,
     GLOBAL,
@@ -37,15 +36,12 @@ class ResourceCapError(RuntimeError):
     """A requested computation exceeds the configured resource cap."""
 
 
-def _mask_to_states(mask: int) -> tuple[int, ...]:
-    out = []
-    s = 0
+def mask_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
     while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return tuple(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Frame:
@@ -66,7 +62,7 @@ class Frame:
         self._hash = hash((state_count, self.succ_masks))
 
     def successors_of(self, s: int) -> tuple[int, ...]:
-        return _mask_to_states(self.succ_masks[s])
+        return tuple(mask_bits(self.succ_masks[s]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.succ_masks[u] >> v & 1)
@@ -164,7 +160,7 @@ class Model:
         return self._hash
 
     def __repr__(self):
-        sets = {f"p{v}": _mask_to_states(m) for v, m in self.valuation.items()}
+        sets = {f"p{v}": tuple(mask_bits(m)) for v, m in self.valuation.items()}
         return f"Model({self.frame!r}, {sets})"
 
 
@@ -192,14 +188,46 @@ class PointedModel:
         return f"PointedModel({self.model!r}, point={self.point})"
 
 
+# --- the modal mask kernel --------------------------------------------------
+#
+# Every modal step, in evaluation, enumeration and the games, is one of three
+# operations on a mask table: masks[i] is the set of indices one move away
+# from i (Frame.succ_masks, Universe.succ_masks or Universe.same_masks).
+
+
+def forward_image(masks: Sequence[int], m: int) -> int:
+    """Indices one move away from some index in m: the game's greedy reply."""
+    out = 0
+    for i in mask_bits(m):
+        out |= masks[i]
+    return out
+
+
+def some_pre_image(masks: Sequence[int], m: int) -> int:
+    """Indices with some move into m: the diamond and E."""
+    out = 0
+    for i, row in enumerate(masks):
+        if row & m:
+            out |= 1 << i
+    return out
+
+
+def all_pre_image(masks: Sequence[int], m: int) -> int:
+    """Indices with every move inside m, vacuously when there is none: box and A."""
+    outside = ~m
+    out = 0
+    for i, row in enumerate(masks):
+        if not row & outside:
+            out |= 1 << i
+    return out
+
+
 # --- evaluation -------------------------------------------------------------
 
 
 def den_states(m: Model, phi: Formula) -> int:
     """Bit mask of the model states where phi holds."""
-    frame = m.frame
-    w = frame.state_count
-    full = (1 << w) - 1
+    full = (1 << m.frame.state_count) - 1
     if isinstance(phi, TrueConst):
         return full
     if isinstance(phi, FalseConst):
@@ -213,11 +241,9 @@ def den_states(m: Model, phi: Formula) -> int:
     if isinstance(phi, And):
         return den_states(m, phi.left) & den_states(m, phi.right)
     if isinstance(phi, Dia):
-        child = den_states(m, phi.child)
-        return sum(1 << s for s in range(w) if frame.succ_masks[s] & child)
+        return some_pre_image(m.frame.succ_masks, den_states(m, phi.child))
     if isinstance(phi, Box):
-        child = den_states(m, phi.child)
-        return sum(1 << s for s in range(w) if not (frame.succ_masks[s] & ~child))
+        return all_pre_image(m.frame.succ_masks, den_states(m, phi.child))
     if isinstance(phi, ExistsMod):
         return full if den_states(m, phi.child) else 0
     if isinstance(phi, ForallMod):
@@ -359,30 +385,30 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
 # --- bisimulation -----------------------------------------------------------
 
 
-def _refine(models: Sequence[Model], var_order: Sequence[int]) -> list[list[int]]:
-    """Coarsest atom-respecting bisimulation classes across the given models.
+def _successor_lists(frame: Frame) -> list[tuple[int, ...]]:
+    return [frame.successors_of(s) for s in range(frame.state_count)]
 
-    Returns one class-id list per model (ids shared across models).
+
+def _refine(
+    colours: list[int], blocks: Sequence[tuple[int, Sequence[tuple[int, ...]]]]
+) -> list[int]:
+    """The coarsest bisimulation colouring that refines the given one.
+
+    Colours form one flat table over the states of many models; blocks
+    holds an (offset, successor lists) pair per model, and the model's state
+    s sits at offset + s.  Each round recolours every state by its colour
+    and the set of its successors' colours.  Colour ids are only ever
+    compared for equality.
     """
-    colours = [
-        [m.atom_code(s, var_order) for s in range(m.frame.state_count)]
-        for m in models
-    ]
     while True:
+        intern: dict[tuple[int, frozenset[int]], int] = {}
+        fresh = [0] * len(colours)
+        for off, succs in blocks:
+            for s, ts in enumerate(succs):
+                sig = (colours[off + s], frozenset(colours[off + t] for t in ts))
+                fresh[off + s] = intern.setdefault(sig, len(intern))
         # splitting is monotone, so an unchanged class count means stability
-        intern: dict[tuple, int] = {}
-        fresh = []
-        for mi, m in enumerate(models):
-            row = []
-            for s in range(m.frame.state_count):
-                sig = (
-                    colours[mi][s],
-                    frozenset(colours[mi][t] for t in m.frame.successors_of(s)),
-                )
-                row.append(intern.setdefault(sig, len(intern)))
-            fresh.append(row)
-        old_count = len({c for row in colours for c in row})
-        if len(intern) == old_count:
+        if len(intern) == len(set(colours)):
             return fresh
         colours = fresh
 
@@ -398,11 +424,16 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
     var_order = sorted(
         set(a.model.valuation) | set(b.model.valuation)
     )
-    classes = _refine([a.model, b.model], var_order)
-    if classes[0][a.point] != classes[1][b.point]:
+    width = a.model.frame.state_count
+    colours = _refine(
+        [m.atom_code(s, var_order) for m in (a.model, b.model)
+         for s in range(m.frame.state_count)],
+        [(0, _successor_lists(a.model.frame)), (width, _successor_lists(b.model.frame))],
+    )
+    if colours[a.point] != colours[width + b.point]:
         return False
     if language == GLOBAL:
-        return set(classes[0]) == set(classes[1])
+        return set(colours[:width]) == set(colours[width:])
     return True
 
 
@@ -444,8 +475,11 @@ class Universe:
     def __len__(self):
         return len(self.models)
 
-    def index_of(self, pm: PointedModel) -> int:
-        return self.models.index(pm)
+    def lit_mask(self, var: int) -> int:
+        """Bit i set iff p{var} holds at pointed model i."""
+        return sum(
+            1 << i for i, pm in enumerate(self.models) if pm.model.holds(var, pm.point)
+        )
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
@@ -461,20 +495,20 @@ class Universe:
         return out
 
 
+def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
+    """The model whose valuation code has bit k*W+s set iff p(k+1) holds at s."""
+    w = frame.state_count
+    return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
+
+
 def expand_frame(frame: Frame, var_bound: int) -> Iterator[PointedModel]:
     """All pointed models over the frame with valuations of p1..p{var_bound}.
 
-    Valuation codes ascend; bit k*W+s of the code puts state s into p(k+1).
+    Valuation codes ascend, as in _coded_model.
     """
-    w = frame.state_count
-    for code in range(1 << (w * var_bound)):
-        valuation = {}
-        for k in range(var_bound):
-            mask = code >> (k * w) & ((1 << w) - 1)
-            if mask:
-                valuation[k + 1] = mask
-        model = Model(frame, valuation)
-        for point in range(w):
+    for code in range(1 << (frame.state_count * var_bound)):
+        model = _coded_model(frame, var_bound, code)
+        for point in range(frame.state_count):
             yield PointedModel(model, point)
 
 
@@ -516,13 +550,11 @@ def build_universe(
 
 
 class ReducedExpansion:
-    __slots__ = ("universe", "class_reps", "class_counts")
+    __slots__ = ("universe", "class_reps")
 
-    def __init__(self, universe: Universe, class_reps: dict[str, tuple[int, ...]],
-                 class_counts: dict[str, int]):
+    def __init__(self, universe: Universe, class_reps: dict[str, tuple[int, ...]]):
         self.universe = universe
         self.class_reps = class_reps
-        self.class_counts = class_counts
 
 
 def expand_reduced(
@@ -569,23 +601,11 @@ def expand_reduced(
                     atom |= 1 << k
             colours[off + s] = atom
 
-    succ_lists: dict[Frame, list[tuple[int, ...]]] = {}
-    for _, frame, _, _ in specs:
-        if frame not in succ_lists:
-            succ_lists[frame] = [frame.successors_of(s) for s in range(frame.state_count)]
+    succ_lists = {frame: _successor_lists(frame) for _, frame in named_frames}
+    blocks = [(off, succ_lists[frame]) for _, frame, _, off in specs]
 
     while True:
-        while True:
-            intern: dict[tuple[int, frozenset[int]], int] = {}
-            fresh = [0] * total
-            for _, frame, _, off in specs:
-                succs = succ_lists[frame]
-                for s in range(frame.state_count):
-                    sig = (colours[off + s], frozenset(colours[off + t] for t in succs[s]))
-                    fresh[off + s] = intern.setdefault(sig, len(intern))
-            if len(intern) == len(set(colours)):
-                break
-            colours = fresh
+        colours = _refine(colours, blocks)
         if language == BASIC:
             break
         # E/A read whole models: split same-coloured points whose models
@@ -602,12 +622,9 @@ def expand_reduced(
 
     # classes needed per frame name: classes of every expanded point
     needed: dict[str, set[int]] = {name: set() for name in names}
-    counts: dict[str, int] = {}
     for name, frame, code, off in specs:
         for s in range(frame.state_count):
             needed[name].add(colours[off + s])
-    for name in names:
-        counts[name] = len(needed[name])
 
     all_needed = set().union(*needed.values()) if needed else set()
 
@@ -632,14 +649,8 @@ def expand_reduced(
     class_index: dict[int, int] = {}
     for idx in kept:
         name, frame, code, off = specs[idx]
-        w = frame.state_count
-        valuation = {}
-        for k in range(var_bound):
-            mask = code >> (k * w) & ((1 << w) - 1)
-            if mask:
-                valuation[k + 1] = mask
-        model = Model(frame, valuation)
-        for s in range(w):
+        model = _coded_model(frame, var_bound, code)
+        for s in range(frame.state_count):
             cls = colours[off + s]
             if cls not in class_index:
                 class_index[cls] = len(pointed)
@@ -649,7 +660,7 @@ def expand_reduced(
     class_reps = {
         name: tuple(sorted(class_index[c] for c in needed[name])) for name in names
     }
-    return ReducedExpansion(universe, class_reps, counts)
+    return ReducedExpansion(universe, class_reps)
 
 
 # --- file formats -----------------------------------------------------------
@@ -659,6 +670,13 @@ def format_frame(name: str, frame: Frame) -> str:
     lines = [f"frame {name}", f"states {frame.state_count}"]
     lines.extend(f"edge {u} {v}" for u, v in frame.edges())
     return "\n".join(lines) + "\n"
+
+
+def _int_field(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {text!r}") from None
 
 
 def parse_frames(text: str) -> list[tuple[str, Frame]]:
@@ -695,13 +713,17 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
                 raise ValueError(f"line {lineno}: 'states' before any 'frame'")
             if count is not None:
                 raise ValueError(f"line {lineno}: duplicate 'states' line")
-            count = int(parts[1])
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'states <N>'")
+            count = _int_field(parts[1], lineno)
+            if count < 1:
+                raise ValueError(f"line {lineno}: a frame needs at least one state")
         elif parts[0] == "edge":
             if count is None:
                 raise ValueError(f"line {lineno}: 'edge' before 'states'")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'edge <u> <v>'")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _int_field(parts[1], lineno), _int_field(parts[2], lineno)
             if not (0 <= u < count and 0 <= v < count):
                 raise ValueError(f"line {lineno}: edge ({u},{v}) out of range")
             if (u, v) not in edges:
@@ -717,7 +739,7 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
 def format_model(name: str, model: Model, point: int | None = None) -> str:
     lines = [format_frame(name, model.frame).rstrip("\n")]
     for var in sorted(model.valuation):
-        states = " ".join(str(s) for s in _mask_to_states(model.valuation[var]))
+        states = " ".join(map(str, mask_bits(model.valuation[var])))
         lines.append(f"val p{var} {states}")
     if point is not None:
         lines.append(f"point {point}")
@@ -731,22 +753,26 @@ def parse_model(text: str) -> tuple[str, Model, int | None]:
     val_lines = []
     point: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts or parts[0] not in ("val", "point"):
+            frame_lines.append(raw)
             continue
-        parts = line.split()
+        # blanked, so that the frame parser still reports true line numbers
+        frame_lines.append("")
         if parts[0] == "val":
             if len(parts) < 2 or not parts[1].startswith("p"):
                 raise ValueError(f"line {lineno}: expected 'val pK <states...>'")
-            var = int(parts[1][1:])
-            states = [int(x) for x in parts[2:]]
+            var = _int_field(parts[1][1:], lineno)
+            if var < 1:
+                raise ValueError(f"line {lineno}: variable indices start at 1")
+            states = [_int_field(x, lineno) for x in parts[2:]]
             val_lines.append((lineno, var, states))
-        elif parts[0] == "point":
+        else:
             if point is not None:
                 raise ValueError(f"line {lineno}: duplicate 'point' line")
-            point = int(parts[1])
-        else:
-            frame_lines.append(raw)
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'point <w>'")
+            point, point_line = _int_field(parts[1], lineno), lineno
     frames = parse_frames("\n".join(frame_lines))
     if len(frames) != 1:
         raise ValueError("model files contain exactly one frame")
@@ -759,5 +785,5 @@ def parse_model(text: str) -> tuple[str, Model, int | None]:
         sets.setdefault(var, []).extend(states)
     model = Model.from_sets(frame, sets)
     if point is not None and not (0 <= point < frame.state_count):
-        raise ValueError(f"point {point} out of range")
+        raise ValueError(f"line {point_line}: point {point} out of range")
     return name, model, point

@@ -11,7 +11,7 @@ these frames" into a checkable Certificate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -20,26 +20,29 @@ from .formula import (
     Dia,
     ExistsMod,
     FALSE,
+    FalseConst,
     ForallMod,
     Formula,
     MeasureKind,
+    Measured,
     MeasureVector,
     NegLit,
     Or,
     PosLit,
     TRUE,
+    TrueConst,
     check_language,
-    measure_all,
+    compose,
     print_formula,
 )
-from .gallery import WitnessSet
+from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
-    ReducedExpansion,
     ResourceCapError,
     UNIVERSE_CAP,
     Universe,
-    expand_reduced,
+    all_pre_image,
     frame_valid,
+    some_pre_image,
 )
 
 __all__ = [
@@ -92,87 +95,87 @@ def enumerate_formulas(
     if stats is None:
         stats = EnumerationStats()
 
-    succ = u.succ_masks
-    same = u.same_masks
-    n = len(u)
-    full = (1 << n) - 1
-    lit_masks = {
-        var: sum(1 << i for i, pm in enumerate(u.models) if pm.model.holds(var, pm.point))
-        for var in range(1, var_bound + 1)
-    }
+    full = (1 << len(u)) - 1
+    steps = [(Dia, some_pre_image, u.succ_masks), (Box, all_pre_image, u.succ_masks)]
+    if language != BASIC:
+        steps += [(ExistsMod, some_pre_image, u.same_masks),
+                  (ForallMod, all_pre_image, u.same_masks)]
 
-    def dia_of(m: int) -> int:
-        return sum(1 << i for i in range(n) if succ[i] & m)
+    # per denotation, the Pareto-minimal vectors retained so far
+    pareto: dict[int, list[MeasureVector]] = {}
+    # per length, the retained (formula, denotation, (vector, variable mask))
+    by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
 
-    def box_of(m: int) -> int:
-        return sum(1 << i for i in range(n) if succ[i] & ~m == 0)
-
-    def exists_of(m: int) -> int:
-        return sum(1 << i for i in range(n) if same[i] & m)
-
-    def forall_of(m: int) -> int:
-        return sum(1 << i for i in range(n) if same[i] & ~m == 0)
-
-    # per denotation, the Pareto-minimal (vector, length) retained so far
-    pareto: dict[int, list[tuple[MeasureVector, int]]] = {}
-    by_len: dict[int, list[tuple[Formula, int]]] = {}
-
-    def admit(phi: Formula, den: int, length: int):
+    def admit(phi: Formula, den: int, measured: Measured):
         stats.formulas += 1
         if stats.formulas > max_candidates:
             raise ResourceCapError(
                 f"enumeration exceeded {max_candidates} candidate formulas "
                 f"({stats.denotations} denotations reached)"
             )
-        vec = measure_all(phi)
+        vec = measured[0]
         kept = pareto.get(den)
         if kept is None:
-            pareto[den] = [(vec, length)]
+            pareto[den] = [vec]
             stats.denotations += 1
         else:
-            if any(v.dominates(vec) for v, _ in kept):
+            if any(v.dominates(vec) for v in kept):
                 return None
             # only same-length entries can be newly dominated: every measure
             # vector includes Length, so shorter retained entries never are
-            kept[:] = [e for e in kept if not vec.dominates(e[0])]
-            kept.append((vec, length))
-        by_len.setdefault(length, []).append((phi, den))
+            kept[:] = [v for v in kept if not vec.dominates(v)]
+            kept.append(vec)
+        by_len.setdefault(vec.length, []).append((phi, den, measured))
         return phi, den, vec
 
-    atoms: list[tuple[Formula, int]] = [(FALSE, 0), (TRUE, full)]
+    atoms = [(FALSE, 0, compose(FalseConst)), (TRUE, full, compose(TrueConst))]
     for var in range(1, var_bound + 1):
-        atoms.append((PosLit(var), lit_masks[var]))
-        atoms.append((NegLit(var), full & ~lit_masks[var]))
+        lit = u.lit_mask(var)
+        atoms.append((PosLit(var), lit, compose(PosLit, var=var)))
+        atoms.append((NegLit(var), full & ~lit, compose(NegLit, var=var)))
 
     for length in range(1, length_cap + 1):
         if length == 1:
-            for phi, den in atoms:
-                out = admit(phi, den, 1)
+            for atom in atoms:
+                out = admit(*atom)
                 if out:
                     yield out
             continue
-        for phi, den in list(by_len.get(length - 1, ())):
-            for ctor, op in (
-                (Dia, dia_of), (Box, box_of), (ExistsMod, exists_of), (ForallMod, forall_of),
-            ):
-                if language == BASIC and ctor in (ExistsMod, ForallMod):
-                    continue
-                out = admit(ctor(phi), op(den), length)
+        for phi, den, measured in list(by_len.get(length - 1, ())):
+            for ctor, pre_image, masks in steps:
+                out = admit(ctor(phi), pre_image(masks, den), compose(ctor, (measured,)))
                 if out:
                     yield out
         for len1 in range(1, (length - 1) // 2 + 1):
             len2 = length - 1 - len1
             ones = list(by_len.get(len1, ()))
             twos = list(by_len.get(len2, ())) if len2 != len1 else ones
-            for i1, (a, da) in enumerate(ones):
+            for i1, (a, da, ma) in enumerate(ones):
                 start = i1 if len1 == len2 else 0
-                for b, db in twos[start:]:
-                    out = admit(Or(a, b), da | db, length)
+                for b, db, mb in twos[start:]:
+                    out = admit(Or(a, b), da | db, compose(Or, (ma, mb)))
                     if out:
                         yield out
-                    out = admit(And(a, b), da & db, length)
+                    out = admit(And(a, b), da & db, compose(And, (ma, mb)))
                     if out:
                         yield out
+
+
+def _cheapest(found, kind: MeasureKind, separates) -> tuple[Formula, MeasureVector] | None:
+    """The cheapest enumerated formula whose denotation separates.
+
+    Minimizes the measure with ties broken by Length and then by the printed
+    form; a Length search stops after the first level that separates.
+    """
+    best = None
+    for phi, den, vec in found:
+        if best is not None and kind is MeasureKind.LENGTH and vec.length > best[0][1]:
+            break
+        if separates(den):
+            key = (vec.get(kind), vec.length, print_formula(phi))
+            if best is None or key < best[0]:
+                best = (key, phi, vec)
+    return None if best is None else best[1:]
 
 
 def min_separating(
@@ -198,47 +201,29 @@ def min_separating(
         raise ValueError(f"measure {kind.value} needs the global language")
     lmask = sum(1 << i for i in left)
     rmask = sum(1 << i for i in right)
-    best = None
-    for phi, den, vec in enumerate_formulas(
-        u, var_bound, length_cap, language, max_candidates
-    ):
-        if (
-            best is not None
-            and kind is MeasureKind.LENGTH
-            and vec.get(MeasureKind.LENGTH) > best[0][1]
-        ):
-            break
-        if lmask & ~den == 0 and rmask & den == 0:
-            key = (vec.get(kind), vec.get(MeasureKind.LENGTH), print_formula(phi))
-            if best is None or key < best[0]:
-                best = (key, phi, vec)
-    if best is None:
-        return None
-    return best[1], best[2]
+    return _cheapest(
+        enumerate_formulas(u, var_bound, length_cap, language, max_candidates),
+        kind,
+        lambda den: lmask & ~den == 0 and rmask & den == 0,
+    )
 
 
 # --- frame-wise separation --------------------------------------------------
 
 
-def _reduced_setup(w: WitnessSet, var_bound: int, language: str, cap: int):
-    named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
-    named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
-    red = expand_reduced(named, var_bound, language, cap)
-    pos_mask = 0
-    for nm, _ in w.named_positives():
-        for i in red.class_reps[f"+{nm}"]:
-            pos_mask |= 1 << i
-    neg_masks = []
-    for nm, _ in w.named_negatives():
-        neg_masks.append(sum(1 << i for i in red.class_reps[f"-{nm}"]))
-    return red, pos_mask, neg_masks
+def _frame_separation(w: WitnessSet, var_bound: int, language: str, cap: int):
+    """w's reduced universe and a test of whether a denotation separates w.
 
+    A denotation separates when it is valid on every positive frame and
+    refuted somewhere on every negative one.
+    """
+    u, positive, negatives = reduced_witnesses(w, var_bound, language, cap)
+    neg_masks = [sum(1 << i for i in reps) for _, reps in negatives]
 
-def _separates_frames(den: int, pos_mask: int, neg_masks: list[int]) -> bool:
-    # valid on every positive frame, refuted somewhere on every negative one
-    if pos_mask & ~den:
-        return False
-    return all(m & ~den for m in neg_masks)
+    def separates(den: int) -> bool:
+        return positive & ~den == 0 and all(m & ~den for m in neg_masks)
+
+    return u, separates
 
 
 def min_separating_frames(
@@ -257,24 +242,12 @@ def min_separating_frames(
     """
     if not kind.applies_to(language):
         raise ValueError(f"measure {kind.value} needs the global language")
-    red, pos_mask, neg_masks = _reduced_setup(w, var_bound, language, cap)
-    best = None
-    for phi, den, vec in enumerate_formulas(
-        red.universe, var_bound, length_cap, language, max_candidates
-    ):
-        if (
-            best is not None
-            and kind is MeasureKind.LENGTH
-            and vec.get(MeasureKind.LENGTH) > best[0][1]
-        ):
-            break
-        if _separates_frames(den, pos_mask, neg_masks):
-            key = (vec.get(kind), vec.get(MeasureKind.LENGTH), print_formula(phi))
-            if best is None or key < best[0]:
-                best = (key, phi, vec)
-    if best is None:
-        return None
-    return best[1], best[2]
+    u, separates = _frame_separation(w, var_bound, language, cap)
+    return _cheapest(
+        enumerate_formulas(u, var_bound, length_cap, language, max_candidates),
+        kind,
+        separates,
+    )
 
 
 # --- certificates -----------------------------------------------------------
@@ -377,23 +350,17 @@ def certify_bound(
         )
 
     try:
-        red, pos_mask, neg_masks = _reduced_setup(w, var_bound, language, cap)
+        u, separates = _frame_separation(w, var_bound, language, cap)
         for phi, den, vec in enumerate_formulas(
-            red.universe, var_bound, length_cap, language, max_candidates, stats
+            u, var_bound, length_cap, language, max_candidates, stats
         ):
             if vec.get(kind) >= claimed_bound:
                 continue
-            if _separates_frames(den, pos_mask, neg_masks):
-                for _, fr in w.named_positives():
-                    if not frame_valid(fr, phi):
-                        raise RuntimeError(
-                            "refutation failed independent re-validation"
-                        )
-                for _, fr in w.named_negatives():
-                    if frame_valid(fr, phi):
-                        raise RuntimeError(
-                            "refutation failed independent re-validation"
-                        )
+            if separates(den):
+                if not all(frame_valid(fr, phi) for fr in w.positives) or any(
+                    frame_valid(fr, phi) for fr in w.negatives
+                ):
+                    raise RuntimeError("refutation failed independent re-validation")
                 return done("Refuted", phi)
     except ResourceCapError:
         return done("Inconclusive")

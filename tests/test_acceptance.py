@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+from modalmin.cli import _doubled
 from modalmin.colouring import (
     is_n_colourable,
     k_complete,
@@ -331,14 +332,6 @@ def test_criterion_09_weight_machinery(capsys):
         capsys, 9, 120, started, ok,
         f"engine trees carry valid weights with roots {roots.get(2)} and {roots.get(3)}",
     )
-
-
-def _doubled(pointed: PointedModel) -> PointedModel:
-    frame = pointed.model.frame
-    count = frame.state_count
-    edges = list(frame.edges()) + [(u + count, v + count) for u, v in frame.edges()]
-    valuation = {v: mask | mask << count for v, mask in pointed.model.valuation.items()}
-    return PointedModel(Model(Frame(2 * count, edges), valuation), pointed.point)
 
 
 def _padded(pointed: PointedModel, rng: random.Random) -> PointedModel:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from modalmin.cli import COVERAGE, OP_INVENTORY, _CLAIMS, main
+from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
 
 SINGLE_MODEL = """\
@@ -236,6 +237,32 @@ def test_game_emit_tree(runner, tmp_path):
     assert any(line.startswith("  ") for line in rendered)
 
 
+def test_game_symmetry_output_pinned(runner, tmp_path):
+    out = tmp_path / "tree.txt"
+    result = _invoke(
+        runner,
+        "game", "--witnesses", "builtin:symmetry", "--budget", "5",
+        "--emit-tree", str(out),
+    )
+    assert result.output == "cost 5\nformula (~p1 | [] <> p1)\nchoice b point=0 p1={0}\n"
+    assert out.read_text() == (
+        "or left={0,1,2,3,4,5,7,9} right={6}\n"
+        "  lit ~p1 left={0,3,4,7} right={6}\n"
+        "  box left={1,2,5,9} right={6}\n"
+        "    dia left={3,4,5,9} right={7}\n"
+        "      lit p1 left={2,5,9} right={7}\n"
+    )
+
+
+def test_game_var_count_output_pinned(runner):
+    result = _invoke(
+        runner,
+        "game", "--witnesses", "builtin:transfer-1-2", "--measure", "var-count",
+        "--budget", "5", "--length-cap", "8",
+    )
+    assert result.output == "cost 1\nformula ([] ~p1 | <> <> p1)\nchoice b point=0 p1={2}\n"
+
+
 def test_game_witness_file(runner, tmp_path):
     path = tmp_path / "w.witnesses"
     path.write_text(format_witnesses(transfer_witnesses(1, 0)))
@@ -278,6 +305,44 @@ def test_usage_errors_exit_2(runner, tmp_path):
     path = _model_file(tmp_path, "m.model", SINGLE_MODEL)
     assert runner.invoke(main, ["eval", "--model", path, "--formula", "(p1 |"]).exit_code == 2
     assert runner.invoke(main, ["colour", "--frame", "builtin:k3", "--n", "0"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("valid", "frame f\nstates x\n"),
+        ("valid", "frame f\nstates 2\nedge 0 y\n"),
+        ("eval", "frame m\nstates 2\nval p1 0\npoint\n"),
+        ("eval", "frame m\nstates 2\nval px 0\npoint 0\n"),
+        ("bisim", "frame m\nstates 2\nval p1 0\npoint\n"),
+        ("bisim", "frame m\nstates 2\nval px 0\npoint 0\n"),
+        ("game", "witnesses w\nproperty\n"),
+    ],
+)
+def test_malformed_files_exit_2(runner, tmp_path, command, text):
+    path = _model_file(tmp_path, "bad.txt", text)
+    args = {
+        "valid": ["valid", "--frame", path, "--formula", "p1"],
+        "eval": ["eval", "--model", path, "--formula", "p1"],
+        "bisim": ["bisim", "--left", path, "--right", path],
+        "game": ["game", "--witnesses", path, "--budget", "3"],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "line " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_formula_nesting_limit_exits_2(runner):
+    at_limit = "<>" * MAX_NESTING + "p1"
+    result = _invoke(runner, "valid", "--frame", "builtin:k2", "--formula", at_limit)
+    assert result.exit_code == 0
+    assert result.output == "NOT VALID\n"
+    over = runner.invoke(main, ["valid", "--frame", "builtin:k2", "--formula", "<>" + at_limit])
+    assert over.exit_code == 2
+    assert "nested deeper" in over.output
+    deep = runner.invoke(main, ["valid", "--frame", "builtin:k2", "--formula", "<>" * 3000 + "p1"])
+    assert deep.exit_code == 2
 
 
 def test_resource_cap_exits_3(runner):

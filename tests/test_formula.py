@@ -9,6 +9,7 @@ from modalmin.formula import (
     BASIC,
     FALSE,
     GLOBAL,
+    MAX_NESTING,
     And,
     Box,
     Dia,
@@ -90,6 +91,18 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("(p1 | q2)")
     assert err.value.position == 6
+
+
+def test_parse_nesting_limit():
+    at_limit = "<> " * MAX_NESTING + "p1"
+    phi = parse(at_limit)
+    assert measure(phi, MeasureKind.MODAL_DEPTH) == MAX_NESTING
+    assert parse(print_formula(phi)) == phi
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("[] " + at_limit)
+    over = "(p1 | " * (MAX_NESTING + 1) + "p1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(over)
 
 
 def test_parse_language_gate():

@@ -226,3 +226,12 @@ def test_witness_file_roundtrip():
         assert back.positives == witnesses.positives
         assert back.negatives == witnesses.negatives
         assert back.recommended_var_bound == witnesses.recommended_var_bound
+
+
+def test_parse_witnesses_reports_file_line_numbers():
+    text = (
+        "witnesses w\nproperty symmetric\npositive:\nframe a\nstates 1\n"
+        "edge 0 0\nnegative:\nframe b\nstates 2\nedge 0 5\n"
+    )
+    with pytest.raises(ValueError, match="^line 10: "):
+        parse_witnesses(text)

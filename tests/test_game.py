@@ -323,6 +323,16 @@ def test_fgf_non_length_measures():
     assert (dia, box, depth) == (2, 1, 2)
 
 
+def test_fgf_var_count_pinned():
+    found = fgf_min_cost(
+        transfer_witnesses(1, 2), MeasureKind.VAR_COUNT, 1, 5, length_cap=8
+    )
+    cost, tree, _ = found
+    assert cost == 1
+    assert print_formula(psi_of_tree(tree)) == "([] ~p1 | <> <> p1)"
+    assert verify_closed_tree(tree)
+
+
 def test_fgf_tree_separates_the_frames():
     w = transfer_witnesses(2, 1)
     cost, tree, _ = fgf_min_cost(w, MeasureKind.LENGTH, 1, 8)

@@ -26,6 +26,7 @@ from modalmin.kripke import (
     ResourceCapError,
     Universe,
     VALIDITY_CAP_BITS,
+    all_pre_image,
     bisimilar,
     build_universe,
     den_states,
@@ -34,11 +35,14 @@ from modalmin.kripke import (
     expand_reduced,
     format_frame,
     format_model,
+    forward_image,
     frame_valid,
     parse_frames,
     parse_model,
+    some_pre_image,
 )
 from modalmin.colouring import colour_assignment, k_complete, khat, phi_n
+from modalmin.gallery import lob_witnesses
 
 from .conftest import rand_formula, rand_frame, rand_model, rand_pointed
 from .oracles import naive_bisimilar, naive_eval, naive_valid
@@ -306,6 +310,38 @@ def test_reduced_expansion_read_off_matches_validity():
             assert covered == frame_valid(frame, phi)
 
 
+def test_reduced_expansion_sizes_lob_3():
+    w = lob_witnesses(3)
+    named = [(f"+{n}", f) for n, f in w.named_positives()]
+    named += [(f"-{n}", f) for n, f in w.named_negatives()]
+    for language, indices, classes in ((GLOBAL, 790, 622), (BASIC, 750, 132)):
+        red = expand_reduced(named, 1, language)
+        assert len(red.universe) == indices
+        assert len(set().union(*red.class_reps.values())) == classes
+
+
+# --- the mask kernel --------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=6), st.integers(0, 127))
+def test_mask_kernel_matches_set_comprehensions(rows, m):
+    n = len(rows) + 1
+    # the appended last index has no move at all
+    rows = [r & ((1 << n) - 1) for r in rows] + [0]
+    m &= (1 << n) - 1
+
+    def members(mask):
+        return {i for i in range(n) if mask >> i & 1}
+
+    moves = [members(r) for r in rows]
+    target = members(m)
+    assert members(forward_image(rows, m)) == {j for i in target for j in moves[i]}
+    assert members(some_pre_image(rows, m)) == {i for i in range(n) if moves[i] & target}
+    assert members(all_pre_image(rows, m)) == {i for i in range(n) if moves[i] <= target}
+    assert n - 1 in members(all_pre_image(rows, m))
+    assert n - 1 not in members(some_pre_image(rows, m))
+
+
 # --- file formats -----------------------------------------------------------
 
 
@@ -328,11 +364,32 @@ def test_parse_frames_multiple_and_comments():
         "frame x\nstates 1\nedge 0 1\n",
         "states 1\n",
         "frame x\nstates 1\nwibble\n",
+        "frame x\nstates x\n",
+        "frame x\nstates\n",
+        "frame x\nstates 0\n",
+        "frame x\nstates 2\nedge 0 y\n",
     ],
 )
 def test_parse_frames_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_frames(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("frame m\nstates 2\npoint\n", 3),
+        ("frame m\nstates 2\npoint x\n", 3),
+        ("frame m\nstates 2\npoint 2\n", 3),
+        ("frame m\nval px 0\nstates 2\n", 2),
+        ("frame m\nstates 2\nval p1 0 z\n", 3),
+        ("frame m\nstates 2\nval p0 1\n", 3),
+        ("frame m\npoint 0\nstates x\n", 3),
+    ],
+)
+def test_parse_model_rejects_malformed_with_line_number(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse_model(text)
 
 
 def test_model_text_roundtrip():

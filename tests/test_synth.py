@@ -271,6 +271,21 @@ def test_certify_non_length_measures_transfer_1_2():
         assert measure(refuted.refutation, kind) == bound
 
 
+@pytest.mark.parametrize(
+    "w, kind, bound, length_cap, counts",
+    [
+        (transfer_witnesses(0, 1), MeasureKind.LENGTH, 4, None, (40, 10)),
+        (symmetry_witnesses(), MeasureKind.LENGTH, 5, None, (112, 50)),
+        (transfer_witnesses(1, 2), MeasureKind.VAR_COUNT, 1, 8, (3782, 812)),
+    ],
+    ids=["transfer-0-1@4", "symmetry@5", "transfer-1-2-var-count@1"],
+)
+def test_certify_pinned_counts(w, kind, bound, length_cap, counts):
+    cert = certify_bound(w, kind, bound, length_cap=length_cap)
+    assert cert.verdict == "Proved"
+    assert (cert.formulas_enumerated, cert.distinct_denotations) == counts
+
+
 def test_certify_inconclusive_on_tiny_cap():
     cert = certify_bound(
         symmetry_witnesses(), MeasureKind.LENGTH, 5, max_candidates=8
