@@ -15,6 +15,7 @@ from .formula import Formula, Or, And, Dia, Box, PosLit, NegLit
 from .kripke import (
     Frame,
     Universe,
+    _int_field,
     expand_reduced,
     format_frame,
     forward_image,
@@ -503,7 +504,9 @@ def parse_witnesses(text: str) -> WitnessSet:
             name = parts[1]
         elif parts[0] == "property":
             if len(parts) == 4 and parts[1] == "transfer":
-                prop = FrameProperty.transfer(int(parts[2]), int(parts[3]))
+                prop = FrameProperty.transfer(
+                    _int_field(parts[2], lineno), _int_field(parts[3], lineno)
+                )
             elif len(parts) == 2 and parts[1] in _PROPERTY_NAMES:
                 prop = _PROPERTY_NAMES[parts[1]]
             else:
@@ -511,7 +514,9 @@ def parse_witnesses(text: str) -> WitnessSet:
                     f"line {lineno}: bad property declaration: {stripped!r}"
                 )
         elif parts[0] == "vars" and len(parts) == 2:
-            var_bound = int(parts[1])
+            var_bound = _int_field(parts[1], lineno)
+            if var_bound < 0:
+                raise ValueError(f"line {lineno}: var bound must be >= 0")
         else:
             raise ValueError(f"line {lineno}: unexpected line: {stripped!r}")
     if name is None or prop is None:

@@ -265,14 +265,13 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             # dia/exists: left picks a target per left index, the reply keeps
             # every right target; box/forall swap the two sides.
             child = node.children[0].position
-            moves = u.succ if node.move in ("dia", "box") else u.same_model
             masks = u.succ_masks if node.move in ("dia", "box") else u.same_masks
             if node.move in ("dia", "exists"):
                 sides = (("left", left, child.left), ("right", right, child.right))
             else:
                 sides = (("right", right, child.right), ("left", left, child.left))
             (chooser, chosen, image), (replier, replied, reply) = sides
-            options = [moves[i] for i in sorted(chosen)]
+            options = [tuple(mask_bits(masks[i])) for i in sorted(chosen)]
             if any(not o for o in options):
                 out.append(f"{path}: {node.move} move with a successor-less {chooser} index")
             if _as_mask(reply) != forward_image(masks, _as_mask(replied)):
@@ -382,9 +381,10 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # from which a closed tree with those costs exists against R.  Left sets are
 # handled as whole masks (an or-move is a union of two elements), so only
 # right sets are ever partitioned; the families grow level by level in tree
-# length, and a query asks for the cheapest element covering a target left
-# set.  Cost monotonicity in both position sets makes this equivalent to
-# searching positions directly while keeping large left sets tractable.
+# length, kept as one list per length, and a query asks for the cheapest
+# element covering a target left set.  Cost monotonicity in both position
+# sets makes this equivalent to searching positions directly while keeping
+# large left sets tractable.
 #
 # Dominated elements are dropped, but every dropped element is covered by a
 # survivor that is at least as large and no more expensive, so tree
@@ -398,7 +398,9 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 
 
 class _FamilySearch:
-    # elements are (set_mask, measured, length, prov)
+    # elements are (set_mask, measured, length, prov); cells[rmask][k] holds
+    # the elements of length k, for k up to the last level computed, and
+    # cells[rmask][0] is empty
 
     def __init__(self, universe, kind, budget, length_cap, language, element_cap):
         self.u = universe
@@ -407,8 +409,7 @@ class _FamilySearch:
         self.length_cap = length_cap
         self.language = language
         self.element_cap = element_cap
-        self.cells: dict[int, list] = {}
-        self.done_len: dict[int, int] = {}
+        self.cells: dict[int, list[list]] = {}
         self.element_count = 0
         self.slot = list(MeasureKind).index(kind)
         self.full = (1 << len(universe)) - 1
@@ -430,20 +431,19 @@ class _FamilySearch:
             return (a[0].var_count, tuple(mask_bits(a[1])))
         return a[0][self.slot]
 
-    def _insert(self, cell: list, element) -> None:
+    def _insert(self, levels: list[list], element) -> None:
+        # every stored element is at most as long as the one inserted, so
+        # only elements of its own length can be evicted
         mask, measured, length, _ = element
         if measured[0][self.slot] > self.budget:
             return
-        for m2, a2, l2, _ in cell:
-            if mask & ~m2 == 0 and self.no_worse(a2, measured) and l2 <= length:
-                return
-        cell[:] = [
-            e for e in cell
-            if not (
-                e[0] & ~mask == 0
-                and self.no_worse(measured, e[1])
-                and length <= e[2]
-            )
+        for level in levels:
+            for m2, a2, _, _ in level:
+                if mask & ~m2 == 0 and self.no_worse(a2, measured):
+                    return
+        levels[length] = [
+            e for e in levels[length]
+            if not (e[0] & ~mask == 0 and self.no_worse(measured, e[1]))
         ] + [element]
         self.element_count += 1
         if self.element_count > self.element_cap:
@@ -451,40 +451,29 @@ class _FamilySearch:
                 f"frame game search exceeded {self.element_cap} elements"
             )
 
-    def _cell(self, rmask: int) -> list:
-        cell = self.cells.get(rmask)
-        if cell is None:
-            cell = []
-            self.cells[rmask] = cell
-            self.done_len[rmask] = 0
-        return cell
+    def compute(self, rmask: int, upto: int) -> list[list]:
+        """Grows rmask's family to length upto; returns its per-length lists."""
+        levels = self.cells.setdefault(rmask, [[]])
+        while len(levels) <= upto:
+            levels.append([])
+            self._level(rmask, levels, len(levels) - 1)
+        return levels
 
-    def _entries_at(self, rmask: int, length: int) -> list:
-        return [e for e in self.cells[rmask] if e[2] == length]
-
-    def compute(self, rmask: int, upto: int) -> None:
-        cell = self._cell(rmask)
-        start = self.done_len[rmask]
-        for length in range(start + 1, upto + 1):
-            self._level(rmask, cell, length)
-            self.done_len[rmask] = length
-
-    def _level(self, rmask: int, cell: list, length: int) -> None:
+    def _level(self, rmask: int, levels: list[list], length: int) -> None:
         u = self.u
         if length == 1:
-            self._insert(cell, (0, self.bot, 1, ("bot",)))
+            self._insert(levels, (0, self.bot, 1, ("bot",)))
             if rmask == 0:
-                self._insert(cell, (self.full, self.top, 1, ("top",)))
+                self._insert(levels, (self.full, self.top, 1, ("top",)))
             for var, holds, pos, neg in self.lits:
                 if rmask & holds == 0:
-                    self._insert(cell, (holds, pos, 1, ("lit", var, True)))
+                    self._insert(levels, (holds, pos, 1, ("lit", var, True)))
                 if rmask & ~holds == 0:
-                    self._insert(cell, (self.full & ~holds, neg, 1, ("lit", var, False)))
+                    self._insert(levels, (self.full & ~holds, neg, 1, ("lit", var, False)))
             return
 
         def child_entries(crmask: int):
-            self.compute(crmask, length - 1)
-            return self._entries_at(crmask, length - 1)
+            return self.compute(crmask, length - 1)[length - 1]
 
         modal = [("dia", "box", u.succ_masks)]
         if self.language == GLOBAL:
@@ -495,7 +484,7 @@ class _FamilySearch:
             greedy = forward_image(masks, rmask)
             for m, measured, clen, _ in child_entries(greedy):
                 self._insert(
-                    cell,
+                    levels,
                     (some_pre_image(masks, m), compose(_NODE_OF_MOVE[some], (measured,)),
                      length, (some, greedy, measured, clen)),
                 )
@@ -506,7 +495,7 @@ class _FamilySearch:
                 for image in _minimal_hitting_masks(options):
                     for m, measured, clen, _ in child_entries(image):
                         self._insert(
-                            cell,
+                            levels,
                             (all_pre_image(masks, m),
                              compose(_NODE_OF_MOVE[every], (measured,)),
                              length, (every, image, measured, clen)),
@@ -515,13 +504,12 @@ class _FamilySearch:
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):
             len2 = length - 1 - len1
-            ones = self._entries_at(rmask, len1)
-            twos = self._entries_at(rmask, len2) if len2 != len1 else ones
+            ones, twos = levels[len1], levels[len2]
             for i1, (m1, a1, l1, _) in enumerate(ones):
                 start = i1 + 1 if len1 == len2 else 0
                 for m2, a2, l2, _ in twos[start:]:
                     self._insert(
-                        cell,
+                        levels,
                         (m1 | m2, compose(Or, (a1, a2)), length,
                          ("or", a1, l1, a2, l2)),
                     )
@@ -536,12 +524,12 @@ class _FamilySearch:
                 part2 = sub
                 for len1 in range(1, length - 1):
                     len2 = length - 1 - len1
-                    self.compute(part1, len1)
-                    self.compute(part2, len2)
-                    for m1, a1, l1, _ in self._entries_at(part1, len1):
-                        for m2, a2, l2, _ in self._entries_at(part2, len2):
+                    ones = self.compute(part1, len1)[len1]
+                    twos = self.compute(part2, len2)[len2]
+                    for m1, a1, l1, _ in ones:
+                        for m2, a2, l2, _ in twos:
                             self._insert(
-                                cell,
+                                levels,
                                 (m1 & m2, compose(And, (a1, a2)), length,
                                  ("and", part1, l1, part2, l2)),
                             )
@@ -549,11 +537,12 @@ class _FamilySearch:
 
     # --- queries and reconstruction ---
 
+    def _upto(self, rmask: int, len_limit: int):
+        """rmask's elements of length at most len_limit, shortest first."""
+        return itertools.chain.from_iterable(self.cells.get(rmask, ())[:len_limit + 1])
+
     def best_cover(self, rmask: int, target: int, len_limit: int):
-        cands = [
-            e for e in self.cells.get(rmask, ())
-            if target & ~e[0] == 0 and e[2] <= len_limit
-        ]
+        cands = [e for e in self._upto(rmask, len_limit) if target & ~e[0] == 0]
         if not cands:
             return None
         return min(cands, key=lambda e: (self.key(e[1]), e[2]))
@@ -581,9 +570,8 @@ class _FamilySearch:
             crmask, cmeasured, clen = prov[1], prov[2], prov[3]
             moved = u.succ_masks if tag == "dia" else u.same_masks
             child_cands = [
-                f for f in self.cells.get(crmask, ())
-                if f[2] <= clen
-                and self.no_worse(f[1], cmeasured)
+                f for f in self._upto(crmask, clen)
+                if self.no_worse(f[1], cmeasured)
                 and all(moved[i] & f[0] for i in mask_bits(target))
             ]
             f = min(child_cands, key=lambda e: (self.key(e[1]), e[2]))
@@ -600,11 +588,10 @@ class _FamilySearch:
             return GameTree(tag, pos, (child,))
         if tag == "or":
             a1, l1, a2, l2 = prov[1:]
-            cell = self.cells[rmask]
             pairs = [
                 (f, g)
-                for f in cell if f[2] <= l1 and self.no_worse(f[1], a1)
-                for g in cell if g[2] <= l2 and self.no_worse(g[1], a2)
+                for f in self._upto(rmask, l1) if self.no_worse(f[1], a1)
+                for g in self._upto(rmask, l2) if self.no_worse(g[1], a2)
                 and target & ~(f[0] | g[0]) == 0
             ]
             f, g = min(
@@ -640,6 +627,29 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
     return length_cap
 
 
+def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_cap: int):
+    """The cheapest element covering target against one of the right sets.
+
+    Deepens every right set level by level, to eff_cap or, for Length, to
+    the first level with a cover.  Returns (position in rmasks, element),
+    preferring by (measure key, length, position), or None.
+    """
+    best = None
+    for upto in range(1, eff_cap + 1):
+        for k, rmask in enumerate(rmasks):
+            search.compute(rmask, upto)
+            if search.kind is not MeasureKind.LENGTH and upto < eff_cap:
+                continue
+            entry = search.best_cover(rmask, target, upto)
+            if entry is not None:
+                key = (search.key(entry[1]), entry[2], k)
+                if best is None or key < best[0]:
+                    best = (key, k, entry)
+        if best is not None and search.kind is MeasureKind.LENGTH:
+            break
+    return None if best is None else best[1:]
+
+
 def min_cost_fgm(
     pos: GamePosition,
     kind: MeasureKind,
@@ -666,13 +676,8 @@ def min_cost_fgm(
     search = _FamilySearch(u, kind, budget, eff_cap, language, position_cap)
     lmask = _as_mask(pos.left)
     rmask = _as_mask(pos.right)
-    best = None
-    for upto in range(1, eff_cap + 1):
-        search.compute(rmask, upto)
-        if kind is MeasureKind.LENGTH or upto == eff_cap:
-            best = search.best_cover(rmask, lmask, upto)
-            if best is not None and kind is MeasureKind.LENGTH:
-                break
+    found = _cheapest_cover(search, lmask, [rmask], eff_cap)
+    best = None if found is None else found[1]
     if lmask == 0 and eff_cap >= 1:
         # The bot leaf always closes an empty left side; prefer it on ties
         # even when a wider element shadowed it in the family.
@@ -722,25 +727,14 @@ def fgf_min_cost(
         candidates.append((nm, free))
 
     search = _FamilySearch(u, kind, budget, eff_cap, language, element_cap)
+    # product yields the combos in ascending tuple order, so list position
+    # breaks ties as the combos themselves would
     combos = list(itertools.product(*(free for _, free in candidates)))
-    best = None  # (sort key, measured, length, combo, rmask)
-    for upto in range(1, eff_cap + 1):
-        last = upto == eff_cap
-        for combo in combos:
-            rmask = _as_mask(combo)
-            search.compute(rmask, upto)
-            if kind is not MeasureKind.LENGTH and not last:
-                continue
-            entry = search.best_cover(rmask, target, upto)
-            if entry is not None:
-                key = (search.key(entry[1]), entry[2], combo)
-                if best is None or key < best[0]:
-                    best = (key, entry[1], entry[2], combo, rmask)
-        if best is not None and kind is MeasureKind.LENGTH:
-            break
-    if best is None:
+    rmasks = [_as_mask(combo) for combo in combos]
+    found = _cheapest_cover(search, target, rmasks, eff_cap)
+    if found is None:
         return None
-    _, measured, length, combo, rmask = best
-    tree = search.build(target, rmask, length)
-    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combo)}
+    k, (_, measured, length, _) = found
+    tree = search.build(target, rmasks[k], length)
+    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[k])}
     return measured[0].get(kind), tree, choice

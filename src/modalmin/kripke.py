@@ -8,6 +8,7 @@ arithmetic over machine integers.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
@@ -30,6 +31,9 @@ from .formula import (
 
 VALIDITY_CAP_BITS = 24
 UNIVERSE_CAP = 600_000
+# The largest frame a file may declare: no command builds a universe with
+# more states, and Frame allocates its successor table before anything else.
+MAX_STATES = UNIVERSE_CAP
 
 
 class ResourceCapError(RuntimeError):
@@ -390,22 +394,28 @@ def _successor_lists(frame: Frame) -> list[tuple[int, ...]]:
 
 
 def _refine(
-    colours: list[int], blocks: Sequence[tuple[int, Sequence[tuple[int, ...]]]]
+    colours: list[int],
+    blocks: Sequence[tuple[int, Sequence[tuple[int, ...]]]],
+    language: str,
 ) -> list[int]:
-    """The coarsest bisimulation colouring that refines the given one.
+    """The coarsest bisimulation colouring of the language that refines the given one.
 
     Colours form one flat table over the states of many models; blocks
     holds an (offset, successor lists) pair per model, and the model's state
     s sits at offset + s.  Each round recolours every state by its colour
-    and the set of its successors' colours.  Colour ids are only ever
-    compared for equality.
+    and the set of its successors' colours.  In the global language the
+    signature also carries the set of colours the state's model realizes,
+    since E/A read whole models; two states then share a final colour iff
+    they are bisimilar by a bisimulation total on both their models.
+    Colour ids are only ever compared for equality.
     """
     while True:
-        intern: dict[tuple[int, frozenset[int]], int] = {}
+        intern: dict[tuple, int] = {}
         fresh = [0] * len(colours)
         for off, succs in blocks:
+            realized = frozenset(colours[off:off + len(succs)]) if language == GLOBAL else None
             for s, ts in enumerate(succs):
-                sig = (colours[off + s], frozenset(colours[off + t] for t in ts))
+                sig = (colours[off + s], frozenset(colours[off + t] for t in ts), realized)
                 fresh[off + s] = intern.setdefault(sig, len(intern))
         # splitting is monotone, so an unchanged class count means stability
         if len(intern) == len(set(colours)):
@@ -414,12 +424,7 @@ def _refine(
 
 
 def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
-    """Bisimilarity of two pointed models.
-
-    For the global language the coarsest bisimulation must additionally be
-    mutually total: every class holding a state of one model also holds a
-    state of the other, so the E/A modalities are preserved.
-    """
+    """Bisimilarity of two pointed models in the basic or the global language."""
     check_language(language)
     var_order = sorted(
         set(a.model.valuation) | set(b.model.valuation)
@@ -429,44 +434,39 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
         [m.atom_code(s, var_order) for m in (a.model, b.model)
          for s in range(m.frame.state_count)],
         [(0, _successor_lists(a.model.frame)), (width, _successor_lists(b.model.frame))],
+        language,
     )
-    if colours[a.point] != colours[width + b.point]:
-        return False
-    if language == GLOBAL:
-        return set(colours[:width]) == set(colours[width:])
-    return True
+    return colours[a.point] == colours[width + b.point]
 
 
 # --- universes --------------------------------------------------------------
 
 
 class Universe:
-    """An indexed list of pointed models with precomputed move structure.
+    """An indexed list of pointed models with precomputed move masks.
 
-    succ(i) lists the indices whose pointed model shares i's model and whose
-    point is an R-successor of i's point; same_model(i) lists every index
+    Bit j of succ_masks[i] is set iff j's pointed model shares i's model and
+    j's point is an R-successor of i's point; same_masks[i] holds every index
     over i's model.  The universe is point-closed when every state of every
     member model appears as an index; game search requires closure.
     """
 
-    __slots__ = ("models", "succ", "same_model", "succ_masks", "same_masks", "point_closed")
+    __slots__ = ("models", "succ_masks", "same_masks", "point_closed")
 
     def __init__(self, models: Sequence[PointedModel]):
         self.models = tuple(models)
         by_model: dict[Model, list[int]] = {}
         for i, pm in enumerate(self.models):
             by_model.setdefault(pm.model, []).append(i)
-        succ: list[tuple[int, ...]] = []
-        same: list[tuple[int, ...]] = []
+        group_masks = {m: sum(1 << j for j in group) for m, group in by_model.items()}
+        succ_masks = []
         for pm in self.models:
-            group = by_model[pm.model]
             smask = pm.model.frame.succ_masks[pm.point]
-            succ.append(tuple(j for j in group if smask >> self.models[j].point & 1))
-            same.append(tuple(group))
-        self.succ = tuple(succ)
-        self.same_model = tuple(same)
-        self.succ_masks = tuple(sum(1 << j for j in js) for js in self.succ)
-        self.same_masks = tuple(sum(1 << j for j in js) for js in self.same_model)
+            succ_masks.append(
+                sum(1 << j for j in by_model[pm.model] if smask >> self.models[j].point & 1)
+            )
+        self.succ_masks = tuple(succ_masks)
+        self.same_masks = tuple(group_masks[pm.model] for pm in self.models)
         self.point_closed = all(
             {self.models[j].point for j in group} == set(range(m.frame.state_count))
             for m, group in by_model.items()
@@ -557,6 +557,29 @@ class ReducedExpansion:
         self.class_reps = class_reps
 
 
+def _greedy_cover(covers: Sequence[frozenset[int]]) -> list[int]:
+    """Indices of covers picked greedily until their union is covered.
+
+    Each pick covers the most elements not yet covered, the lowest index on
+    ties.  Gains only shrink, so a heap entry whose refreshed gain is
+    unchanged still heads the heap and is exactly the pick a full rescan
+    would make (lazy greedy, Minoux 1978).
+    """
+    heap = [(-len(cover), i) for i, cover in enumerate(covers) if cover]
+    heapq.heapify(heap)
+    covered: set[int] = set()
+    picks: list[int] = []
+    while heap:
+        neg_gain, i = heapq.heappop(heap)
+        gain = len(covers[i] - covered)
+        if gain == -neg_gain:
+            picks.append(i)
+            covered |= covers[i]
+        elif gain:
+            heapq.heappush(heap, (-gain, i))
+    return picks
+
+
 def expand_reduced(
     named_frames: Sequence[tuple[str, Frame]],
     var_bound: int,
@@ -567,11 +590,11 @@ def expand_reduced(
 
     Returns a point-closed universe of representative models plus, per frame
     name, the universe indices representing that frame's pointed-model classes.
-    The quotient matches the language: basic classes for the basic language,
-    and for the global one points are additionally split by their model's set
-    of classes, since E/A read whole models.  Read-offs of formulas of the
-    chosen language over the representatives coincide with read-offs over the
-    full expansion.
+    The classes are those of _refine in the chosen language, so global
+    classes also split points whose models realize different class sets.
+    A greedy cover keeps few models that together realize every class.
+    Read-offs of formulas of the chosen language over the representatives
+    coincide with read-offs over the full expansion.
     """
     check_language(language)
     names = [name for name, _ in named_frames]
@@ -589,9 +612,8 @@ def expand_reduced(
         for code in range(count):
             specs.append((name, frame, code, base))
             base += w
-    total = base
 
-    colours = [0] * total
+    colours = [0] * base
     for name, frame, code, off in specs:
         w = frame.state_count
         for s in range(w):
@@ -603,62 +625,26 @@ def expand_reduced(
 
     succ_lists = {frame: _successor_lists(frame) for _, frame in named_frames}
     blocks = [(off, succ_lists[frame]) for _, frame, _, off in specs]
+    colours = _refine(colours, blocks, language)
 
-    while True:
-        colours = _refine(colours, blocks)
-        if language == BASIC:
-            break
-        # E/A read whole models: split same-coloured points whose models
-        # realize different colour sets, then restabilize.
-        intern2: dict[tuple[int, frozenset[int]], int] = {}
-        fresh = [0] * total
-        for _, frame, _, off in specs:
-            profile = frozenset(colours[off + s] for s in range(frame.state_count))
-            for s in range(frame.state_count):
-                fresh[off + s] = intern2.setdefault((colours[off + s], profile), len(intern2))
-        if len(intern2) == len(set(colours)):
-            break
-        colours = fresh
-
-    # classes needed per frame name: classes of every expanded point
-    needed: dict[str, set[int]] = {name: set() for name in names}
-    for name, frame, code, off in specs:
-        for s in range(frame.state_count):
-            needed[name].add(colours[off + s])
-
-    all_needed = set().union(*needed.values()) if needed else set()
-
-    # greedy cover: keep few models while representing every needed class
-    spec_cover = []
-    for idx, (name, frame, code, off) in enumerate(specs):
-        spec_cover.append(frozenset(colours[off + s] for s in range(frame.state_count)))
-    kept: list[int] = []
-    covered: set[int] = set()
-    while covered != all_needed:
-        best, best_gain = None, -1
-        for idx, cover in enumerate(spec_cover):
-            gain = len((cover & all_needed) - covered)
-            if gain > best_gain:
-                best, best_gain = idx, gain
-        kept.append(best)
-        covered |= spec_cover[best] & all_needed
-    kept.sort()
+    covers = [frozenset(colours[off:off + frame.state_count]) for _, frame, _, off in specs]
+    classes: dict[str, set[int]] = {name: set() for name in names}
+    for (name, *_), cover in zip(specs, covers):
+        classes[name] |= cover
 
     # materialize kept models and the class -> universe index map
     pointed: list[PointedModel] = []
     class_index: dict[int, int] = {}
-    for idx in kept:
+    for idx in sorted(_greedy_cover(covers)):
         name, frame, code, off = specs[idx]
         model = _coded_model(frame, var_bound, code)
         for s in range(frame.state_count):
-            cls = colours[off + s]
-            if cls not in class_index:
-                class_index[cls] = len(pointed)
+            class_index.setdefault(colours[off + s], len(pointed))
             pointed.append(PointedModel(model, s))
 
     universe = Universe(pointed)
     class_reps = {
-        name: tuple(sorted(class_index[c] for c in needed[name])) for name in names
+        name: tuple(sorted(class_index[c] for c in classes[name])) for name in names
     }
     return ReducedExpansion(universe, class_reps)
 
@@ -718,6 +704,8 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
             count = _int_field(parts[1], lineno)
             if count < 1:
                 raise ValueError(f"line {lineno}: a frame needs at least one state")
+            if count > MAX_STATES:
+                raise ValueError(f"line {lineno}: a frame may have at most {MAX_STATES} states")
         elif parts[0] == "edge":
             if count is None:
                 raise ValueError(f"line {lineno}: 'edge' before 'states'")
@@ -726,8 +714,7 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
             u, v = _int_field(parts[1], lineno), _int_field(parts[2], lineno)
             if not (0 <= u < count and 0 <= v < count):
                 raise ValueError(f"line {lineno}: edge ({u},{v}) out of range")
-            if (u, v) not in edges:
-                edges.append((u, v))
+            edges.append((u, v))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     flush(len(text.splitlines()) + 1)

@@ -21,7 +21,7 @@ from modalmin.formula import (
 )
 from modalmin.kripke import Frame, Model, PointedModel
 
-settings.register_profile("suite", deadline=None, max_examples=60)
+settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
 
 

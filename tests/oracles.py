@@ -189,3 +189,20 @@ def brute_exact_image(options: list[tuple[int, ...]], image: frozenset[int]) -> 
     if not options:
         return image == frozenset()
     return any(frozenset(pick) == image for pick in itertools.product(*options))
+
+
+def rescanning_greedy_cover(covers: list[frozenset[int]]) -> list[int]:
+    """Greedy set cover by full rescans: each round picks the first index with
+    the most elements not yet covered, until the union is covered."""
+    everything = frozenset().union(*covers)
+    covered: set[int] = set()
+    picks = []
+    while covered != everything:
+        best, best_gain = None, -1
+        for i, cover in enumerate(covers):
+            gain = len(cover - covered)
+            if gain > best_gain:
+                best, best_gain = i, gain
+        picks.append(best)
+        covered |= covers[best]
+    return picks

@@ -263,6 +263,24 @@ def test_game_var_count_output_pinned(runner):
     assert result.output == "cost 1\nformula ([] ~p1 | <> <> p1)\nchoice b point=0 p1={2}\n"
 
 
+def test_game_global_output_pinned(runner, tmp_path):
+    out = tmp_path / "tree.txt"
+    result = _invoke(
+        runner,
+        "game", "--witnesses", "builtin:transfer-1-2", "--budget", "6",
+        "--language", "global", "--emit-tree", str(out),
+    )
+    assert result.output == "cost 6\nformula ([] ~p1 | <> <> p1)\nchoice b point=0 p1={2}\n"
+    assert out.read_text() == (
+        "or left={0,5,6,10,11,12,15,16,17,20,21,22,24,25,26,27,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,54,55,56,57,59,60,61,62,64,65,66,67,69,70,71,75,76,79,80,81,84,85,86,90,91,92,94,95,96,97,99,100,101,102,104,105,106,107,109,110,111,112,113,114,115,116,117,118,119,120,121,122,123,124,125,126,127,128,129,130,131,132,134,135,136,137,139,140,141,145} right={150}\n"
+        "  box left={0,5,6,12,17,21,22,26,27,32,33,37,38,40,41,44,45,46,49,54,59,61,66,81,86,92,97,101,102,106,107,112,113,117,118,121,126} right={150}\n"
+        "    lit ~p1 left={1,2,4,6,7,9,13,18,21,23,26,28,33,38,41,42,44,46,47,49,52,54,57,59,61,66,81,86,93,98,101,103,106,108,113,118,121,126} right={152}\n"
+        "  dia left={10,11,15,16,20,24,25,29,30,31,34,35,36,39,42,43,47,48,50,51,52,55,56,57,60,62,64,65,67,69,70,71,75,76,79,80,84,85,90,91,94,95,96,99,100,104,105,109,110,111,114,115,116,119,120,122,123,124,125,127,128,129,130,131,132,134,135,136,137,139,140,141,145} right={150}\n"
+        "    dia left={11,16,24,29,31,34,36,39,43,48,51,53,56,58,62,63,67,68,71,76,77,84,89,91,94,96,99,104,109,111,114,116,119,122,123,127,128,131,132,133,136,137,138,141,146} right={151,152}\n"
+        "      lit p1 left={11,16,22,27,31,32,36,37,43,48,51,53,56,58,63,68,71,76,78,84,89,91,94,96,99,102,107,111,112,116,117,123,128,131,133,136,138,141,146} right={151,153}\n"
+    )
+
+
 def test_game_witness_file(runner, tmp_path):
     path = tmp_path / "w.witnesses"
     path.write_text(format_witnesses(transfer_witnesses(1, 0)))
@@ -312,11 +330,13 @@ def test_usage_errors_exit_2(runner, tmp_path):
     [
         ("valid", "frame f\nstates x\n"),
         ("valid", "frame f\nstates 2\nedge 0 y\n"),
+        ("valid", "frame f\nstates 1000000000000000\n"),
         ("eval", "frame m\nstates 2\nval p1 0\npoint\n"),
         ("eval", "frame m\nstates 2\nval px 0\npoint 0\n"),
         ("bisim", "frame m\nstates 2\nval p1 0\npoint\n"),
         ("bisim", "frame m\nstates 2\nval px 0\npoint 0\n"),
         ("game", "witnesses w\nproperty\n"),
+        ("game", "witnesses w\nproperty symmetric\nvars x\n"),
     ],
 )
 def test_malformed_files_exit_2(runner, tmp_path, command, text):

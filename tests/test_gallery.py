@@ -235,3 +235,12 @@ def test_parse_witnesses_reports_file_line_numbers():
     )
     with pytest.raises(ValueError, match="^line 10: "):
         parse_witnesses(text)
+    frames = "positive:\nframe a\nstates 1\nnegative:\nframe b\nstates 1\n"
+    for header, line in (
+        ("witnesses w\nproperty symmetric\nvars x\n", 3),
+        ("witnesses w\nproperty symmetric\nvars -1\n", 3),
+        ("witnesses w\nproperty transfer 1 y\n", 2),
+        ("witnesses w\nvars 1\nproperty transfer z 2\n", 3),
+    ):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            parse_witnesses(header + frames)

@@ -19,6 +19,7 @@ from modalmin.formula import (
     parse,
     vars_of,
 )
+from modalmin import kripke
 from modalmin.kripke import (
     Frame,
     Model,
@@ -26,6 +27,7 @@ from modalmin.kripke import (
     ResourceCapError,
     Universe,
     VALIDITY_CAP_BITS,
+    _greedy_cover,
     all_pre_image,
     bisimilar,
     build_universe,
@@ -37,6 +39,7 @@ from modalmin.kripke import (
     format_model,
     forward_image,
     frame_valid,
+    mask_bits,
     parse_frames,
     parse_model,
     some_pre_image,
@@ -45,7 +48,7 @@ from modalmin.colouring import colour_assignment, k_complete, khat, phi_n
 from modalmin.gallery import lob_witnesses
 
 from .conftest import rand_formula, rand_frame, rand_model, rand_pointed
-from .oracles import naive_bisimilar, naive_eval, naive_valid
+from .oracles import naive_bisimilar, naive_eval, naive_valid, rescanning_greedy_cover
 
 LOOP = Frame(1, [(0, 0)])
 # irreflexive root below a reflexive point
@@ -272,11 +275,11 @@ def test_build_universe_cap():
 def test_universe_structure_matches_frames():
     u = build_universe([(CHAIN, 1)])
     for i, pm in enumerate(u.models):
-        for j in u.succ[i]:
+        for j in mask_bits(u.succ_masks[i]):
             other = u.models[j]
             assert other.model == pm.model
             assert pm.model.frame.has_edge(pm.point, other.point)
-        assert all(u.models[j].model == pm.model for j in u.same_model[i])
+        assert all(u.models[j].model == pm.model for j in mask_bits(u.same_masks[i]))
     full_groups = {pm.model for pm in u.models}
     assert len(full_groups) == 4
 
@@ -310,14 +313,45 @@ def test_reduced_expansion_read_off_matches_validity():
             assert covered == frame_valid(frame, phi)
 
 
-def test_reduced_expansion_sizes_lob_3():
-    w = lob_witnesses(3)
+def _lob_named(depth):
+    w = lob_witnesses(depth)
     named = [(f"+{n}", f) for n, f in w.named_positives()]
-    named += [(f"-{n}", f) for n, f in w.named_negatives()]
-    for language, indices, classes in ((GLOBAL, 790, 622), (BASIC, 750, 132)):
-        red = expand_reduced(named, 1, language)
+    return named + [(f"-{n}", f) for n, f in w.named_negatives()]
+
+
+def test_reduced_expansion_sizes_lob_3():
+    for depth, language, indices, classes in (
+        (3, GLOBAL, 790, 622), (3, BASIC, 750, 132), (4, BASIC, 11342, 1076),
+    ):
+        red = expand_reduced(_lob_named(depth), 1, language)
         assert len(red.universe) == indices
         assert len(set().union(*red.class_reps.values())) == classes
+
+
+def test_greedy_cover_matches_rescanning_rule_on_random_families():
+    for seed in range(200):
+        rng = random.Random(seed)
+        elements = rng.randint(1, 12)
+        covers = [
+            frozenset(rng.sample(range(elements), rng.randint(1, elements)))
+            for _ in range(rng.randint(0, 15))
+        ]
+        assert _greedy_cover(covers) == rescanning_greedy_cover(covers)
+
+
+def test_greedy_cover_matches_rescanning_rule_on_lob_3(monkeypatch):
+    families = []
+
+    def recording(covers):
+        families.append(covers)
+        return _greedy_cover(covers)
+
+    monkeypatch.setattr(kripke, "_greedy_cover", recording)
+    for language in (BASIC, GLOBAL):
+        expand_reduced(_lob_named(3), 1, language)
+    assert len(families) == 2
+    for covers in families:
+        assert _greedy_cover(covers) == rescanning_greedy_cover(covers)
 
 
 # --- the mask kernel --------------------------------------------------------
@@ -368,6 +402,7 @@ def test_parse_frames_multiple_and_comments():
         "frame x\nstates\n",
         "frame x\nstates 0\n",
         "frame x\nstates 2\nedge 0 y\n",
+        "frame x\nstates 1000000000000000\n",
     ],
 )
 def test_parse_frames_rejects_malformed(text):
