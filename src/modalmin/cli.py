@@ -141,6 +141,14 @@ def _parse_formula(text: str, language: str) -> "Formula":
         raise click.UsageError(f"bad formula: {exc}") from None
 
 
+def _phi_n(n: int) -> "Formula":
+    """phi_n, with a colour count below 1 or past the nesting limit as a usage error."""
+    try:
+        return phi_n(n)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _measure_kind(name: str) -> MeasureKind:
     try:
         return MeasureKind.from_name(name)
@@ -249,16 +257,13 @@ def noncol(emit_n: int | None, frame_spec: str | None, n: int | None) -> None:
     if emit_n is None and frame_spec is None:
         raise click.UsageError("pass --emit N, or --frame with --n")
     if emit_n is not None:
-        if emit_n < 1:
-            raise click.UsageError("need at least one colour")
-        click.echo(print_formula(phi_n(emit_n)))
+        click.echo(print_formula(_phi_n(emit_n)))
     if frame_spec is not None:
         if n is None:
             raise click.UsageError("--frame needs --n")
-        if n < 1:
-            raise click.UsageError("need at least one colour")
+        phi = _phi_n(n)
         frame = _load_one_frame(frame_spec)
-        valid_here = frame_valid(frame, phi_n(n))
+        valid_here = frame_valid(frame, phi)
         colourable = is_n_colourable(frame, n)
         click.echo(f"formula-valid {'TRUE' if valid_here else 'FALSE'}")
         click.echo(f"n-colourable {'TRUE' if colourable else 'FALSE'}")
@@ -288,13 +293,13 @@ def synth(
     if not kind.applies_to(language):
         raise click.UsageError(f"measure {measure_name} needs --language global")
     frames = _load_frames(frames_spec)
-    universe = build_universe([(frame, var_bound) for _, frame in frames])
-    left = _parse_indices(left_text, "left")
-    right = _parse_indices(right_text, "right")
-    for index in left + right:
-        if not 0 <= index < len(universe.models):
-            raise click.UsageError(f"index {index} outside the {len(universe.models)}-element universe")
     try:
+        universe = build_universe([(frame, var_bound) for _, frame in frames])
+        left = _parse_indices(left_text, "left")
+        right = _parse_indices(right_text, "right")
+        for index in left + right:
+            if not 0 <= index < len(universe.models):
+                raise click.UsageError(f"index {index} outside the {len(universe.models)}-element universe")
         found = min_separating(universe, left, right, kind, var_bound, length_cap, language=language)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None

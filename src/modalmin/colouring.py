@@ -11,6 +11,7 @@ lower bounds.
 from __future__ import annotations
 
 from .formula import (
+    MAX_NESTING,
     Formula,
     TRUE,
     Or,
@@ -67,13 +68,17 @@ def phi_n(n: int) -> Formula:
     Reading each state's truth values for p1..pk (k = ceil(log2 n)) as a
     colour code, the formula says some state either carries one of the
     2^k - n unused codes or repeats its code on a successor.  For n = 1 it
-    degenerates to "some state has a successor".
+    degenerates to "some state has a successor".  The formula nests at most
+    2^k + k + 1 connectives deep; an n whose bound exceeds MAX_NESTING
+    raises ValueError, since the printed formula would not parse back.
     """
     if n < 1:
         raise ValueError("need at least one colour")
     if n == 1:
         return ExistsMod(Dia(TRUE))
     width = colour_code_width(n)
+    if (1 << width) + width + 1 > MAX_NESTING:
+        raise ValueError(f"phi_n for n = {n} nests deeper than {MAX_NESTING}")
     terms = []
     for code in range(n):
         conj = elementary_conjunction(code, width)

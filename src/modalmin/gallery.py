@@ -90,7 +90,7 @@ def _relation_power(frame: Frame, k: int) -> tuple[int, ...]:
     """Successor masks of R^k; R^0 is the identity."""
     rows = tuple(1 << s for s in range(frame.state_count))
     for _ in range(k):
-        rows = tuple(forward_image(frame.succ_masks, row) for row in rows)
+        rows = tuple(forward_image(frame.moves()[0], row) for row in rows)
     return rows
 
 
@@ -504,9 +504,11 @@ def parse_witnesses(text: str) -> WitnessSet:
             name = parts[1]
         elif parts[0] == "property":
             if len(parts) == 4 and parts[1] == "transfer":
-                prop = FrameProperty.transfer(
-                    _int_field(parts[2], lineno), _int_field(parts[3], lineno)
-                )
+                m, n = _int_field(parts[2], lineno), _int_field(parts[3], lineno)
+                try:
+                    prop = FrameProperty.transfer(m, n)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             elif len(parts) == 2 and parts[1] in _PROPERTY_NAMES:
                 prop = _PROPERTY_NAMES[parts[1]]
             else:

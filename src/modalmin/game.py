@@ -261,20 +261,22 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
                 out.append(f"{path}: and move must keep the left set")
             if a.position.right | b.position.right != right:
                 out.append(f"{path}: and children do not cover the right set")
+        elif not u.point_closed:
+            out.append(f"{path}: {node.move} move over a universe that is not point-closed")
         else:
             # dia/exists: left picks a target per left index, the reply keeps
             # every right target; box/forall swap the two sides.
             child = node.children[0].position
-            masks = u.succ_masks if node.move in ("dia", "box") else u.same_masks
+            moves = u.succ if node.move in ("dia", "box") else u.same
             if node.move in ("dia", "exists"):
                 sides = (("left", left, child.left), ("right", right, child.right))
             else:
                 sides = (("right", right, child.right), ("left", left, child.left))
             (chooser, chosen, image), (replier, replied, reply) = sides
-            options = [tuple(mask_bits(masks[i])) for i in sorted(chosen)]
+            options = [tuple(mask_bits(moves.row(i))) for i in sorted(chosen)]
             if any(not o for o in options):
                 out.append(f"{path}: {node.move} move with a successor-less {chooser} index")
-            if _as_mask(reply) != forward_image(masks, _as_mask(replied)):
+            if _as_mask(reply) != forward_image(moves, _as_mask(replied)):
                 out.append(f"{path}: child {replier} set is not the greedy reply")
             if not _is_exact_image(options, image):
                 out.append(f"{path}: child {chooser} set is not an exact choice image")
@@ -475,28 +477,28 @@ class _FamilySearch:
         def child_entries(crmask: int):
             return self.compute(crmask, length - 1)[length - 1]
 
-        modal = [("dia", "box", u.succ_masks)]
+        modal = [("dia", "box", u.succ)]
         if self.language == GLOBAL:
-            modal.append(("exists", "forall", u.same_masks))
-        for some, every, masks in modal:
+            modal.append(("exists", "forall", u.same))
+        for some, every, moves in modal:
             # dia/exists: the reply keeps every right move target; a subtree
             # winning from (M, R') admits every left index with a move into M.
-            greedy = forward_image(masks, rmask)
+            greedy = forward_image(moves, rmask)
             for m, measured, clen, _ in child_entries(greedy):
                 self._insert(
                     levels,
-                    (some_pre_image(masks, m), compose(_NODE_OF_MOVE[some], (measured,)),
+                    (some_pre_image(moves, m), compose(_NODE_OF_MOVE[some], (measured,)),
                      length, (some, greedy, measured, clen)),
                 )
             # box/forall: an image of the right move targets is chosen; the
             # admitted left indices are those whose moves all land inside M.
-            options = [masks[i] for i in mask_bits(rmask)]
+            options = [moves.row(i) for i in mask_bits(rmask)]
             if all(options):
                 for image in _minimal_hitting_masks(options):
                     for m, measured, clen, _ in child_entries(image):
                         self._insert(
                             levels,
-                            (all_pre_image(masks, m),
+                            (all_pre_image(moves, m),
                              compose(_NODE_OF_MOVE[every], (measured,)),
                              length, (every, image, measured, clen)),
                         )
@@ -560,6 +562,7 @@ class _FamilySearch:
         u = self.u
         pos = GamePosition(u, mask_bits(target), mask_bits(rmask))
         tag = prov[0]
+        moves = u.succ if tag in ("dia", "box") else u.same
         if tag == "bot":
             return GameTree("bot", pos)
         if tag == "top":
@@ -568,23 +571,21 @@ class _FamilySearch:
             return GameTree("lit", pos, var=prov[1], positive=prov[2])
         if tag in ("dia", "exists"):
             crmask, cmeasured, clen = prov[1], prov[2], prov[3]
-            moved = u.succ_masks if tag == "dia" else u.same_masks
             child_cands = [
                 f for f in self._upto(crmask, clen)
                 if self.no_worse(f[1], cmeasured)
-                and all(moved[i] & f[0] for i in mask_bits(target))
+                and target & ~some_pre_image(moves, f[0]) == 0
             ]
             f = min(child_cands, key=lambda e: (self.key(e[1]), e[2]))
             image = 0
             for i in mask_bits(target):
-                opts = moved[i] & f[0]
+                opts = moves.row(i) & f[0]
                 image |= opts & -opts
             child = self.build(image, crmask, f[2])
             return GameTree(tag, pos, (child,))
         if tag in ("box", "forall"):
             image, clen = prov[1], prov[3]
-            moved = u.succ_masks if tag == "box" else u.same_masks
-            child = self.build(forward_image(moved, target), image, clen)
+            child = self.build(forward_image(moves, target), image, clen)
             return GameTree(tag, pos, (child,))
         if tag == "or":
             a1, l1, a2, l2 = prov[1:]
@@ -712,9 +713,6 @@ def fgf_min_cost(
     bisimilarity), or None when no separating formula fits the caps.
     """
     eff_cap = _length_bound(kind, budget, language, length_cap)
-    if var_bound < 0:
-        raise ValueError("var bound must be >= 0")
-
     u, target, negatives = reduced_witnesses(w, var_bound, language, cap)
     # Classes are merged globally, so a candidate bisimilar to some positive
     # pointed model is simply a candidate index inside the target set; such

@@ -51,7 +51,7 @@ def mask_bits(mask: int) -> Iterator[int]:
 class Frame:
     """A finite directed graph: state_count states, successor bit masks."""
 
-    __slots__ = ("state_count", "succ_masks", "_hash")
+    __slots__ = ("state_count", "succ_masks", "_hash", "_moves")
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int]] = ()):
         if state_count < 1:
@@ -64,6 +64,14 @@ class Frame:
         self.state_count = state_count
         self.succ_masks = tuple(masks)
         self._hash = hash((state_count, self.succ_masks))
+        self._moves = None
+
+    def moves(self) -> tuple[Moves, Moves]:
+        """The successor and the same-model relation of one model over the frame."""
+        if self._moves is None:
+            one = [(0, self, 1)]
+            self._moves = (Moves(one), Moves(one, everywhere=True))
+        return self._moves
 
     def successors_of(self, s: int) -> tuple[int, ...]:
         return tuple(mask_bits(self.succ_masks[s]))
@@ -93,11 +101,8 @@ class Frame:
             for u in range(self.state_count):
                 if masks[u] >> k & 1:
                     masks[u] |= kmask
-        closed = Frame.__new__(Frame)
-        closed.state_count = self.state_count
-        closed.succ_masks = tuple(masks)
-        closed._hash = hash((self.state_count, closed.succ_masks))
-        return closed
+        edges = [(u, v) for u, row in enumerate(masks) for v in mask_bits(row)]
+        return Frame(self.state_count, edges)
 
     def __eq__(self, other):
         return (
@@ -194,65 +199,127 @@ class PointedModel:
 
 # --- the modal mask kernel --------------------------------------------------
 #
-# Every modal step, in evaluation, enumeration and the games, is one of three
-# operations on a mask table: masks[i] is the set of indices one move away
-# from i (Frame.succ_masks, Universe.succ_masks or Universe.same_masks).
+# Every modal step, in evaluation, validity, enumeration and the games, is one
+# of three operations on a Moves relation.  Its layout is a list of runs: model
+# k of a run of models over one frame of width W, from offset off on, holds
+# state s at index off + k*W + s, so one shift-and-mask moves a whole run.
 
 
-def forward_image(masks: Sequence[int], m: int) -> int:
+def _geometric(step: int, count: int) -> int:
+    """Sum of 2**(t*step) for t < count."""
+    return ((1 << (count * step)) - 1) // ((1 << step) - 1)
+
+
+class Moves:
+    """One move relation over the runs given as (offset, frame, model count).
+
+    A state moves to its frame successors, or with everywhere to every state
+    of its model (the relation of E and A).  Per run it keeps (off, W, rep,
+    span, rows, groups): rep has bit k*W set for every model k, span covers
+    the run, rows[s] is the state mask of s's targets, and groups pairs each
+    distinct target tuple with the mask of the states that share it.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable[Sequence], everywhere: bool = False):
+        self.runs = []
+        for off, frame, count in runs:
+            w = frame.state_count
+            rows = ((1 << w) - 1,) * w if everywhere else frame.succ_masks
+            sharing: dict[int, int] = {}
+            for s, row in enumerate(rows):
+                sharing[row] = sharing.get(row, 0) | 1 << s
+            groups = tuple((tuple(mask_bits(row)), states) for row, states in sharing.items())
+            rep = _geometric(w, count)
+            self.runs.append((off, w, rep, rep * ((1 << w) - 1), rows, groups))
+
+    def row(self, i: int) -> int:
+        """The indices one move away from index i."""
+        for off, w, _, span, rows, _ in self.runs:
+            if i - off < span.bit_length():
+                k, s = divmod(i - off, w)
+                return rows[s] << (off + k * w)
+        raise IndexError(f"index {i} outside the layout")
+
+
+def forward_image(moves: Moves, m: int) -> int:
     """Indices one move away from some index in m: the game's greedy reply."""
     out = 0
-    for i in mask_bits(m):
-        out |= masks[i]
+    for off, _, rep, span, rows, _ in moves.runs:
+        seg = m >> off & span
+        local = 0
+        for s, row in enumerate(rows):
+            local |= (seg >> s & rep) * row
+        out |= local << off
     return out
 
 
-def some_pre_image(masks: Sequence[int], m: int) -> int:
+def some_pre_image(moves: Moves, m: int) -> int:
     """Indices with some move into m: the diamond and E."""
     out = 0
-    for i, row in enumerate(masks):
-        if row & m:
-            out |= 1 << i
+    for off, _, rep, span, _, groups in moves.runs:
+        seg = m >> off & span
+        local = 0
+        for targets, states in groups:
+            acc = 0
+            for t in targets:
+                acc |= seg >> t
+            local |= (acc & rep) * states
+        out |= local << off
     return out
 
 
-def all_pre_image(masks: Sequence[int], m: int) -> int:
+def all_pre_image(moves: Moves, m: int) -> int:
     """Indices with every move inside m, vacuously when there is none: box and A."""
-    outside = ~m
     out = 0
-    for i, row in enumerate(masks):
-        if not row & outside:
-            out |= 1 << i
+    for off, _, rep, span, _, groups in moves.runs:
+        seg = m >> off & span
+        local = 0
+        for targets, states in groups:
+            acc = rep
+            for t in targets:
+                acc &= seg >> t
+            local |= acc * states
+        out |= local << off
     return out
 
 
 # --- evaluation -------------------------------------------------------------
 
 
-def den_states(m: Model, phi: Formula) -> int:
-    """Bit mask of the model states where phi holds."""
-    full = (1 << m.frame.state_count) - 1
+def _den(phi: Formula, lit, full: int, moves: tuple[Moves, Moves]) -> int:
+    """Mask of the indices of a run layout where phi holds.
+
+    lit(var) is the mask where p{var} holds, full the mask of every index
+    and moves the layout's (successor, same-model) relations.
+    """
     if isinstance(phi, TrueConst):
         return full
     if isinstance(phi, FalseConst):
         return 0
     if isinstance(phi, PosLit):
-        return m.val_mask(phi.var)
+        return lit(phi.var)
     if isinstance(phi, NegLit):
-        return m.val_mask(phi.var) ^ full
+        return lit(phi.var) ^ full
     if isinstance(phi, Or):
-        return den_states(m, phi.left) | den_states(m, phi.right)
+        return _den(phi.left, lit, full, moves) | _den(phi.right, lit, full, moves)
     if isinstance(phi, And):
-        return den_states(m, phi.left) & den_states(m, phi.right)
+        return _den(phi.left, lit, full, moves) & _den(phi.right, lit, full, moves)
     if isinstance(phi, Dia):
-        return some_pre_image(m.frame.succ_masks, den_states(m, phi.child))
+        return some_pre_image(moves[0], _den(phi.child, lit, full, moves))
     if isinstance(phi, Box):
-        return all_pre_image(m.frame.succ_masks, den_states(m, phi.child))
+        return all_pre_image(moves[0], _den(phi.child, lit, full, moves))
     if isinstance(phi, ExistsMod):
-        return full if den_states(m, phi.child) else 0
+        return some_pre_image(moves[1], _den(phi.child, lit, full, moves))
     if isinstance(phi, ForallMod):
-        return full if den_states(m, phi.child) == full else 0
+        return all_pre_image(moves[1], _den(phi.child, lit, full, moves))
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def den_states(m: Model, phi: Formula) -> int:
+    """Bit mask of the model states where phi holds."""
+    return _den(phi, m.val_mask, (1 << m.frame.state_count) - 1, m.frame.moves())
 
 
 def eval_formula(m: Model, w: int, phi: Formula) -> bool:
@@ -264,32 +331,14 @@ def eval_formula(m: Model, w: int, phi: Formula) -> bool:
 # --- frame validity ---------------------------------------------------------
 #
 # Validity quantifies over every valuation of the occurring variables.  All
-# 2^(W*v) valuations are packed into one bit string: position c*W + s stands
-# for "state s under valuation code c", where bit k*W + s of the code c says
-# that variable slot k holds at state s.  One compositional pass per chunk of
+# 2^(W*v) valuations are packed into one run of models: position c*W + s
+# stands for "state s under valuation code c", where bit k*W + s of the code
+# c says that variable slot k holds at state s.  One evaluation per chunk of
 # codes then checks all valuations at once.
 
 _CHUNK_CODE_BITS = 14
 
-_geom_cache: dict[tuple[int, int], int] = {}
 _atom_cache: dict[tuple[int, int, int], int] = {}
-
-
-def _geometric(step: int, count: int) -> int:
-    """Sum of 2**(t*step) for t < count; count must be a power of two or small."""
-    key = (step, count)
-    got = _geom_cache.get(key)
-    if got is not None:
-        return got
-    out, span = 1, 1
-    while span * 2 <= count:
-        out |= out << (span * step)
-        span *= 2
-    while span < count:
-        out |= 1 << (span * step)
-        span += 1
-    _geom_cache[key] = out
-    return out
 
 
 def _atom_pattern(w: int, chunk_codes: int, j: int) -> int:
@@ -298,10 +347,9 @@ def _atom_pattern(w: int, chunk_codes: int, j: int) -> int:
     got = _atom_cache.get(key)
     if got is not None:
         return got
-    period = 1 << (j + 1)
     half = 1 << j
     unit = _geometric(w, half) << (half * w)
-    span = period
+    span = 1 << (j + 1)
     while span < chunk_codes:
         unit |= unit << (span * w)
         span *= 2
@@ -322,9 +370,8 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
     chunk_codes = min(total_codes, 1 << _CHUNK_CODE_BITS)
     full = (1 << (chunk_codes * w)) - 1
     state0 = _geometric(w, chunk_codes)
-    chunk_bit = chunk_codes.bit_length() - 1
-
-    succ_sets = [frame.successors_of(s) for s in range(w)]
+    run = [(0, frame, chunk_codes)]
+    moves = (Moves(run), Moves(run, everywhere=True))
 
     def atom_mask(slot: int, c0: int) -> int:
         out = 0
@@ -332,56 +379,14 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
             j = slot * w + s
             if (1 << (j + 1)) <= chunk_codes:
                 out |= _atom_pattern(w, chunk_codes, j) << s
-            elif c0 >> (j - chunk_bit) & 1:
+            elif c0 >> j & 1:
                 # bit j of the code is constant across an aligned chunk
                 out |= state0 << s
         return out
 
-    def walk(node: Formula, c0: int) -> int:
-        if isinstance(node, TrueConst):
-            return full
-        if isinstance(node, FalseConst):
-            return 0
-        if isinstance(node, PosLit):
-            return atom_mask(var_order.index(node.var), c0)
-        if isinstance(node, NegLit):
-            return atom_mask(var_order.index(node.var), c0) ^ full
-        if isinstance(node, Or):
-            return walk(node.left, c0) | walk(node.right, c0)
-        if isinstance(node, And):
-            return walk(node.left, c0) & walk(node.right, c0)
-        child = walk(node.child, c0)
-        per_state = [child >> t & state0 for t in range(w)]
-        if isinstance(node, Dia):
-            out = 0
-            for s in range(w):
-                acc = 0
-                for t in succ_sets[s]:
-                    acc |= per_state[t]
-                out |= acc << s
-            return out
-        if isinstance(node, Box):
-            out = 0
-            for s in range(w):
-                acc = state0
-                for t in succ_sets[s]:
-                    acc &= per_state[t]
-                out |= acc << s
-            return out
-        if isinstance(node, ExistsMod):
-            acc = 0
-            for t in range(w):
-                acc |= per_state[t]
-            return acc * ((1 << w) - 1)
-        if isinstance(node, ForallMod):
-            acc = state0
-            for t in range(w):
-                acc &= per_state[t]
-            return acc * ((1 << w) - 1)
-        raise TypeError(f"not a formula: {node!r}")
-
     for c0 in range(0, total_codes, chunk_codes):
-        if walk(phi, c0) != full:
+        atoms = {var: atom_mask(slot, c0) for slot, var in enumerate(var_order)}
+        if _den(phi, atoms.__getitem__, full, moves) != full:
             return False
     return True
 
@@ -443,34 +448,36 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
 
 
 class Universe:
-    """An indexed list of pointed models with precomputed move masks.
+    """An indexed list of pointed models.
 
-    Bit j of succ_masks[i] is set iff j's pointed model shares i's model and
-    j's point is an R-successor of i's point; same_masks[i] holds every index
-    over i's model.  The universe is point-closed when every state of every
-    member model appears as an index; game search requires closure.
+    The universe is point-closed when its indices split into whole models,
+    each with its states in point order, so that consecutive models over one
+    frame form the runs of the kernel's layout.  Only then does it carry the
+    move relations: succ moves an index to its point's successors inside its
+    model, same to every index of its model.  Equal models at two positions
+    are two models.  The enumerator and the game search require closure.
     """
 
-    __slots__ = ("models", "succ_masks", "same_masks", "point_closed")
+    __slots__ = ("models", "succ", "same", "point_closed")
 
     def __init__(self, models: Sequence[PointedModel]):
         self.models = tuple(models)
-        by_model: dict[Model, list[int]] = {}
-        for i, pm in enumerate(self.models):
-            by_model.setdefault(pm.model, []).append(i)
-        group_masks = {m: sum(1 << j for j in group) for m, group in by_model.items()}
-        succ_masks = []
-        for pm in self.models:
-            smask = pm.model.frame.succ_masks[pm.point]
-            succ_masks.append(
-                sum(1 << j for j in by_model[pm.model] if smask >> self.models[j].point & 1)
-            )
-        self.succ_masks = tuple(succ_masks)
-        self.same_masks = tuple(group_masks[pm.model] for pm in self.models)
-        self.point_closed = all(
-            {self.models[j].point for j in group} == set(range(m.frame.state_count))
-            for m, group in by_model.items()
-        )
+        # [offset, frame, model count] per run of whole models over one frame
+        runs: list[list] | None = []
+        i = 0
+        while runs is not None and i < len(self.models):
+            model = self.models[i].model
+            w = model.frame.state_count
+            if [(pm.model, pm.point) for pm in self.models[i:i + w]] != [(model, s) for s in range(w)]:
+                runs = None
+            elif runs and runs[-1][1] == model.frame:
+                runs[-1][2] += 1
+            else:
+                runs.append([i, model.frame, 1])
+            i += w
+        self.point_closed = runs is not None
+        self.succ = Moves(runs) if self.point_closed else None
+        self.same = Moves(runs, everywhere=True) if self.point_closed else None
 
     def __len__(self):
         return len(self.models)
@@ -501,24 +508,14 @@ def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
     return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
 
 
-def expand_frame(frame: Frame, var_bound: int) -> Iterator[PointedModel]:
-    """All pointed models over the frame with valuations of p1..p{var_bound}.
-
-    Valuation codes ascend, as in _coded_model.
-    """
-    for code in range(1 << (frame.state_count * var_bound)):
-        model = _coded_model(frame, var_bound, code)
-        for point in range(frame.state_count):
-            yield PointedModel(model, point)
-
-
 def build_universe(
     seeds: Iterable[PointedModel | tuple[Frame, int]],
     cap: int = UNIVERSE_CAP,
 ) -> Universe:
     """Builds a Universe from pointed models and/or (frame, var_bound) pairs.
 
-    A (frame, v) seed expands to all valuations of p1..pv times all points.
+    A (frame, v) seed expands to all valuations of p1..pv times all points,
+    in ascending valuation codes as in _coded_model.
     """
     out: list[PointedModel] = []
     for seed in seeds:
@@ -533,7 +530,9 @@ def build_universe(
                 raise ResourceCapError(
                     f"universe would exceed {cap} pointed models"
                 )
-            out.extend(expand_frame(frame, var_bound))
+            for code in range(1 << (frame.state_count * var_bound)):
+                model = _coded_model(frame, var_bound, code)
+                out.extend(PointedModel(model, s) for s in range(frame.state_count))
         if len(out) > cap:
             raise ResourceCapError(f"universe would exceed {cap} pointed models")
     return Universe(out)
@@ -597,6 +596,8 @@ def expand_reduced(
     coincide with read-offs over the full expansion.
     """
     check_language(language)
+    if var_bound < 0:
+        raise ValueError("var bound must be >= 0")
     names = [name for name, _ in named_frames]
     if len(set(names)) != len(names):
         raise ValueError("frame names must be unique")

@@ -88,18 +88,17 @@ def enumerate_formulas(
     check_language(language)
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
-    # modal denotations are composed through the successor masks, which only
-    # see states present in the universe
+    # modal denotations are composed through the universe's move relations,
+    # which only a point-closed universe has
     if not u.point_closed:
         raise ValueError("universe must be point-closed")
     if stats is None:
         stats = EnumerationStats()
 
     full = (1 << len(u)) - 1
-    steps = [(Dia, some_pre_image, u.succ_masks), (Box, all_pre_image, u.succ_masks)]
+    steps = [(Dia, some_pre_image, u.succ), (Box, all_pre_image, u.succ)]
     if language != BASIC:
-        steps += [(ExistsMod, some_pre_image, u.same_masks),
-                  (ForallMod, all_pre_image, u.same_masks)]
+        steps += [(ExistsMod, some_pre_image, u.same), (ForallMod, all_pre_image, u.same)]
 
     # per denotation, the Pareto-minimal vectors retained so far
     pareto: dict[int, list[MeasureVector]] = {}
@@ -142,8 +141,8 @@ def enumerate_formulas(
                     yield out
             continue
         for phi, den, measured in list(by_len.get(length - 1, ())):
-            for ctor, pre_image, masks in steps:
-                out = admit(ctor(phi), pre_image(masks, den), compose(ctor, (measured,)))
+            for ctor, pre_image, moves in steps:
+                out = admit(ctor(phi), pre_image(moves, den), compose(ctor, (measured,)))
                 if out:
                     yield out
         for len1 in range(1, (length - 1) // 2 + 1):

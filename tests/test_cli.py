@@ -353,6 +353,38 @@ def test_malformed_files_exit_2(runner, tmp_path, command, text):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--frames", "builtin:k2", "--vars", "-1", "--left", "0", "--right", "1",
+         "--length-cap", "3"],
+        ["certify", "--witnesses", "builtin:symmetry", "--bound", "3", "--vars", "-1"],
+        ["game", "--witnesses", "builtin:symmetry", "--budget", "3", "--vars", "-1"],
+    ],
+)
+def test_negative_var_bound_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "var bound must be >= 0" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["noncol", "--emit", "129"],
+        ["noncol", "--emit", "1500"],
+        ["noncol", "--emit", "100000000"],
+        ["noncol", "--frame", "builtin:k2", "--n", "129"],
+    ],
+)
+def test_noncol_past_nesting_limit_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"nests deeper than {MAX_NESTING}" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_formula_nesting_limit_exits_2(runner):
     at_limit = "<>" * MAX_NESTING + "p1"
     result = _invoke(runner, "valid", "--frame", "builtin:k2", "--formula", at_limit)

@@ -70,6 +70,14 @@ def test_phi_rejects_zero():
         phi_n(0)
 
 
+def test_phi_round_trips_up_to_the_nesting_limit():
+    # n = 128 is the last count whose formula nests no deeper than MAX_NESTING
+    phi = phi_n(128)
+    assert parse(print_formula(phi), GLOBAL) == phi
+    with pytest.raises(ValueError, match="nests deeper"):
+        phi_n(129)
+
+
 def test_code_width_and_elementary_conjunctions():
     assert [colour_code_width(n) for n in (1, 2, 3, 4, 5, 16, 17)] == [0, 1, 2, 2, 3, 4, 5]
     assert elementary_conjunction(0b10, 2) == parse("(~p1 & p2)")

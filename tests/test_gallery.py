@@ -241,6 +241,7 @@ def test_parse_witnesses_reports_file_line_numbers():
         ("witnesses w\nproperty symmetric\nvars -1\n", 3),
         ("witnesses w\nproperty transfer 1 y\n", 2),
         ("witnesses w\nvars 1\nproperty transfer z 2\n", 3),
+        ("witnesses w\nproperty transfer -1 2\n", 2),
     ):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             parse_witnesses(header + frames)

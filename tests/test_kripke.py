@@ -33,7 +33,6 @@ from modalmin.kripke import (
     build_universe,
     den_states,
     eval_formula,
-    expand_frame,
     expand_reduced,
     format_frame,
     format_model,
@@ -188,6 +187,14 @@ def test_frame_valid_resource_cap():
     assert frame_valid(wide, parse("(p1 | ~p1)"), cap_bits=13)
 
 
+def test_frame_valid_reads_every_chunk_of_valuations():
+    # 8 states and 2 variables give 2^16 valuation codes, split into chunks;
+    # p2 at state 7 is code bit 15, constant within a chunk
+    path = Frame(8, [(i, i + 1) for i in range(7)])
+    assert not frame_valid(path, parse("([] [] [] [] [] [] [] ~p2 | (p1 & ~p1))"))
+    assert frame_valid(path, parse("([] [] [] [] [] [] [] ~p2 | <> <> <> <> <> <> <> p2)"))
+
+
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 6))
 def test_frame_valid_matches_naive_product(seed, length):
     rng = random.Random(seed)
@@ -255,9 +262,9 @@ def test_bisimilar_points_agree_on_formulas(seed, length):
 
 
 def test_expand_frame_counts():
-    assert len(list(expand_frame(LOOP, 1))) == 2
-    assert len(list(expand_frame(CHAIN, 1))) == 8
-    assert len(list(expand_frame(CHAIN, 0))) == 2
+    assert len(build_universe([(LOOP, 1)])) == 2
+    assert len(build_universe([(CHAIN, 1)])) == 8
+    assert len(build_universe([(CHAIN, 0)])) == 2
 
 
 def test_build_universe_keeps_explicit_seeds():
@@ -275,11 +282,11 @@ def test_build_universe_cap():
 def test_universe_structure_matches_frames():
     u = build_universe([(CHAIN, 1)])
     for i, pm in enumerate(u.models):
-        for j in mask_bits(u.succ_masks[i]):
+        for j in mask_bits(u.succ.row(i)):
             other = u.models[j]
             assert other.model == pm.model
             assert pm.model.frame.has_edge(pm.point, other.point)
-        assert all(u.models[j].model == pm.model for j in mask_bits(u.same_masks[i]))
+        assert all(u.models[j].model == pm.model for j in mask_bits(u.same.row(i)))
     full_groups = {pm.model for pm in u.models}
     assert len(full_groups) == 4
 
@@ -289,6 +296,21 @@ def test_universe_point_closed_flag():
     assert not open_universe.point_closed
     closed = Universe([PointedModel(Model(CHAIN, {}), s) for s in range(2)])
     assert closed.point_closed
+
+
+def test_permuted_or_split_universe_is_not_point_closed():
+    model = Model(CHAIN, {1: 0b01})
+    other = Model(LOOP, {})
+    permuted = Universe([PointedModel(model, 1), PointedModel(model, 0)])
+    split = Universe([PointedModel(model, 0), PointedModel(other, 0), PointedModel(model, 1)])
+    for u in (permuted, split):
+        assert not u.point_closed
+        assert u.succ is None and u.same is None
+        # per-model denotations still work on an open universe
+        assert u.den(parse("<> p1")) == 0
+        assert u.den(parse("~p1")) == sum(
+            1 << i for i, pm in enumerate(u.models) if not pm.model.holds(1, pm.point)
+        )
 
 
 def test_universe_den_is_per_model_truth():
@@ -357,23 +379,42 @@ def test_greedy_cover_matches_rescanning_rule_on_lob_3(monkeypatch):
 # --- the mask kernel --------------------------------------------------------
 
 
-@given(st.lists(st.integers(0, 63), min_size=1, max_size=6), st.integers(0, 127))
-def test_mask_kernel_matches_set_comprehensions(rows, m):
-    n = len(rows) + 1
-    # the appended last index has no move at all
-    rows = [r & ((1 << n) - 1) for r in rows] + [0]
-    m &= (1 << n) - 1
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mask_kernel_matches_set_comprehensions(seed):
+    # a multi-run universe: runs of models over random frames, each model
+    # possibly equal to the one before it, then a model whose state has no
+    # successor at all
+    rng = random.Random(seed)
+    pointed, succ_sets, same_sets = [], [], []
+    models = [Model(rand_frame(rng, 3), {1: rng.getrandbits(1)}) for _ in range(rng.randint(1, 3))]
+    models += [Model(Frame(1, []), {})]
+    for model in models:
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            base, w = len(pointed), model.frame.state_count
+            for s in range(w):
+                pointed.append(PointedModel(model, s))
+                succ_sets.append({base + t for t in model.frame.successors_of(s)})
+                same_sets.append(set(range(base, base + w)))
+    u = Universe(pointed)
+    assert u.point_closed
+    n = len(u)
+    dead = n - 1
 
     def members(mask):
         return {i for i in range(n) if mask >> i & 1}
 
-    moves = [members(r) for r in rows]
-    target = members(m)
-    assert members(forward_image(rows, m)) == {j for i in target for j in moves[i]}
-    assert members(some_pre_image(rows, m)) == {i for i in range(n) if moves[i] & target}
-    assert members(all_pre_image(rows, m)) == {i for i in range(n) if moves[i] <= target}
-    assert n - 1 in members(all_pre_image(rows, m))
-    assert n - 1 not in members(some_pre_image(rows, m))
+    for moves, sets in ((u.succ, succ_sets), (u.same, same_sets)):
+        for m in (rng.getrandbits(n), 0, (1 << n) - 1):
+            target = members(m)
+            assert members(forward_image(moves, m)) == {j for i in target for j in sets[i]}
+            assert members(some_pre_image(moves, m)) == {i for i in range(n) if sets[i] & target}
+            assert members(all_pre_image(moves, m)) == {i for i in range(n) if sets[i] <= target}
+        assert all(members(moves.row(i)) == sets[i] for i in range(n))
+    # the successor-less state: vacuously in every box, in no diamond
+    m = rng.getrandbits(n)
+    assert dead in members(all_pre_image(u.succ, m))
+    assert dead not in members(some_pre_image(u.succ, m))
+    assert dead in members(some_pre_image(u.same, m | 1 << dead))
 
 
 # --- file formats -----------------------------------------------------------
