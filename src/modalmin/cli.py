@@ -205,7 +205,9 @@ def eval_cmd(model_path: str, point: int | None, formula_text: str) -> None:
 @main.command()
 @click.option("--frame", "frame_spec", required=True)
 @click.option("--formula", "formula_text", required=True)
-@click.option("--cap-bits", type=int, default=VALIDITY_CAP_BITS, show_default=True)
+@click.option(
+    "--cap-bits", type=click.IntRange(0, VALIDITY_CAP_BITS), default=VALIDITY_CAP_BITS, show_default=True
+)
 @_capped
 def valid(frame_spec: str, formula_text: str, cap_bits: int) -> None:
     """Decide frame validity over all valuations; prints VALID or NOT VALID."""

@@ -21,7 +21,7 @@ from .formula import (
     NegLit,
     ExistsMod,
 )
-from .kripke import Frame, Model, PointedModel, Universe, frame_valid
+from .kripke import Frame, Model, PointedModel, Universe, frame_valid, mask_bits
 
 __all__ = [
     "colour_code_width",
@@ -131,32 +131,25 @@ def colour_assignment(frame: Frame, n: int) -> tuple[int, ...] | None:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     colours = [-1] * count
-
-    def assign(s: int) -> bool:
-        if s == count:
-            return True
-        used = {
-            colours[t]
-            for t in range(count)
-            if adj[s] >> t & 1 and colours[t] >= 0
-        }
+    # highest[s] is the largest colour among states 0..s-1
+    highest = [-1] * (count + 1)
+    # depth-first over the states in order, as a loop: a frame may have far
+    # more states than Python allows nested calls
+    s = 0
+    while 0 <= s < count:
+        used = {colours[t] for t in mask_bits(adj[s]) if colours[t] >= 0}
         # Trying at most one previously unused colour suffices: unused
         # colours are interchangeable.
-        fresh_tried = False
-        for c in range(n):
-            if c in used:
-                continue
-            if c > max(colours[:s], default=-1):
-                if fresh_tried:
-                    break
-                fresh_tried = True
-            colours[s] = c
-            if assign(s + 1):
-                return True
+        top = min(highest[s] + 2, n)
+        c = next((c for c in range(colours[s] + 1, top) if c not in used), None)
+        if c is None:
             colours[s] = -1
-        return False
-
-    if not assign(0):
+            s -= 1
+        else:
+            colours[s] = c
+            highest[s + 1] = max(highest[s], c)
+            s += 1
+    if s < 0:
         return None
     return tuple(colours)
 

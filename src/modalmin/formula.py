@@ -33,9 +33,18 @@ class ParseError(ValueError):
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
+
+    Each connective's class is the one place that says what it is: _tag is
+    its symbol in the text form and in the hash, _fields names what a node
+    holds (a literal's variable, otherwise its children in order) and _dual
+    is the class of the connective that negation swaps it for.
+    """
 
     __slots__ = ("_hash",)
+    _tag: str
+    _fields: tuple[str, ...] = ()
+    _dual: type["Formula"]
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -46,67 +55,56 @@ class Formula:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({print_formula(self)!r})"
 
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other._hash == self._hash
+            and all(getattr(other, f) == getattr(self, f) for f in self._fields)
+        )
+
     def __hash__(self) -> int:
         return self._hash
 
 
-class TrueConst(Formula):
+class _Const(Formula):
     __slots__ = ()
 
     def __init__(self):
-        self._hash = hash(("T",))
-
-    def __eq__(self, other):
-        return type(other) is TrueConst
-
-    __hash__ = Formula.__hash__
+        self._hash = hash((self._tag,))
 
 
-class FalseConst(Formula):
+class TrueConst(_Const):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash(("F",))
-
-    def __eq__(self, other):
-        return type(other) is FalseConst
-
-    __hash__ = Formula.__hash__
+    _tag = "T"
 
 
-class PosLit(Formula):
-    __slots__ = ("var",)
+class FalseConst(_Const):
+    __slots__ = ()
+    _tag = "F"
+
+
+class _Lit(Formula):
+    __slots__ = _fields = ("var",)
 
     def __init__(self, var: int):
         if var < 1:
             raise ValueError("variable indices start at 1")
         self.var = var
-        self._hash = hash(("p", var))
-
-    def __eq__(self, other):
-        return type(other) is PosLit and other.var == self.var
-
-    __hash__ = Formula.__hash__
+        self._hash = hash((self._tag, var))
 
 
-class NegLit(Formula):
-    __slots__ = ("var",)
+class PosLit(_Lit):
+    __slots__ = ()
+    _tag = "p"
 
-    def __init__(self, var: int):
-        if var < 1:
-            raise ValueError("variable indices start at 1")
-        self.var = var
-        self._hash = hash(("~p", var))
 
-    def __eq__(self, other):
-        return type(other) is NegLit and other.var == self.var
-
-    __hash__ = Formula.__hash__
+class NegLit(_Lit):
+    __slots__ = ()
+    _tag = "~p"
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right")
-    _tag = "?"
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         self.left = left
@@ -115,16 +113,6 @@ class _Binary(Formula):
 
     def children(self):
         return (self.left, self.right)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    __hash__ = Formula.__hash__
 
 
 class Or(_Binary):
@@ -138,8 +126,7 @@ class And(_Binary):
 
 
 class _Unary(Formula):
-    __slots__ = ("child",)
-    _tag = "?"
+    __slots__ = _fields = ("child",)
 
     def __init__(self, child: Formula):
         self.child = child
@@ -147,15 +134,6 @@ class _Unary(Formula):
 
     def children(self):
         return (self.child,)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and other.child == self.child
-        )
-
-    __hash__ = Formula.__hash__
 
 
 class Dia(_Unary):
@@ -181,6 +159,15 @@ class ForallMod(_Unary):
     __slots__ = ()
     _tag = "A"
 
+
+def _pair_duals(*pairs: tuple[type[Formula], type[Formula]]) -> None:
+    for a, b in pairs:
+        a._dual, b._dual = b, a
+
+
+_pair_duals(
+    (TrueConst, FalseConst), (PosLit, NegLit), (Or, And), (Dia, Box), (ExistsMod, ForallMod)
+)
 
 TRUE = TrueConst()
 FALSE = FalseConst()
@@ -210,7 +197,7 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 def vars_of(phi: Formula) -> frozenset[int]:
     out = set()
     for node in subformulas(phi):
-        if isinstance(node, (PosLit, NegLit)):
+        if isinstance(node, _Lit):
             out.add(node.var)
     return frozenset(out)
 
@@ -333,7 +320,7 @@ def _measured(phi: Formula) -> Measured:
     return compose(
         type(phi),
         tuple(map(_measured, phi.children())),
-        phi.var if isinstance(phi, (PosLit, NegLit)) else 0,
+        phi.var if isinstance(phi, _Lit) else 0,
     )
 
 
@@ -347,7 +334,10 @@ def measure(phi: Formula, kind: MeasureKind) -> int:
 
 # --- parsing and printing ---------------------------------------------------
 
-_BINARY_BY_TAG = {"|": Or, "&": And}
+_CONST_BY_TAG = {c._tag: c for c in (TRUE, FALSE)}
+_BINARY_BY_TAG = {cls._tag: cls for cls in (Or, And)}
+# the prefix connectives by the first character of their tags
+_UNARY_BY_LEAD = {cls._tag[0]: cls for cls in (Dia, Box, ExistsMod, ForallMod)}
 
 # The deepest connective nesting parse accepts: p1 has depth 0, <> p1 depth 1.
 # Printing, evaluation and the measures recurse once or twice per level, so a
@@ -357,18 +347,14 @@ MAX_NESTING = 200
 
 def print_formula(phi: Formula) -> str:
     """Canonical text form: fully parenthesized binaries, prefix unaries."""
-    if isinstance(phi, TrueConst):
-        return "T"
-    if isinstance(phi, FalseConst):
-        return "F"
-    if isinstance(phi, PosLit):
-        return f"p{phi.var}"
-    if isinstance(phi, NegLit):
-        return f"~p{phi.var}"
     if isinstance(phi, _Binary):
         return f"({print_formula(phi.left)} {phi._tag} {print_formula(phi.right)})"
     if isinstance(phi, _Unary):
         return f"{phi._tag} {print_formula(phi.child)}"
+    if isinstance(phi, _Lit):
+        return f"{phi._tag}{phi.var}"
+    if isinstance(phi, _Const):
+        return phi._tag
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -405,12 +391,9 @@ class _Parser:
         if self.pos >= len(self.text):
             raise ParseError("unexpected end of input", self.pos)
         ch = self.text[self.pos]
-        if ch == "T":
+        if ch in _CONST_BY_TAG:
             self.pos += 1
-            return TRUE
-        if ch == "F":
-            self.pos += 1
-            return FALSE
+            return _CONST_BY_TAG[ch]
         if ch == "p":
             return PosLit(self.var_index())
         if ch == "~":
@@ -419,30 +402,19 @@ class _Parser:
             if self.pos >= len(self.text) or self.text[self.pos] != "p":
                 raise ParseError("expected a variable after '~'", self.pos)
             return NegLit(self.var_index())
-        if ch == "<":
-            start = self.pos
-            if not self.text.startswith("<>", self.pos):
-                raise ParseError("expected '<>'", start)
-            self.pos += 2
-            return Dia(self.formula(depth + 1))
-        if ch == "[":
-            start = self.pos
-            if not self.text.startswith("[]", self.pos):
-                raise ParseError("expected '[]'", start)
-            self.pos += 2
-            return Box(self.formula(depth + 1))
-        if ch in ("E", "A"):
-            start = self.pos
-            if self.language == BASIC:
-                raise ParseError("universal modality in basic modal context", start)
-            self.pos += 1
-            cls = ExistsMod if ch == "E" else ForallMod
+        if ch in _UNARY_BY_LEAD:
+            cls = _UNARY_BY_LEAD[ch]
+            if not self.text.startswith(cls._tag, self.pos):
+                raise ParseError(f"expected '{cls._tag}'", self.pos)
+            if cls in _GLOBAL_ONLY and self.language == BASIC:
+                raise ParseError("universal modality in basic modal context", self.pos)
+            self.pos += len(cls._tag)
             return cls(self.formula(depth + 1))
         if ch == "(":
             self.pos += 1
             left = self.formula(depth + 1)
             self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] not in "|&":
+            if self.pos >= len(self.text) or self.text[self.pos] not in _BINARY_BY_TAG:
                 raise ParseError("expected '|' or '&'", self.pos)
             op = _BINARY_BY_TAG[self.text[self.pos]]
             self.pos += 1
@@ -469,52 +441,28 @@ class _Parser:
 
 # --- dual negation and renaming ---------------------------------------------
 
-_DUALS = {
-    TrueConst: lambda phi: FALSE,
-    FalseConst: lambda phi: TRUE,
-    PosLit: lambda phi: NegLit(phi.var),
-    NegLit: lambda phi: PosLit(phi.var),
-}
-
-
 def nnf_negate(phi: Formula) -> Formula:
     """Semantic negation by dual swapping, staying in negation normal form."""
-    leaf = _DUALS.get(type(phi))
-    if leaf is not None:
-        return leaf(phi)
-    if isinstance(phi, Or):
-        return And(nnf_negate(phi.left), nnf_negate(phi.right))
-    if isinstance(phi, And):
-        return Or(nnf_negate(phi.left), nnf_negate(phi.right))
-    if isinstance(phi, Dia):
-        return Box(nnf_negate(phi.child))
-    if isinstance(phi, Box):
-        return Dia(nnf_negate(phi.child))
-    if isinstance(phi, ExistsMod):
-        return ForallMod(nnf_negate(phi.child))
-    if isinstance(phi, ForallMod):
-        return ExistsMod(nnf_negate(phi.child))
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    if isinstance(phi, _Lit):
+        return phi._dual(phi.var)
+    return phi._dual(*map(nnf_negate, phi.children()))
 
 
 def canonical_rename(phi: Formula) -> Formula:
     """Renames variables to p1, p2, ... in order of first occurrence."""
     mapping: dict[int, int] = {}
     for node in subformulas(phi):
-        if isinstance(node, (PosLit, NegLit)) and node.var not in mapping:
+        if isinstance(node, _Lit) and node.var not in mapping:
             mapping[node.var] = len(mapping) + 1
     return rename_vars(phi, mapping)
 
 
 def rename_vars(phi: Formula, mapping: dict[int, int]) -> Formula:
-    if isinstance(phi, PosLit):
-        return PosLit(mapping.get(phi.var, phi.var))
-    if isinstance(phi, NegLit):
-        return NegLit(mapping.get(phi.var, phi.var))
+    if isinstance(phi, _Lit):
+        return type(phi)(mapping.get(phi.var, phi.var))
     kids = phi.children()
     if not kids:
         return phi
-    rebuilt = [rename_vars(c, mapping) for c in kids]
-    if isinstance(phi, _Binary):
-        return type(phi)(rebuilt[0], rebuilt[1])
-    return type(phi)(rebuilt[0])
+    return type(phi)(*(rename_vars(c, mapping) for c in kids))

@@ -19,7 +19,8 @@ from .kripke import (
     expand_reduced,
     format_frame,
     forward_image,
-    parse_frames,
+    frames_of_rows,
+    text_rows,
 )
 
 __all__ = [
@@ -480,26 +481,16 @@ def parse_witnesses(text: str) -> WitnessSet:
     name = None
     prop = None
     var_bound = 1
-    lines = text.splitlines()
-    # each section keeps every line of the file, blanked outside the section,
-    # so that the frame parser reports true line numbers
-    sections = {"positive": [""] * len(lines), "negative": [""] * len(lines)}
+    # the frame rows of each section, with their file line numbers
+    sections: dict[str, list] = {"positive:": [], "negative:": []}
     current = None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped == "positive:":
-            current = "positive"
-            continue
-        if stripped == "negative:":
-            current = "negative"
+    for lineno, parts in text_rows(text):
+        if len(parts) == 1 and parts[0] in sections:
+            current = sections[parts[0]]
             continue
         if current is not None:
-            sections[current][lineno - 1] = raw
+            current.append((lineno, parts))
             continue
-        parts = stripped.split()
         if parts[0] == "witnesses" and len(parts) == 2:
             name = parts[1]
         elif parts[0] == "property":
@@ -513,20 +504,19 @@ def parse_witnesses(text: str) -> WitnessSet:
                 prop = _PROPERTY_NAMES[parts[1]]
             else:
                 raise ValueError(
-                    f"line {lineno}: bad property declaration: {stripped!r}"
+                    f"line {lineno}: bad property declaration: {' '.join(parts)!r}"
                 )
         elif parts[0] == "vars" and len(parts) == 2:
             var_bound = _int_field(parts[1], lineno)
             if var_bound < 0:
                 raise ValueError(f"line {lineno}: var bound must be >= 0")
         else:
-            raise ValueError(f"line {lineno}: unexpected line: {stripped!r}")
+            raise ValueError(f"line {lineno}: unexpected line: {' '.join(parts)!r}")
     if name is None or prop is None:
         raise ValueError("witness file needs 'witnesses' and 'property' lines")
-    pos = parse_frames("\n".join(sections["positive"]))
-    neg = parse_frames("\n".join(sections["negative"]))
-    if not pos or not neg:
-        raise ValueError("witness file needs both positive and negative frames")
+    end = len(text.splitlines()) + 1
+    pos = frames_of_rows(sections["positive:"], end)
+    neg = frames_of_rows(sections["negative:"], end)
     return WitnessSet(
         name=name,
         prop=prop,

@@ -285,6 +285,17 @@ def all_pre_image(moves: Moves, m: int) -> int:
     return out
 
 
+# The modal connectives as kernel steps: the pre-image each one takes and the
+# relation it takes it over, 0 for the successor and 1 for the same-model
+# relation of a layout.  _den and the enumerator both read this table.
+MODAL_STEPS = {
+    Dia: (some_pre_image, 0),
+    Box: (all_pre_image, 0),
+    ExistsMod: (some_pre_image, 1),
+    ForallMod: (all_pre_image, 1),
+}
+
+
 # --- evaluation -------------------------------------------------------------
 
 
@@ -294,26 +305,23 @@ def _den(phi: Formula, lit, full: int, moves: tuple[Moves, Moves]) -> int:
     lit(var) is the mask where p{var} holds, full the mask of every index
     and moves the layout's (successor, same-model) relations.
     """
-    if isinstance(phi, TrueConst):
-        return full
-    if isinstance(phi, FalseConst):
-        return 0
-    if isinstance(phi, PosLit):
-        return lit(phi.var)
-    if isinstance(phi, NegLit):
-        return lit(phi.var) ^ full
-    if isinstance(phi, Or):
+    kind = type(phi)
+    step = MODAL_STEPS.get(kind)
+    if step is not None:
+        pre_image, relation = step
+        return pre_image(moves[relation], _den(phi.child, lit, full, moves))
+    if kind is Or:
         return _den(phi.left, lit, full, moves) | _den(phi.right, lit, full, moves)
-    if isinstance(phi, And):
+    if kind is And:
         return _den(phi.left, lit, full, moves) & _den(phi.right, lit, full, moves)
-    if isinstance(phi, Dia):
-        return some_pre_image(moves[0], _den(phi.child, lit, full, moves))
-    if isinstance(phi, Box):
-        return all_pre_image(moves[0], _den(phi.child, lit, full, moves))
-    if isinstance(phi, ExistsMod):
-        return some_pre_image(moves[1], _den(phi.child, lit, full, moves))
-    if isinstance(phi, ForallMod):
-        return all_pre_image(moves[1], _den(phi.child, lit, full, moves))
+    if kind is PosLit:
+        return lit(phi.var)
+    if kind is NegLit:
+        return lit(phi.var) ^ full
+    if kind is TrueConst:
+        return full
+    if kind is FalseConst:
+        return 0
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -525,12 +533,13 @@ def build_universe(
             frame, var_bound = seed
             if var_bound < 0:
                 raise ValueError("var bound must be >= 0")
-            size = (1 << (frame.state_count * var_bound)) * frame.state_count
-            if len(out) + size > cap:
+            bits = frame.state_count * var_bound
+            # the first test keeps a huge var bound from building a huge integer
+            if bits >= cap.bit_length() or len(out) + (frame.state_count << bits) > cap:
                 raise ResourceCapError(
                     f"universe would exceed {cap} pointed models"
                 )
-            for code in range(1 << (frame.state_count * var_bound)):
+            for code in range(1 << bits):
                 model = _coded_model(frame, var_bound, code)
                 out.extend(PointedModel(model, s) for s in range(frame.state_count))
         if len(out) > cap:
@@ -607,10 +616,10 @@ def expand_reduced(
     base = 0
     for name, frame in named_frames:
         w = frame.state_count
-        count = 1 << (w * var_bound)
-        if base + count * w > cap:
+        # the first test keeps a huge var bound from building a huge integer
+        if w * var_bound >= cap.bit_length() or base + (w << (w * var_bound)) > cap:
             raise ResourceCapError(f"expansion would exceed {cap} states")
-        for code in range(count):
+        for code in range(1 << (w * var_bound)):
             specs.append((name, frame, code, base))
             base += w
 
@@ -666,11 +675,24 @@ def _int_field(text: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: expected an integer, got {text!r}") from None
 
 
+def text_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each line of text with fields outside `#` comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
 def parse_frames(text: str) -> list[tuple[str, Frame]]:
     """Parses one or more frame blocks: `frame <name>` / `states <N>` / `edge <u> <v>`.
 
     Blank lines and `#` comments are skipped; duplicate edges are ignored.
     """
+    return frames_of_rows(text_rows(text), len(text.splitlines()) + 1)
+
+
+def frames_of_rows(rows: Iterable[tuple[int, list[str]]], end: int) -> list[tuple[str, Frame]]:
+    """The frame blocks of text_rows output; end is the line number of the end of input."""
     out: list[tuple[str, Frame]] = []
     name: str | None = None
     count: int | None = None
@@ -685,11 +707,7 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
         out.append((name, Frame(count, edges)))
         name, count, edges = None, None, []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in rows:
         if parts[0] == "frame":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'frame <name>'")
@@ -718,7 +736,7 @@ def parse_frames(text: str) -> list[tuple[str, Frame]]:
             edges.append((u, v))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
-    flush(len(text.splitlines()) + 1)
+    flush(end)
     if not out:
         raise ValueError("no frames found")
     return out
@@ -737,17 +755,13 @@ def format_model(name: str, model: Model, point: int | None = None) -> str:
 def parse_model(text: str) -> tuple[str, Model, int | None]:
     """Parses a single model file: a frame block plus `val pK <states...>` and
     an optional `point <w>` line."""
-    frame_lines = []
+    frame_rows = []
     val_lines = []
     point: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts or parts[0] not in ("val", "point"):
-            frame_lines.append(raw)
-            continue
-        # blanked, so that the frame parser still reports true line numbers
-        frame_lines.append("")
-        if parts[0] == "val":
+    for lineno, parts in text_rows(text):
+        if parts[0] not in ("val", "point"):
+            frame_rows.append((lineno, parts))
+        elif parts[0] == "val":
             if len(parts) < 2 or not parts[1].startswith("p"):
                 raise ValueError(f"line {lineno}: expected 'val pK <states...>'")
             var = _int_field(parts[1][1:], lineno)
@@ -761,7 +775,7 @@ def parse_model(text: str) -> tuple[str, Model, int | None]:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'point <w>'")
             point, point_line = _int_field(parts[1], lineno), lineno
-    frames = parse_frames("\n".join(frame_lines))
+    frames = frames_of_rows(frame_rows, len(text.splitlines()) + 1)
     if len(frames) != 1:
         raise ValueError("model files contain exactly one frame")
     name, frame = frames[0]

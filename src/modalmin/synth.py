@@ -16,12 +16,8 @@ from dataclasses import dataclass
 from .formula import (
     And,
     BASIC,
-    Box,
-    Dia,
-    ExistsMod,
     FALSE,
     FalseConst,
-    ForallMod,
     Formula,
     MeasureKind,
     Measured,
@@ -36,14 +32,7 @@ from .formula import (
     print_formula,
 )
 from .gallery import WitnessSet, reduced_witnesses
-from .kripke import (
-    ResourceCapError,
-    UNIVERSE_CAP,
-    Universe,
-    all_pre_image,
-    frame_valid,
-    some_pre_image,
-)
+from .kripke import MODAL_STEPS, UNIVERSE_CAP, ResourceCapError, Universe, frame_valid
 
 __all__ = [
     "ENUM_CAP",
@@ -96,9 +85,12 @@ def enumerate_formulas(
         stats = EnumerationStats()
 
     full = (1 << len(u)) - 1
-    steps = [(Dia, some_pre_image, u.succ), (Box, all_pre_image, u.succ)]
-    if language != BASIC:
-        steps += [(ExistsMod, some_pre_image, u.same), (ForallMod, all_pre_image, u.same)]
+    # the basic language has no E and A, the only steps over the same-model relation
+    steps = [
+        (ctor, pre_image, (u.succ, u.same)[relation])
+        for ctor, (pre_image, relation) in MODAL_STEPS.items()
+        if relation == 0 or language != BASIC
+    ]
 
     # per denotation, the Pareto-minimal vectors retained so far
     pareto: dict[int, list[MeasureVector]] = {}

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from modalmin.cli import COVERAGE, OP_INVENTORY, _CLAIMS, main
 from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
+from modalmin.kripke import VALIDITY_CAP_BITS
 
 SINGLE_MODEL = """\
 frame triangle
@@ -404,6 +405,22 @@ def test_resource_cap_exits_3(runner):
     )
     assert result.exit_code == 3
     assert "resource cap exceeded" in result.output
+
+
+@pytest.mark.parametrize(
+    "bits, code, message",
+    [
+        ("-1", 2, f"0<=x<={VALIDITY_CAP_BITS}"),
+        ("60", 2, f"0<=x<={VALIDITY_CAP_BITS}"),
+        ("4", 3, "needs 32 bits, cap is 4"),
+    ],
+)
+def test_cap_bits_range(runner, bits, code, message):
+    # 8 states and 4 variables: 32 valuation bits, 2^18 chunks of validity work
+    formula = "((p1 | ~p1) | ((p2 & p3) & p4))"
+    result = runner.invoke(main, ["valid", "--frame", "builtin:k8", "--formula", formula, "--cap-bits", bits])
+    assert result.exit_code == code, result.output
+    assert message in result.output
 
 
 # --- the reproduce report ---------------------------------------------------

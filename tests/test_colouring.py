@@ -131,6 +131,15 @@ def test_colouring_matches_brute_force(rng):
             assert is_n_colourable(frame, n) == brute_colourable(frame, n)
 
 
+def test_colouring_frames_past_the_recursion_limit():
+    # more states than Python's default limit of 1000 nested calls
+    count = 1500
+    path = [(s, s + 1) for s in range(count - 1)]
+    assert colour_assignment(Frame(count, path), 2) == tuple(s % 2 for s in range(count))
+    odd_cycle = path[:count - 2] + [(count - 2, 0)]
+    assert colour_assignment(Frame(count - 1, odd_cycle), 2) is None
+
+
 def test_colouring_rejects_zero_colours():
     with pytest.raises(ValueError):
         is_n_colourable(Frame(1, []), 0)

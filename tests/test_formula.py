@@ -14,6 +14,7 @@ from modalmin.formula import (
     Box,
     Dia,
     ExistsMod,
+    FalseConst,
     ForallMod,
     MeasureKind,
     MeasureVector,
@@ -22,6 +23,7 @@ from modalmin.formula import (
     ParseError,
     PosLit,
     TRUE,
+    TrueConst,
     canonical_rename,
     language_of,
     measure,
@@ -35,7 +37,7 @@ from modalmin.formula import (
     uses_global,
     vars_of,
 )
-from modalmin.kripke import Model
+from modalmin.kripke import Frame, Model, den_states
 
 from .conftest import rand_formula, rand_model
 from .oracles import formulas_up_to, naive_eval, variables
@@ -121,6 +123,39 @@ def test_roundtrip_every_formula_up_to_length_5():
 @given(phi=formulas())
 def test_roundtrip_random_formulas(phi):
     assert parse(print_formula(phi)) == phi
+
+
+# --- equality ---------------------------------------------------------------
+
+
+def test_nodes_of_different_connectives_are_unequal():
+    p1, p2 = PosLit(1), PosLit(2)
+    pairs = [(TRUE, FALSE), (p1, NegLit(1)), (Or(p1, p2), And(p1, p2))]
+    unary = [Dia(p1), Box(p1), ExistsMod(p1), ForallMod(p1)]
+    pairs += [(a, b) for i, a in enumerate(unary) for b in unary[i + 1:]]
+    for a, b in pairs:
+        assert a != b and b != a
+
+
+def test_structure_built_twice_is_equal():
+    def build():
+        return Or(Dia(And(PosLit(1), NegLit(2))), ForallMod(Box(Or(TrueConst(), FalseConst()))))
+
+    one, two = build(), build()
+    assert one is not two
+    assert one == two and hash(one) == hash(two)
+    assert one != Or(Dia(And(PosLit(1), NegLit(3))), ForallMod(Box(Or(TRUE, FALSE))))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [print_formula, nnf_negate, lambda x: den_states(Model(Frame(1)), x)],
+    ids=["print_formula", "nnf_negate", "den_states"],
+)
+def test_non_formulas_raise_type_error(operation):
+    for thing in ("p1", 1, None):
+        with pytest.raises(TypeError):
+            operation(thing)
 
 
 # --- language classification ------------------------------------------------
