@@ -9,6 +9,7 @@ arithmetic over machine integers.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
@@ -402,38 +403,40 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
 # --- bisimulation -----------------------------------------------------------
 
 
-def _successor_lists(frame: Frame) -> list[tuple[int, ...]]:
-    return [frame.successors_of(s) for s in range(frame.state_count)]
-
-
-def _refine(
-    colours: list[int],
-    blocks: Sequence[tuple[int, Sequence[tuple[int, ...]]]],
-    language: str,
-) -> list[int]:
+def _refine(colours: list[int], runs: Sequence[tuple[int, Frame, int]], language: str) -> list[int]:
     """The coarsest bisimulation colouring of the language that refines the given one.
 
-    Colours form one flat table over the states of many models; blocks
-    holds an (offset, successor lists) pair per model, and the model's state
-    s sits at offset + s.  Each round recolours every state by its colour
-    and the set of its successors' colours.  In the global language the
-    signature also carries the set of colours the state's model realizes,
-    since E/A read whole models; two states then share a final colour iff
-    they are bisimilar by a bisimulation total on both their models.
-    Colour ids are only ever compared for equality.
+    Colours form one flat table over the runs of Moves, (offset, frame, model
+    count) triples.  Each round recolours every state by its colour and its
+    successors' colour set, column by column: state s's colours across a run
+    of width W are colours[off+s:end:W], and zipping its successors' columns
+    gives one set per model; a state without successors has no columns to
+    zip, so its sets are repeat(frozenset()).  In the global language the
+    signature also carries the colour set its model realizes (the zip of all
+    the run's columns), since E/A read whole models; two states then share a
+    final colour iff they are bisimilar by a bisimulation total on both their
+    models.  Colour ids are only compared for equality.
     """
+    colours = list(colours)
     while True:
+        classes = len(set(colours))
         intern: dict[tuple, int] = {}
-        fresh = [0] * len(colours)
-        for off, succs in blocks:
-            realized = frozenset(colours[off:off + len(succs)]) if language == GLOBAL else None
-            for s, ts in enumerate(succs):
-                sig = (colours[off + s], frozenset(colours[off + t] for t in ts), realized)
-                fresh[off + s] = intern.setdefault(sig, len(intern))
+        ids = itertools.count()
+        for off, frame, count in runs:
+            w = frame.state_count
+            end = off + count * w
+            columns = [colours[off + s:end:w] for s in range(w)]
+            realized = (
+                list(map(frozenset, zip(*columns))) if language == GLOBAL else itertools.repeat(None)
+            )
+            for s in range(w):
+                targets = [columns[t] for t in frame.successors_of(s)]
+                succs = map(frozenset, zip(*targets)) if targets else itertools.repeat(frozenset())
+                sigs = zip(columns[s], succs, realized)
+                colours[off + s:end:w] = map(intern.setdefault, sigs, ids)
         # splitting is monotone, so an unchanged class count means stability
-        if len(intern) == len(set(colours)):
-            return fresh
-        colours = fresh
+        if len(intern) == classes:
+            return colours
 
 
 def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
@@ -446,7 +449,7 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
     colours = _refine(
         [m.atom_code(s, var_order) for m in (a.model, b.model)
          for s in range(m.frame.state_count)],
-        [(0, _successor_lists(a.model.frame)), (width, _successor_lists(b.model.frame))],
+        [(0, a.model.frame, 1), (width, b.model.frame, 1)],
         language,
     )
     return colours[a.point] == colours[width + b.point]
@@ -611,52 +614,45 @@ def expand_reduced(
     if len(set(names)) != len(names):
         raise ValueError("frame names must be unique")
 
-    # flat tables over (frame instance, valuation code, state)
-    specs = []  # (name, frame, code, base index into flat colour table)
-    base = 0
-    for name, frame in named_frames:
+    # one run per frame, one model per valuation code: model k of a run has
+    # code k and holds state s at off + k*W + s
+    runs: list[tuple[int, Frame, int]] = []
+    colours: list[int] = []
+    for _, frame in named_frames:
         w = frame.state_count
         # the first test keeps a huge var bound from building a huge integer
-        if w * var_bound >= cap.bit_length() or base + (w << (w * var_bound)) > cap:
+        if w * var_bound >= cap.bit_length() or len(colours) + (w << (w * var_bound)) > cap:
             raise ResourceCapError(f"expansion would exceed {cap} states")
-        for code in range(1 << (w * var_bound)):
-            specs.append((name, frame, code, base))
-            base += w
+        count = 1 << (w * var_bound)
+        runs.append((len(colours), frame, count))
+        # the atom colour has bit j set iff p(j+1) holds, as in _coded_model
+        colours += [
+            sum((k >> (j * w + s) & 1) << j for j in range(var_bound))
+            for k in range(count) for s in range(w)
+        ]
+    colours = _refine(colours, runs, language)
 
-    colours = [0] * base
-    for name, frame, code, off in specs:
-        w = frame.state_count
-        for s in range(w):
-            atom = 0
-            for k in range(var_bound):
-                if code >> (k * w + s) & 1:
-                    atom |= 1 << k
-            colours[off + s] = atom
-
-    succ_lists = {frame: _successor_lists(frame) for _, frame in named_frames}
-    blocks = [(off, succ_lists[frame]) for _, frame, _, off in specs]
-    colours = _refine(colours, blocks, language)
-
-    covers = [frozenset(colours[off:off + frame.state_count]) for _, frame, _, off in specs]
-    classes: dict[str, set[int]] = {name: set() for name in names}
-    for (name, *_), cover in zip(specs, covers):
-        classes[name] |= cover
+    # the cover picks whole models: (frame, valuation code, first index) each
+    models = [
+        (frame, k, off + k * frame.state_count) for off, frame, count in runs for k in range(count)
+    ]
+    covers = [frozenset(colours[start:start + frame.state_count]) for frame, _, start in models]
 
     # materialize kept models and the class -> universe index map
     pointed: list[PointedModel] = []
     class_index: dict[int, int] = {}
     for idx in sorted(_greedy_cover(covers)):
-        name, frame, code, off = specs[idx]
+        frame, code, start = models[idx]
         model = _coded_model(frame, var_bound, code)
         for s in range(frame.state_count):
-            class_index.setdefault(colours[off + s], len(pointed))
+            class_index.setdefault(colours[start + s], len(pointed))
             pointed.append(PointedModel(model, s))
 
-    universe = Universe(pointed)
     class_reps = {
-        name: tuple(sorted(class_index[c] for c in classes[name])) for name in names
+        name: tuple(sorted({class_index[c] for c in colours[off:off + count * frame.state_count]}))
+        for name, (off, frame, count) in zip(names, runs)
     }
-    return ReducedExpansion(universe, class_reps)
+    return ReducedExpansion(Universe(pointed), class_reps)
 
 
 # --- file formats -----------------------------------------------------------

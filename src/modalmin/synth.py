@@ -132,6 +132,10 @@ def enumerate_formulas(
                 if out:
                     yield out
             continue
+        # a candidate of this length has a child of length at least length // 2;
+        # past the longest retained length no later level has a candidate either
+        if max(by_len) < length // 2:
+            return
         for phi, den, measured in list(by_len.get(length - 1, ())):
             for ctor, pre_image, moves in steps:
                 out = admit(ctor(phi), pre_image(moves, den), compose(ctor, (measured,)))

@@ -6,6 +6,7 @@ enumeration by level.  Nothing imports from the modules under test except
 the plain data types.
 """
 
+import functools
 import itertools
 
 from modalmin.formula import (
@@ -20,11 +21,12 @@ from modalmin.formula import (
     Formula,
     GLOBAL,
     MeasureKind,
+    MeasureVector,
     NegLit,
     Or,
     PosLit,
     TrueConst,
-    measure,
+    measure_all,
 )
 from modalmin.kripke import Frame, Model, PointedModel, Universe
 
@@ -151,6 +153,94 @@ def formulas_up_to(var_list: list[int], max_len: int, language: str) -> dict[int
     return by_len
 
 
+@functools.lru_cache(maxsize=None)
+def _measured_formulas(var_list: tuple[int, ...], max_len: int, language: str):
+    """formulas_up_to's formulas, shortest first, each with its measure vector.
+
+    Cached because the vectors do not depend on the universe.
+    """
+    return tuple(
+        (phi, measure_all(phi))
+        for forms in formulas_up_to(list(var_list), max_len, language).values()
+        for phi in forms
+    )
+
+
+def brute_table(u: Universe, max_len: int, language: str) -> list[tuple[int, MeasureVector]]:
+    """(denotation over u, measure vector) of every formula up to max_len.
+
+    Denotations come from per-state successor sets, as in naive_eval, not
+    from the library's evaluator.  Each state of each distinct model of u
+    is one node of a flat graph; a formula's extension is the set of nodes
+    where it holds, computed from its children's, which formulas_up_to
+    shares and which are therefore looked up, not re-evaluated.
+    """
+    models = list(dict.fromkeys(pm.model for pm in u.models))
+    start: dict[Model, int] = {}
+    succ: list[set[int]] = []
+    same: list[set[int]] = []
+    for model in models:
+        start[model] = base = len(succ)
+        count = model.frame.state_count
+        for s in range(count):
+            succ.append({base + t for t in range(count) if model.frame.has_edge(s, t)})
+            same.append(set(range(base, base + count)))
+    points = [start[pm.model] + pm.point for pm in u.models]
+    everything = frozenset(range(len(succ)))
+    var_list = sorted({v for model in models for v in model.valuation})
+    holds = {
+        v: frozenset(start[m] + s for m in models for s in range(m.frame.state_count) if m.holds(v, s))
+        for v in var_list
+    }
+    ext: dict[Formula, frozenset[int]] = {}
+
+    def extension(psi: Formula) -> frozenset[int]:
+        if isinstance(psi, TrueConst):
+            return everything
+        if isinstance(psi, FalseConst):
+            return frozenset()
+        if isinstance(psi, PosLit):
+            return holds[psi.var]
+        if isinstance(psi, NegLit):
+            return everything - holds[psi.var]
+        if isinstance(psi, Or):
+            return ext[psi.left] | ext[psi.right]
+        if isinstance(psi, And):
+            return ext[psi.left] & ext[psi.right]
+        child = ext[psi.child]
+        if isinstance(psi, Dia):
+            return frozenset(g for g in everything if succ[g] & child)
+        if isinstance(psi, Box):
+            return frozenset(g for g in everything if succ[g] <= child)
+        if isinstance(psi, ExistsMod):
+            return frozenset(g for g in everything if same[g] & child)
+        if isinstance(psi, ForallMod):
+            return frozenset(g for g in everything if same[g] <= child)
+        raise TypeError(f"unknown node {psi!r}")
+
+    table = []
+    for phi, vec in _measured_formulas(tuple(var_list), max_len, language):
+        ext[phi] = got = extension(phi)
+        table.append((sum(1 << i for i, g in enumerate(points) if g in got), vec))
+    return table
+
+
+def brute_min_value(
+    table: list[tuple[int, MeasureVector]],
+    left: tuple[int, ...],
+    right: tuple[int, ...],
+    kind: MeasureKind,
+    budget: int,
+) -> int | None:
+    """The least measure within budget of a formula of the table that separates."""
+    lmask = sum(1 << i for i in left)
+    rmask = sum(1 << i for i in right)
+    values = [
+        vec.get(kind) for den, vec in table if lmask & ~den == 0 and rmask & den == 0
+    ]
+    return min((value for value in values if value <= budget), default=None)
+
+
 def brute_min_separating(
     u: Universe,
     left: tuple[int, ...],
@@ -161,21 +251,7 @@ def brute_min_separating(
     language: str,
 ) -> int | None:
     """Cheapest separating formula value by dedup-free enumeration."""
-    var_list = sorted({v for pm in u.models for v in pm.model.valuation})
-    by_len = formulas_up_to(var_list, max_len, language)
-    lmask = sum(1 << i for i in left)
-    rmask = sum(1 << i for i in right)
-    best = None
-    for total in range(1, max_len + 1):
-        for phi in by_len[total]:
-            den = u.den(phi)
-            if lmask & ~den == 0 and rmask & den == 0:
-                value = measure(phi, kind)
-                if value <= budget and (best is None or value < best):
-                    best = value
-        if kind is MeasureKind.LENGTH and best is not None:
-            return best
-    return best
+    return brute_min_value(brute_table(u, max_len, language), left, right, kind, budget)
 
 
 def brute_denotations(u: Universe, var_list: list[int], max_len: int, language: str) -> set[int]:

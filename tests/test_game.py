@@ -40,8 +40,9 @@ from modalmin.kripke import (
     build_universe,
     den_states,
 )
+from modalmin.synth import min_separating
 
-from .oracles import brute_exact_image, brute_min_separating
+from .oracles import brute_exact_image, brute_min_value, brute_table
 
 BASIC_KINDS = tuple(k for k in MeasureKind if k.applies_to(BASIC))
 ALL_KINDS = tuple(MeasureKind)
@@ -251,19 +252,34 @@ def test_fgm_matches_enumeration_oracle(rng):
             for i in left
             for j in right
         )
+        table = None if blocked else brute_table(u, 6, language)
+        # the enumerator's literals are p1..p_var_bound, the game's and the
+        # oracle's the variables the universe mentions: make them the same
+        var_bound = max((v for pm in u.models for v in pm.model.valuation), default=0)
         kinds = ALL_KINDS if language == GLOBAL else BASIC_KINDS
         for kind in kinds:
             budget = 6 if kind is MeasureKind.LENGTH else rng.randint(1, 5)
             got = min_cost_fgm(pos, kind, budget, language=language, length_cap=6)
-            want = (
-                None
-                if blocked
-                else brute_min_separating(u, tuple(left), tuple(right), kind, budget, 6, language)
-            )
+            want = None if blocked else brute_min_value(table, left, right, kind, budget)
             got_value = got if got is None else got[0]
             assert got_value == want, (kind, left, right, language)
+            enumerated = _enumerated_value(u, left, right, kind, budget, var_bound, language)
+            assert enumerated == want, (kind, left, right, language)
             checked += 1
     assert checked > 100
+
+
+def _enumerated_value(u, left, right, kind, budget, var_bound, language):
+    """min_separating's value within the budget, at length cap 6."""
+    if set(left) & set(right):
+        # an index on both sides is never separated; min_separating rejects it
+        with pytest.raises(ValueError):
+            min_separating(u, left, right, kind, var_bound, 6, language)
+        return None
+    found = min_separating(u, left, right, kind, var_bound, 6, language)
+    if found is None or found[1].get(kind) > budget:
+        return None
+    return found[1].get(kind)
 
 
 def test_fgm_cost_monotone_in_left_set(rng):

@@ -335,6 +335,29 @@ def test_reduced_expansion_read_off_matches_validity():
             assert covered == frame_valid(frame, phi)
 
 
+def test_reduced_classes_match_naive_bisimilarity():
+    dead_ends = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        var_bound = rng.choice((1, 2))
+        width = 3 if var_bound == 1 else 2
+        frames = [(f"f{k}", rand_frame(rng, width)) for k in range(rng.randint(1, 2))]
+        dead_ends += sum(not m for _, frame in frames for m in frame.succ_masks)
+        for language in (BASIC, GLOBAL):
+            red = expand_reduced(frames, var_bound, language)
+            models = red.universe.models
+            for name, frame in frames:
+                reps = red.class_reps[name]
+                for pm in build_universe([(frame, var_bound)]).models:
+                    matches = [i for i in reps if naive_bisimilar(pm, models[i], language)]
+                    assert len(matches) == 1, (seed, language, name, pm)
+            every = sorted(set().union(*red.class_reps.values()))
+            for k, i in enumerate(every):
+                for j in every[k + 1:]:
+                    assert not naive_bisimilar(models[i], models[j], language), (seed, language, i, j)
+    assert dead_ends > 0
+
+
 def _lob_named(depth):
     w = lob_witnesses(depth)
     named = [(f"+{n}", f) for n, f in w.named_positives()]

@@ -105,6 +105,23 @@ def test_enumeration_rejects_negative_var_bound():
         list(enumerate_formulas(_two_point_universe(), -1, 3))
 
 
+def test_enumeration_stops_once_no_level_can_hold_a_candidate():
+    # every retained formula here has length <= 3, so a length cap of 60
+    # already enumerates everything; a cap of 10^9 must end just as soon
+    universes = (
+        (_two_point_universe(), 1),
+        (Universe([PointedModel(Model(Frame(1, []), {}), 0)]), 1),
+        (build_universe([(Frame(2, [(0, 1)]), 0)]), 0),
+    )
+    for u, var_bound in universes:
+        for language in (BASIC, GLOBAL):
+            runs = []
+            for cap in (60, 10**9):
+                stats = EnumerationStats()
+                runs.append((list(enumerate_formulas(u, var_bound, cap, language, stats=stats)), stats))
+            assert runs[0] == runs[1]
+
+
 def test_enumeration_stats_and_cap():
     u = _two_point_universe()
     stats = EnumerationStats()
