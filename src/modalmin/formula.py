@@ -238,6 +238,11 @@ class MeasureKind(enum.Enum):
         return True
 
 
+def check_measure(kind: MeasureKind, language: str) -> None:
+    if not kind.applies_to(language):
+        raise ValueError(f"measure {kind.value} needs the global language")
+
+
 def measures_for(language: str) -> tuple[MeasureKind, ...]:
     """The measure family of a language: 9 for basic, 11 for global."""
     check_language(language)

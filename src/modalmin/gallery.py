@@ -95,15 +95,11 @@ def _relation_power(frame: Frame, k: int) -> tuple[int, ...]:
     return rows
 
 
-def _is_reflexive(frame: Frame) -> bool:
-    return all(frame.has_edge(s, s) for s in range(frame.state_count))
-
-
-def _is_transitive(frame: Frame) -> bool:
-    two = _relation_power(frame, 2)
-    return all(
-        two[s] & ~frame.succ_masks[s] == 0 for s in range(frame.state_count)
-    )
+def _has_transfer(frame: Frame, m: int, n: int) -> bool:
+    """Whether R^m is a subset of R^n on the frame."""
+    pm = _relation_power(frame, m)
+    pn = _relation_power(frame, n)
+    return all(a & ~b == 0 for a, b in zip(pm, pn))
 
 
 def _is_symmetric(frame: Frame) -> bool:
@@ -122,24 +118,21 @@ def _is_cwf(frame: Frame) -> bool:
 
 
 def check_property(frame: Frame, prop: FrameProperty) -> bool:
+    # reflexivity is R^0 subset of R^1, transitivity R^2 subset of R^1
     if prop.kind == "transfer":
-        pm = _relation_power(frame, prop.m)
-        pn = _relation_power(frame, prop.n)
-        return all(
-            pm[s] & ~pn[s] == 0 for s in range(frame.state_count)
-        )
+        return _has_transfer(frame, prop.m, prop.n)
     if prop.kind == "reflexive":
-        return _is_reflexive(frame)
+        return _has_transfer(frame, 0, 1)
     if prop.kind == "transitive":
-        return _is_transitive(frame)
+        return _has_transfer(frame, 2, 1)
     if prop.kind == "symmetric":
         return _is_symmetric(frame)
     if prop.kind == "cwf":
         return _is_cwf(frame)
     if prop.kind == "reflexive-transitive":
-        return _is_reflexive(frame) and _is_transitive(frame)
+        return _has_transfer(frame, 0, 1) and _has_transfer(frame, 2, 1)
     if prop.kind == "transitive-cwf":
-        return _is_transitive(frame) and _is_cwf(frame)
+        return _has_transfer(frame, 2, 1) and _is_cwf(frame)
     raise ValueError(f"unknown frame property kind: {prop.kind!r}")
 
 
@@ -205,11 +198,14 @@ def reduced_witnesses(
     return red.universe, positive, negatives
 
 
+def _path_edges(states) -> list[tuple[int, int]]:
+    """The edges of the directed path visiting states in order."""
+    return list(zip(states, states[1:]))
+
+
 def _path_frame(edge_count: int) -> Frame:
     """A bare directed path with the given number of edges."""
-    return Frame(
-        edge_count + 1, [(i, i + 1) for i in range(edge_count)]
-    )
+    return Frame(edge_count + 1, _path_edges(range(edge_count + 1)))
 
 
 def _transfer_frames_m0(n: int) -> tuple[list[tuple[str, Frame]], list[tuple[str, Frame]]]:
@@ -217,7 +213,7 @@ def _transfer_frames_m0(n: int) -> tuple[list[tuple[str, Frame]], list[tuple[str
     a1 = Frame(1, [(0, 0)])
     # An n-cycle whose states all also feed a shared reflexive sink: the
     # cycle returns in n steps and the sink trivially does.
-    cyc = [(i, (i + 1) % n) for i in range(n)]
+    cyc = _path_edges([*range(n), 0])
     feed = [(i, n) for i in range(n)]
     a2 = Frame(n + 1, cyc + feed + [(n, n)])
     b = Frame(2, [(0, 1), (1, 1)])
@@ -248,26 +244,21 @@ def _transfer_frames_mn(m: int, n: int) -> tuple[list[tuple[str, Frame]], list[t
     walkers = list(range(m + 3, m + n + 2))
 
     edges = [(r, loop), (loop, loop), (t, loop2), (loop2, loop2)]
-    chain = [r] + verticals + [t]
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    wchain = [r] + walkers + [t]
-    edges += [(wchain[i], wchain[i + 1]) for i in range(len(wchain) - 1)]
+    edges += _path_edges([r, *verticals, t])
+    edges += _path_edges([r, *walkers, t])
     edges += [(w, w) for w in walkers]
     a1 = Frame(m + n + 2, edges)
 
     positives = [("a1", a1)]
     for i in range(2, m + 2):
         # Root with reflexive escape plus a dead-end path of i-2 edges.
-        pe = [(0, 1), (1, 1)]
-        chain = [0] + list(range(2, i))
-        pe += [(chain[j], chain[j + 1]) for j in range(len(chain) - 1)]
+        pe = [(0, 1), (1, 1)] + _path_edges([0, *range(2, i)])
         positives.append((f"a{i}", Frame(max(2, i), pe)))
 
     # The negative is a1 without the n-path: r still has the m-step route
     # to t but no n-step one.
     edges_b = [(r, loop), (loop, loop), (t, loop2), (loop2, loop2)]
-    chain = [r] + verticals + [t]
-    edges_b += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
+    edges_b += _path_edges([r, *verticals, t])
     b = Frame(m + 3, edges_b)
     return positives, [("b", b)]
 
@@ -280,11 +271,8 @@ def _transfer_frames_nm(m: int, n: int) -> tuple[list[tuple[str, Frame]], list[t
     verticals = list(range(1, m))
     c = m
     hypo = list(range(m + 1, m + n))
-    edges = []
-    chain = [r] + verticals + [c]
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     hchain = [r] + hypo + [c]
-    edges += [(hchain[i], hchain[i + 1]) for i in range(len(hchain) - 1)]
+    edges = _path_edges([r, *verticals, c]) + _path_edges(hchain)
     nxt = m + n
     for j in range(n):
         prev = hchain[j]
@@ -298,19 +286,11 @@ def _transfer_frames_nm(m: int, n: int) -> tuple[list[tuple[str, Frame]], list[t
     for i in range(2, m + 2):
         # Disjoint union of a dead-end path of i-2 edges and one of n edges,
         # sharing only the root.
-        pe = []
-        chain = [0] + list(range(1, i - 1))
-        pe += [(chain[j], chain[j + 1]) for j in range(len(chain) - 1)]
-        diag = [0] + list(range(i - 1, i - 1 + n))
-        pe += [(diag[j], diag[j + 1]) for j in range(len(diag) - 1)]
+        pe = _path_edges([0, *range(1, i - 1)]) + _path_edges([0, *range(i - 1, i - 1 + n)])
         positives.append((f"a{i}", Frame(i - 1 + n, pe)))
 
     # Negative: the m-path and n-path both dead-end instead of rejoining.
-    eb = []
-    chain = [0] + list(range(1, m + 1))
-    eb += [(chain[j], chain[j + 1]) for j in range(len(chain) - 1)]
-    diag = [0] + list(range(m + 1, m + n + 1))
-    eb += [(diag[j], diag[j + 1]) for j in range(len(diag) - 1)]
+    eb = _path_edges(range(m + 1)) + _path_edges([0, *range(m + 1, m + n + 1)])
     b = Frame(m + n + 1, eb)
     return positives, [("b", b)]
 

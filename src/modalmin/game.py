@@ -32,6 +32,7 @@ from .formula import (
     TRUE,
     TrueConst,
     check_language,
+    check_measure,
     compose,
     measure,
 )
@@ -379,19 +380,21 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # --- the search engine ------------------------------------------------------
 #
 # One shared table serves both games: it maps each right set R to a Pareto
-# family of elements (achievable left set, measures, length), the left sets
-# from which a closed tree with those costs exists against R.  Left sets are
-# handled as whole masks (an or-move is a union of two elements), so only
-# right sets are ever partitioned; the families grow level by level in tree
-# length, kept as one list per length, and a query asks for the cheapest
-# element covering a target left set.  Cost monotonicity in both position
-# sets makes this equivalent to searching positions directly while keeping
-# large left sets tractable.
+# family of elements (achievable left set, measures, length, provenance),
+# the left sets from which a closed tree with those costs exists against R.
+# Left sets are handled as whole masks (an or-move is a union of two
+# elements), so only right sets are ever partitioned; the families grow
+# level by level in tree length, kept as one list per length, and a query
+# asks for the cheapest element covering a target left set.  Cost
+# monotonicity in both position sets makes this equivalent to searching
+# positions directly while keeping large left sets tractable.
 #
-# Dominated elements are dropped, but every dropped element is covered by a
-# survivor that is at least as large and no more expensive, so tree
-# reconstruction re-queries the families instead of trusting stored child
-# references.
+# An element's provenance is the move that built it and the elements it was
+# built from: (tag, child right set, child) for a modal move, ("or", e1, e2),
+# ("and", part1, e1, part2, e2), or the leaf itself.  A level reads only
+# finished lower levels, and an insertion evicts only from the level being
+# built, so every element a provenance holds is a surviving element, and the
+# winning element's tree is read off by walking its provenance down.
 #
 # An element's measures are the (vector, variable mask) pair formula.compose
 # builds, but elements compare only on (measure minimized, length).  For
@@ -402,17 +405,17 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 class _FamilySearch:
     # elements are (set_mask, measured, length, prov); cells[rmask][k] holds
     # the elements of length k, for k up to the last level computed, and
-    # cells[rmask][0] is empty
+    # cells[rmask][0] is empty; longest is the greatest length ever inserted
 
-    def __init__(self, universe, kind, budget, length_cap, language, element_cap):
+    def __init__(self, universe, kind, budget, language, element_cap):
         self.u = universe
         self.kind = kind
         self.budget = budget
-        self.length_cap = length_cap
         self.language = language
         self.element_cap = element_cap
         self.cells: dict[int, list[list]] = {}
         self.element_count = 0
+        self.longest = 0
         self.slot = list(MeasureKind).index(kind)
         self.full = (1 << len(universe)) - 1
         # leaf measures are the same in every cell
@@ -447,6 +450,7 @@ class _FamilySearch:
             e for e in levels[length]
             if not (e[0] & ~mask == 0 and self.no_worse(measured, e[1]))
         ] + [element]
+        self.longest = max(self.longest, length)
         self.element_count += 1
         if self.element_count > self.element_cap:
             raise ResourceCapError(
@@ -484,36 +488,37 @@ class _FamilySearch:
             # dia/exists: the reply keeps every right move target; a subtree
             # winning from (M, R') admits every left index with a move into M.
             greedy = forward_image(moves, rmask)
-            for m, measured, clen, _ in child_entries(greedy):
+            for child in child_entries(greedy):
                 self._insert(
                     levels,
-                    (some_pre_image(moves, m), compose(_NODE_OF_MOVE[some], (measured,)),
-                     length, (some, greedy, measured, clen)),
+                    (some_pre_image(moves, child[0]),
+                     compose(_NODE_OF_MOVE[some], (child[1],)),
+                     length, (some, greedy, child)),
                 )
             # box/forall: an image of the right move targets is chosen; the
             # admitted left indices are those whose moves all land inside M.
             options = [moves.row(i) for i in mask_bits(rmask)]
             if all(options):
                 for image in _minimal_hitting_masks(options):
-                    for m, measured, clen, _ in child_entries(image):
+                    for child in child_entries(image):
                         self._insert(
                             levels,
-                            (all_pre_image(moves, m),
-                             compose(_NODE_OF_MOVE[every], (measured,)),
-                             length, (every, image, measured, clen)),
+                            (all_pre_image(moves, child[0]),
+                             compose(_NODE_OF_MOVE[every], (child[1],)),
+                             length, (every, image, child)),
                         )
 
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):
             len2 = length - 1 - len1
             ones, twos = levels[len1], levels[len2]
-            for i1, (m1, a1, l1, _) in enumerate(ones):
+            for i1, e1 in enumerate(ones):
                 start = i1 + 1 if len1 == len2 else 0
-                for m2, a2, l2, _ in twos[start:]:
+                for e2 in twos[start:]:
                     self._insert(
                         levels,
-                        (m1 | m2, compose(Or, (a1, a2)), length,
-                         ("or", a1, l1, a2, l2)),
+                        (e1[0] | e2[0], compose(Or, (e1[1], e2[1])), length,
+                         ("or", e1, e2)),
                     )
 
         # and: the right set splits in two; both subtrees must admit.
@@ -528,90 +533,53 @@ class _FamilySearch:
                     len2 = length - 1 - len1
                     ones = self.compute(part1, len1)[len1]
                     twos = self.compute(part2, len2)[len2]
-                    for m1, a1, l1, _ in ones:
-                        for m2, a2, l2, _ in twos:
+                    for e1 in ones:
+                        for e2 in twos:
                             self._insert(
                                 levels,
-                                (m1 & m2, compose(And, (a1, a2)), length,
-                                 ("and", part1, l1, part2, l2)),
+                                (e1[0] & e2[0], compose(And, (e1[1], e2[1])), length,
+                                 ("and", part1, e1, part2, e2)),
                             )
                 sub = (sub - 1) & rest
 
-    # --- queries and reconstruction ---
+    def build(self, entry, target: int, rmask: int) -> GameTree:
+        """The closed tree entry's provenance spells out from (target, rmask).
 
-    def _upto(self, rmask: int, len_limit: int):
-        """rmask's elements of length at most len_limit, shortest first."""
-        return itertools.chain.from_iterable(self.cells.get(rmask, ())[:len_limit + 1])
-
-    def best_cover(self, rmask: int, target: int, len_limit: int):
-        cands = [e for e in self._upto(rmask, len_limit) if target & ~e[0] == 0]
-        if not cands:
-            return None
-        return min(cands, key=lambda e: (self.key(e[1]), e[2]))
-
-    def build(self, target: int, rmask: int, len_limit: int) -> GameTree:
-        """A closed tree from (target, rmask) no costlier than the best cover.
-
-        Dropped elements are always covered by surviving ones, so children
-        are re-queried rather than read from stored references.
+        target must lie inside entry's left set; each move hands its
+        children the part of the position they must close.
         """
-        entry = self.best_cover(rmask, target, len_limit)
-        if entry is None:
-            raise RuntimeError("no covering element during reconstruction")
-        prov = entry[3]
         u = self.u
         pos = GamePosition(u, mask_bits(target), mask_bits(rmask))
+        prov = entry[3]
         tag = prov[0]
-        moves = u.succ if tag in ("dia", "box") else u.same
-        if tag == "bot":
-            return GameTree("bot", pos)
-        if tag == "top":
-            return GameTree("top", pos)
         if tag == "lit":
             return GameTree("lit", pos, var=prov[1], positive=prov[2])
-        if tag in ("dia", "exists"):
-            crmask, cmeasured, clen = prov[1], prov[2], prov[3]
-            child_cands = [
-                f for f in self._upto(crmask, clen)
-                if self.no_worse(f[1], cmeasured)
-                and target & ~some_pre_image(moves, f[0]) == 0
-            ]
-            f = min(child_cands, key=lambda e: (self.key(e[1]), e[2]))
-            image = 0
-            for i in mask_bits(target):
-                opts = moves.row(i) & f[0]
-                image |= opts & -opts
-            child = self.build(image, crmask, f[2])
-            return GameTree(tag, pos, (child,))
-        if tag in ("box", "forall"):
-            image, clen = prov[1], prov[3]
-            child = self.build(forward_image(moves, target), image, clen)
-            return GameTree(tag, pos, (child,))
         if tag == "or":
-            a1, l1, a2, l2 = prov[1:]
-            pairs = [
-                (f, g)
-                for f in self._upto(rmask, l1) if self.no_worse(f[1], a1)
-                for g in self._upto(rmask, l2) if self.no_worse(g[1], a2)
-                and target & ~(f[0] | g[0]) == 0
-            ]
-            f, g = min(
-                pairs,
-                key=lambda p: (
-                    self.key(compose(Or, (p[0][1], p[1][1]))), p[0][2] + p[1][2],
-                ),
-            )
-            t1 = target & f[0]
-            t2 = target & ~f[0]
+            _, e1, e2 = prov
             return GameTree(
                 "or", pos,
-                (self.build(t1, rmask, f[2]), self.build(t2, rmask, g[2])),
+                (self.build(e1, target & e1[0], rmask),
+                 self.build(e2, target & ~e1[0], rmask)),
             )
-        part1, l1, part2, l2 = prov[1:]
-        return GameTree(
-            "and", pos,
-            (self.build(target, part1, l1), self.build(target, part2, l2)),
-        )
+        if tag == "and":
+            _, part1, e1, part2, e2 = prov
+            return GameTree(
+                "and", pos,
+                (self.build(e1, target, part1), self.build(e2, target, part2)),
+            )
+        if tag in ("bot", "top"):
+            return GameTree(tag, pos)
+        _, crmask, child = prov
+        moves = u.succ if tag in ("dia", "box") else u.same
+        if tag in ("dia", "exists"):
+            # one move per left index, to the lowest target inside the child
+            image = 0
+            for i in mask_bits(target):
+                opts = moves.row(i) & child[0]
+                image |= opts & -opts
+        else:
+            image = forward_image(moves, target)
+        return GameTree(tag, pos, (self.build(child, image, crmask),))
 
 
 def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> int:
@@ -619,8 +587,7 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
     check_language(language)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not kind.applies_to(language):
-        raise ValueError(f"measure {kind.value} needs the global language")
+    check_measure(kind, language)
     if kind is MeasureKind.LENGTH:
         return budget if length_cap is None else min(budget, length_cap)
     if length_cap is None:
@@ -631,24 +598,34 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
 def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_cap: int):
     """The cheapest element covering target against one of the right sets.
 
-    Deepens every right set level by level, to eff_cap or, for Length, to
-    the first level with a cover.  Returns (position in rmasks, element),
-    preferring by (measure key, length, position), or None.
+    Deepens every right set level by level, to eff_cap, or, for Length, to
+    the first level with a cover, stopping early once no family can gain
+    an element.  Returns (position in rmasks, element), preferring by
+    (measure key, length, position), or None.
     """
-    best = None
     for upto in range(1, eff_cap + 1):
-        for k, rmask in enumerate(rmasks):
+        for rmask in rmasks:
             search.compute(rmask, upto)
-            if search.kind is not MeasureKind.LENGTH and upto < eff_cap:
-                continue
-            entry = search.best_cover(rmask, target, upto)
-            if entry is not None:
-                key = (search.key(entry[1]), entry[2], k)
-                if best is None or key < best[0]:
-                    best = (key, k, entry)
-        if best is not None and search.kind is MeasureKind.LENGTH:
-            break
-    return None if best is None else best[1:]
+        # A tree of length L > 1 has a child of length at least L // 2.  A
+        # family 3 levels deep has asked for every family its moves lead
+        # to, so once all are that deep no family is added; if no element
+        # is then half as long as the shallowest depth, no level past it
+        # can gain one.
+        depth = min(map(len, search.cells.values())) - 1
+        last = upto == eff_cap or (depth >= 3 and 2 * search.longest < depth)
+        if search.kind is MeasureKind.LENGTH or last:
+            covers = [
+                (k, e)
+                for k, rmask in enumerate(rmasks)
+                for level in search.cells[rmask]
+                for e in level
+                if target & ~e[0] == 0
+            ]
+            if covers:
+                return min(covers, key=lambda c: (search.key(c[1][1]), c[1][2], c[0]))
+            if last:
+                break
+    return None
 
 
 def min_cost_fgm(
@@ -674,7 +651,7 @@ def min_cost_fgm(
             if bisimilar(u.models[i], u.models[j], language):
                 return None
 
-    search = _FamilySearch(u, kind, budget, eff_cap, language, position_cap)
+    search = _FamilySearch(u, kind, budget, language, position_cap)
     lmask = _as_mask(pos.left)
     rmask = _as_mask(pos.right)
     found = _cheapest_cover(search, lmask, [rmask], eff_cap)
@@ -690,7 +667,7 @@ def min_cost_fgm(
             return bot[0].get(kind), GameTree("bot", GamePosition(u, (), pos.right))
     if best is None:
         return None
-    tree = search.build(lmask, rmask, best[2])
+    tree = search.build(best, lmask, rmask)
     return best[1][0].get(kind), tree
 
 
@@ -724,7 +701,7 @@ def fgf_min_cost(
             return None
         candidates.append((nm, free))
 
-    search = _FamilySearch(u, kind, budget, eff_cap, language, element_cap)
+    search = _FamilySearch(u, kind, budget, language, element_cap)
     # product yields the combos in ascending tuple order, so list position
     # breaks ties as the combos themselves would
     combos = list(itertools.product(*(free for _, free in candidates)))
@@ -732,7 +709,7 @@ def fgf_min_cost(
     found = _cheapest_cover(search, target, rmasks, eff_cap)
     if found is None:
         return None
-    k, (_, measured, length, _) = found
-    tree = search.build(target, rmasks[k], length)
+    k, element = found
+    tree = search.build(element, target, rmasks[k])
     choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[k])}
-    return measured[0].get(kind), tree, choice
+    return element[1][0].get(kind), tree, choice

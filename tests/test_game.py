@@ -15,8 +15,10 @@ from modalmin.formula import (
     print_formula,
 )
 from modalmin.game import (
+    POSITION_CAP,
     GamePosition,
     GameTree,
+    _FamilySearch,
     _is_exact_image,
     _minimal_hitting_masks,
     check_weight,
@@ -29,7 +31,7 @@ from modalmin.game import (
     tree_cost,
     verify_closed_tree,
 )
-from modalmin.gallery import symmetry_witnesses, transfer_witnesses
+from modalmin.gallery import builtin_witnesses, symmetry_witnesses, transfer_witnesses
 from modalmin.kripke import (
     Frame,
     Model,
@@ -282,6 +284,30 @@ def _enumerated_value(u, left, right, kind, budget, var_bound, language):
     return found[1].get(kind)
 
 
+def test_every_stored_element_walks_to_its_own_tree(rng):
+    # the search answers only from winning elements; this walks every
+    # element the families keep, winning or not
+    walked = 0
+    for _ in range(30):
+        count = rng.randint(1, 3)
+        edges = [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45]
+        u = build_universe([(Frame(count, edges), 1)])
+        right = rng.sample(range(len(u.models)), rng.randint(0, 2))
+        rmask = sum(1 << i for i in right)
+        for kind in (MeasureKind.LENGTH, MeasureKind.MODAL_DEPTH, MeasureKind.VAR_COUNT):
+            for language in (BASIC, GLOBAL):
+                search = _FamilySearch(u, kind, 5, language, POSITION_CAP)
+                search.compute(rmask, 5)
+                for r, levels in search.cells.items():
+                    for e in itertools.chain.from_iterable(levels):
+                        tree = search.build(e, e[0], r)
+                        assert verify_closed_tree(tree, language), (e[3][0], kind, language)
+                        assert node_count(tree) == e[2]
+                        assert tree_cost(tree, kind) == e[1][0].get(kind)
+                        walked += 1
+    assert walked > 1000
+
+
 def test_fgm_cost_monotone_in_left_set(rng):
     for _ in range(15):
         count = rng.randint(2, 3)
@@ -347,6 +373,24 @@ def test_fgf_var_count_pinned():
     assert cost == 1
     assert print_formula(psi_of_tree(tree)) == "([] ~p1 | <> <> p1)"
     assert verify_closed_tree(tree)
+
+
+def test_fgf_stops_once_no_family_can_grow():
+    # past the length where no family can gain an element, a far larger cap
+    # must end at once with the same answer (it never ended before the stop)
+    for name in ("symmetry", "transfer-0-1", "transfer-1-2"):
+        w = builtin_witnesses(name)
+        for kind in (MeasureKind.MODAL_DEPTH, MeasureKind.BOX_COUNT, MeasureKind.VAR_COUNT):
+            for language in (BASIC, GLOBAL):
+                if name == "transfer-1-2" and language == GLOBAL and kind is not MeasureKind.MODAL_DEPTH:
+                    # these families still gain elements at length 21, so
+                    # even cap 60 takes minutes
+                    continue
+                answers = []
+                for cap in (60, 10**9):
+                    found = fgf_min_cost(w, kind, 1, 1, language, length_cap=cap)
+                    answers.append(found and (found[0], psi_of_tree(found[1])))
+                assert answers[0] == answers[1], (name, kind, language)
 
 
 def test_fgf_tree_separates_the_frames():
