@@ -10,7 +10,6 @@ form by construction.
 from __future__ import annotations
 
 import enum
-import operator
 from typing import Iterator, NamedTuple
 
 BASIC = "basic"
@@ -275,50 +274,97 @@ class MeasureVector(NamedTuple):
 _KIND_INDEX = {kind: i for i, kind in enumerate(MeasureKind)}
 
 
+# Inside the enumerator and the game a measure vector is one int: measure i
+# (in MeasureKind order) sits at bit 32*i.  Bit 31 of each field is a guard
+# bit, clear in every vector, so a field holds 0..2**31 - 1 (no formula that
+# fits in memory comes near) and a field-wise subtraction borrows into its
+# own guard bit, not into the next field.  MeasureVector is built only where
+# a vector leaves the library: measure_all, the enumerator's yields and the
+# answers of the searches.
+
+_FIELD_BITS = 31
+FIELD_MASK = (1 << _FIELD_BITS) - 1
+FIELD_SHIFT = {kind: 32 * i for i, kind in enumerate(MeasureKind)}
+_SHIFTS = tuple(FIELD_SHIFT.values())
+_GUARDS = sum(1 << shift + _FIELD_BITS for shift in _SHIFTS)
+_DEPTH = FIELD_SHIFT[MeasureKind.MODAL_DEPTH]
+_VARS = FIELD_SHIFT[MeasureKind.VAR_COUNT]
+
+
+def pack(vec: MeasureVector) -> int:
+    """The packed form of a measure vector; every measure must fit a field."""
+    if not all(0 <= v <= FIELD_MASK for v in vec):
+        raise ValueError(f"measure vector {tuple(vec)} has a field outside 0..{FIELD_MASK}")
+    return sum(v << shift for v, shift in zip(vec, _SHIFTS))
+
+
+def unpack(packed: int) -> MeasureVector:
+    return tuple.__new__(MeasureVector, [packed >> shift & FIELD_MASK for shift in _SHIFTS])
+
+
+def field(packed: int, kind: MeasureKind) -> int:
+    """One measure of a packed vector."""
+    return packed >> FIELD_SHIFT[kind] & FIELD_MASK
+
+
+def packed_dominates(a: int, b: int) -> bool:
+    """MeasureVector.dominates on packed vectors.
+
+    Each field of (b | guards) - a keeps its guard bit exactly when the
+    field of b is at least that of a.
+    """
+    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
+
+
 # The one measure rule: a node's measures are what its type adds (below) plus
 # the sum of its children's, except that modal depth takes the children's
 # maximum and var count the size of the union of their variables.  The rule
-# therefore works on (vector, variable mask) pairs, bit v of the mask
+# therefore works on (packed vector, variable mask) pairs, bit v of the mask
 # standing for pv.  measure_all folds it over a tree, the enumerator applies
 # it once per candidate and the game once per search element.
 
 _ZERO = MeasureVector(*[0] * len(MeasureVector._fields))
+
+
+def _own(**counts: int) -> int:
+    return pack(_ZERO._replace(length=1, **counts))
+
+
 _OWN = {
-    FalseConst: _ZERO._replace(length=1, false_count=1),
-    TrueConst: _ZERO._replace(length=1, true_count=1),
-    PosLit: _ZERO._replace(length=1, var_count=1),
-    NegLit: _ZERO._replace(length=1, var_count=1),
-    Or: _ZERO._replace(length=1, or_count=1),
-    And: _ZERO._replace(length=1, and_count=1),
-    Dia: _ZERO._replace(length=1, modal_depth=1, dia_count=1),
-    Box: _ZERO._replace(length=1, modal_depth=1, box_count=1),
-    ExistsMod: _ZERO._replace(length=1, modal_depth=1, exists_count=1),
-    ForallMod: _ZERO._replace(length=1, modal_depth=1, forall_count=1),
+    FalseConst: _own(false_count=1),
+    TrueConst: _own(true_count=1),
+    PosLit: _own(var_count=1),
+    NegLit: _own(var_count=1),
+    Or: _own(or_count=1),
+    And: _own(and_count=1),
+    Dia: _own(modal_depth=1, dia_count=1),
+    Box: _own(modal_depth=1, box_count=1),
+    ExistsMod: _own(modal_depth=1, exists_count=1),
+    ForallMod: _own(modal_depth=1, forall_count=1),
 }
 
-Measured = tuple[MeasureVector, int]
+Measured = tuple[int, int]
 
 
 def compose(node_type: type, parts: tuple[Measured, ...] = (), var: int = 0) -> Measured:
     """The measures of a node from its type and its children's measures.
 
-    parts holds the children's (vector, variable mask) pairs in order; var
-    is the variable of a literal leaf.
+    parts holds the children's (packed vector, variable mask) pairs in
+    order; var is the variable of a literal leaf.
     """
     own = _OWN[node_type]
-    # tuple.__new__ is MeasureVector._make without its length check, which
-    # costs as much as the rest of a unary step
     if not parts:
         return own, 1 << var if var else 0
     if len(parts) == 1:
         ((a, vmask),) = parts
-        return tuple.__new__(MeasureVector, map(operator.add, a, own)), vmask
+        return a + own, vmask
     (a, amask), (b, bmask) = parts
     vmask = amask | bmask
-    vals = list(map(operator.add, map(operator.add, a, b), own))
-    vals[1] = max(a[1], b[1])  # modal depth
-    vals[2] = vmask.bit_count()  # var count
-    return tuple.__new__(MeasureVector, vals), vmask
+    # the sum adds both children's depths and var counts: take back the
+    # shallower depth and the variables counted twice
+    shallower = min(a >> _DEPTH & FIELD_MASK, b >> _DEPTH & FIELD_MASK)
+    twice = (a >> _VARS & FIELD_MASK) + (b >> _VARS & FIELD_MASK) - vmask.bit_count()
+    return a + b + own - (shallower << _DEPTH) - (twice << _VARS), vmask
 
 
 def _measured(phi: Formula) -> Measured:
@@ -330,11 +376,11 @@ def _measured(phi: Formula) -> Measured:
 
 
 def measure_all(phi: Formula) -> MeasureVector:
-    return _measured(phi)[0]
+    return unpack(_measured(phi)[0])
 
 
 def measure(phi: Formula, kind: MeasureKind) -> int:
-    return measure_all(phi).get(kind)
+    return field(_measured(phi)[0], kind)
 
 
 # --- parsing and printing ---------------------------------------------------

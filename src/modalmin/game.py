@@ -22,6 +22,8 @@ from .formula import (
     ExistsMod,
     FALSE,
     ForallMod,
+    FIELD_MASK,
+    FIELD_SHIFT,
     FalseConst,
     Formula,
     MeasureKind,
@@ -34,6 +36,7 @@ from .formula import (
     check_language,
     check_measure,
     compose,
+    field,
     measure,
 )
 from .gallery import WitnessSet, reduced_witnesses
@@ -396,10 +399,16 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # built, so every element a provenance holds is a surviving element, and the
 # winning element's tree is read off by walking its provenance down.
 #
-# An element's measures are the (vector, variable mask) pair formula.compose
-# builds, but elements compare only on (measure minimized, length).  For
-# VAR_COUNT a measure is at most another when its variables are a subset of
-# the other's, and ties order by the variables themselves.
+# An element's measures are the (packed vector, variable mask) pair
+# formula.compose builds, but elements compare only on (measure minimized,
+# length), reading the one packed field by its shift.  For VAR_COUNT a
+# measure is at most another when its variables are a subset of the
+# other's, and ties order by the variables themselves.
+#
+# A right set's replies to the modal moves do not depend on the length being
+# built, so each (right set, modal move) pair computes its greedy reply and
+# its minimal hitting images once, and right sets whose moves offer the same
+# options share one list of images.
 
 
 class _FamilySearch:
@@ -414,9 +423,14 @@ class _FamilySearch:
         self.language = language
         self.element_cap = element_cap
         self.cells: dict[int, list[list]] = {}
+        # (rmask, modal move) -> (greedy reply, minimal hitting images); no
+        # images when some right index has no move
+        self.replies: dict[tuple[int, str], tuple[int, list[int]]] = {}
+        # one images list per distinct set of right move options
+        self.hitting: dict[frozenset[int], list[int]] = {}
         self.element_count = 0
         self.longest = 0
-        self.slot = list(MeasureKind).index(kind)
+        self.shift = FIELD_SHIFT[kind]
         self.full = (1 << len(universe)) - 1
         # leaf measures are the same in every cell
         self.bot = compose(FalseConst)
@@ -429,18 +443,19 @@ class _FamilySearch:
     def no_worse(self, a: Measured, b: Measured) -> bool:
         if self.kind is MeasureKind.VAR_COUNT:
             return a[1] & ~b[1] == 0
-        return a[0][self.slot] <= b[0][self.slot]
+        return a[0] >> self.shift & FIELD_MASK <= b[0] >> self.shift & FIELD_MASK
 
     def key(self, a: Measured):
+        cost = a[0] >> self.shift & FIELD_MASK
         if self.kind is MeasureKind.VAR_COUNT:
-            return (a[0].var_count, tuple(mask_bits(a[1])))
-        return a[0][self.slot]
+            return (cost, tuple(mask_bits(a[1])))
+        return cost
 
     def _insert(self, levels: list[list], element) -> None:
         # every stored element is at most as long as the one inserted, so
         # only elements of its own length can be evicted
         mask, measured, length, _ = element
-        if measured[0][self.slot] > self.budget:
+        if measured[0] >> self.shift & FIELD_MASK > self.budget:
             return
         for level in levels:
             for m2, a2, _, _ in level:
@@ -485,9 +500,16 @@ class _FamilySearch:
         if self.language == GLOBAL:
             modal.append(("exists", "forall", u.same))
         for some, every, moves in modal:
+            replies = self.replies.get((rmask, some))
+            if replies is None:
+                options = frozenset(moves.row(i) for i in mask_bits(rmask))
+                images = [] if 0 in options else self.hitting.get(options)
+                if images is None:
+                    images = self.hitting[options] = _minimal_hitting_masks(list(options))
+                replies = self.replies[rmask, some] = (forward_image(moves, rmask), images)
+            greedy, images = replies
             # dia/exists: the reply keeps every right move target; a subtree
             # winning from (M, R') admits every left index with a move into M.
-            greedy = forward_image(moves, rmask)
             for child in child_entries(greedy):
                 self._insert(
                     levels,
@@ -497,16 +519,14 @@ class _FamilySearch:
                 )
             # box/forall: an image of the right move targets is chosen; the
             # admitted left indices are those whose moves all land inside M.
-            options = [moves.row(i) for i in mask_bits(rmask)]
-            if all(options):
-                for image in _minimal_hitting_masks(options):
-                    for child in child_entries(image):
-                        self._insert(
-                            levels,
-                            (all_pre_image(moves, child[0]),
-                             compose(_NODE_OF_MOVE[every], (child[1],)),
-                             length, (every, image, child)),
-                        )
+            for image in images:
+                for child in child_entries(image):
+                    self._insert(
+                        levels,
+                        (all_pre_image(moves, child[0]),
+                         compose(_NODE_OF_MOVE[every], (child[1],)),
+                         length, (every, image, child)),
+                    )
 
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):
@@ -660,15 +680,15 @@ def min_cost_fgm(
         # The bot leaf always closes an empty left side; prefer it on ties
         # even when a wider element shadowed it in the family.
         bot = search.bot
-        if bot[0].get(kind) <= budget and (
+        if field(bot[0], kind) <= budget and (
             best is None
             or (search.key(bot), 1) <= (search.key(best[1]), best[2])
         ):
-            return bot[0].get(kind), GameTree("bot", GamePosition(u, (), pos.right))
+            return field(bot[0], kind), GameTree("bot", GamePosition(u, (), pos.right))
     if best is None:
         return None
     tree = search.build(best, lmask, rmask)
-    return best[1][0].get(kind), tree
+    return field(best[1][0], kind), tree
 
 
 def fgf_min_cost(
@@ -712,4 +732,4 @@ def fgf_min_cost(
     k, element = found
     tree = search.build(element, target, rmasks[k])
     choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[k])}
-    return element[1][0].get(kind), tree, choice
+    return field(element[1][0], kind), tree, choice

@@ -30,7 +30,10 @@ from .formula import (
     check_language,
     check_measure,
     compose,
+    field,
+    packed_dominates,
     print_formula,
+    unpack,
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import MODAL_STEPS, UNIVERSE_CAP, ResourceCapError, Universe, frame_valid
@@ -75,6 +78,12 @@ def enumerate_formulas(
     Raises ResourceCapError once more than max_candidates formulas have
     been considered, leaving partial counts in stats.
     """
+    for phi, den, packed in _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
+        yield phi, den, unpack(packed)
+
+
+def _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
+    """enumerate_formulas with each measure vector packed into one int."""
     check_language(language)
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
@@ -93,9 +102,9 @@ def enumerate_formulas(
         if relation == 0 or language != BASIC
     ]
 
-    # per denotation, the Pareto-minimal vectors retained so far
-    pareto: dict[int, list[MeasureVector]] = {}
-    # per length, the retained (formula, denotation, (vector, variable mask))
+    # per denotation, the Pareto-minimal packed vectors retained so far
+    pareto: dict[int, list[int]] = {}
+    # per length, the retained (formula, denotation, (packed vector, variable mask))
     by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
 
     def admit(phi: Formula, den: int, measured: Measured):
@@ -111,13 +120,13 @@ def enumerate_formulas(
             pareto[den] = [vec]
             stats.denotations += 1
         else:
-            if any(v.dominates(vec) for v in kept):
+            if any(packed_dominates(v, vec) for v in kept):
                 return None
             # only same-length entries can be newly dominated: every measure
             # vector includes Length, so shorter retained entries never are
-            kept[:] = [v for v in kept if not vec.dominates(v)]
+            kept[:] = [v for v in kept if not packed_dominates(vec, v)]
             kept.append(vec)
-        by_len.setdefault(vec.length, []).append((phi, den, measured))
+        by_len.setdefault(field(vec, MeasureKind.LENGTH), []).append((phi, den, measured))
         return phi, den, vec
 
     atoms = [(FALSE, 0, compose(FalseConst)), (TRUE, full, compose(TrueConst))]
@@ -158,20 +167,21 @@ def enumerate_formulas(
 
 
 def _cheapest(found, kind: MeasureKind, separates) -> tuple[Formula, MeasureVector] | None:
-    """The cheapest enumerated formula whose denotation separates.
+    """The cheapest formula of a packed enumeration whose denotation separates.
 
     Minimizes the measure with ties broken by Length and then by the printed
     form; a Length search stops after the first level that separates.
     """
     best = None
-    for phi, den, vec in found:
-        if best is not None and kind is MeasureKind.LENGTH and vec.length > best[0][1]:
+    for phi, den, packed in found:
+        length = field(packed, MeasureKind.LENGTH)
+        if best is not None and kind is MeasureKind.LENGTH and length > best[0][1]:
             break
         if separates(den):
-            key = (vec.get(kind), vec.length, print_formula(phi))
+            key = (field(packed, kind), length, print_formula(phi))
             if best is None or key < best[0]:
-                best = (key, phi, vec)
-    return None if best is None else best[1:]
+                best = (key, phi, packed)
+    return None if best is None else (best[1], unpack(best[2]))
 
 
 def min_separating(
@@ -197,7 +207,7 @@ def min_separating(
     lmask = sum(1 << i for i in left)
     rmask = sum(1 << i for i in right)
     return _cheapest(
-        enumerate_formulas(u, var_bound, length_cap, language, max_candidates),
+        _enumerate(u, var_bound, length_cap, language, max_candidates, None),
         kind,
         lambda den: lmask & ~den == 0 and rmask & den == 0,
     )
@@ -238,7 +248,7 @@ def min_separating_frames(
     check_measure(kind, language)
     u, separates = _frame_separation(w, var_bound, language, cap)
     return _cheapest(
-        enumerate_formulas(u, var_bound, length_cap, language, max_candidates),
+        _enumerate(u, var_bound, length_cap, language, max_candidates, None),
         kind,
         separates,
     )
@@ -335,10 +345,10 @@ def certify_bound(
 
     try:
         u, separates = _frame_separation(w, var_bound, language, cap)
-        for phi, den, vec in enumerate_formulas(
+        for phi, den, packed in _enumerate(
             u, var_bound, length_cap, language, max_candidates, stats
         ):
-            if vec.get(kind) >= claimed_bound:
+            if field(packed, kind) >= claimed_bound:
                 continue
             if separates(den):
                 if not all(frame_valid(fr, phi) for fr in w.positives) or any(

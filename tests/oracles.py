@@ -26,7 +26,6 @@ from modalmin.formula import (
     Or,
     PosLit,
     TrueConst,
-    measure_all,
 )
 from modalmin.kripke import Frame, Model, PointedModel, Universe
 
@@ -38,6 +37,40 @@ def variables(phi: Formula) -> set[int]:
     for child in phi.children():
         out |= variables(child)
     return out
+
+
+_SYMBOL_COUNT = {
+    FalseConst: "false_count",
+    TrueConst: "true_count",
+    Or: "or_count",
+    And: "and_count",
+    Dia: "dia_count",
+    Box: "box_count",
+    ExistsMod: "exists_count",
+    ForallMod: "forall_count",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def naive_measures(phi: Formula) -> MeasureVector:
+    """phi's measure vector by a fold over its nodes, not formula.compose.
+
+    Length counts the nodes and each symbol count the nodes of its
+    connective; modal depth is the deepest nesting of modal nodes and var
+    count the size of the variable set.  Cached, because formulas_up_to
+    shares subformulas.
+    """
+    kids = [naive_measures(child) for child in phi.children()]
+    counts = {name: sum(getattr(k, name) for k in kids) for name in _SYMBOL_COUNT.values()}
+    if type(phi) in _SYMBOL_COUNT:
+        counts[_SYMBOL_COUNT[type(phi)]] += 1
+    modal = isinstance(phi, (Dia, Box, ExistsMod, ForallMod))
+    return MeasureVector(
+        length=1 + sum(k.length for k in kids),
+        modal_depth=modal + max((k.modal_depth for k in kids), default=0),
+        var_count=len(variables(phi)),
+        **counts,
+    )
 
 
 def naive_eval(model: Model, state: int, phi: Formula) -> bool:
@@ -160,7 +193,7 @@ def _measured_formulas(var_list: tuple[int, ...], max_len: int, language: str):
     Cached because the vectors do not depend on the universe.
     """
     return tuple(
-        (phi, measure_all(phi))
+        (phi, naive_measures(phi))
         for forms in formulas_up_to(list(var_list), max_len, language).values()
         for phi in forms
     )

@@ -9,6 +9,7 @@ from modalmin.formula import (
     BASIC,
     FALSE,
     GLOBAL,
+    FIELD_MASK,
     MAX_NESTING,
     And,
     Box,
@@ -25,22 +26,27 @@ from modalmin.formula import (
     TRUE,
     TrueConst,
     canonical_rename,
+    compose,
+    field,
     language_of,
     measure,
     measure_all,
     measures_for,
     nnf_negate,
+    pack,
+    packed_dominates,
     parse,
     print_formula,
     rename_vars,
     subformulas,
+    unpack,
     uses_global,
     vars_of,
 )
 from modalmin.kripke import Frame, Model, den_states
 
 from .conftest import rand_formula, rand_model
-from .oracles import formulas_up_to, naive_eval, variables
+from .oracles import formulas_up_to, naive_eval, naive_measures, variables
 
 
 @st.composite
@@ -261,6 +267,93 @@ def test_symbol_counts_plus_literals_cover_length(phi):
 @given(phi=formulas())
 def test_var_count_matches_recursive_collection(phi):
     assert measure(phi, MeasureKind.VAR_COUNT) == len(variables(phi))
+
+
+def test_measure_all_matches_the_oracle_fold_up_to_length_5():
+    for forms in formulas_up_to([1, 2], 5, GLOBAL).values():
+        for phi in forms:
+            assert measure_all(phi) == naive_measures(phi), phi
+
+
+# --- packed measure vectors -------------------------------------------------
+
+# Fields are drawn over the whole range a packed field holds, extremes
+# included, so that a carry or borrow into a guard bit would show.
+_FIELD_VALUES = st.sampled_from([0, 1, FIELD_MASK - 1, FIELD_MASK]) | st.integers(0, FIELD_MASK)
+_VECTORS = st.lists(_FIELD_VALUES, min_size=11, max_size=11).map(lambda v: MeasureVector(*v))
+# two children and the node's own count fill a field exactly at the extreme
+_HALF = FIELD_MASK // 2
+_HALF_VECTORS = st.lists(
+    st.sampled_from([0, 1, _HALF]) | st.integers(0, _HALF), min_size=11, max_size=11
+).map(lambda v: MeasureVector(*v))
+_VAR_MASKS = st.integers(0, 2**64 - 1)
+
+
+@given(vec=_VECTORS)
+def test_pack_roundtrip(vec):
+    packed = pack(vec)
+    assert unpack(packed) == vec
+    assert all(field(packed, kind) == vec.get(kind) for kind in MeasureKind)
+
+
+def test_pack_rejects_a_field_past_its_guard_bit():
+    for bad in (FIELD_MASK + 1, -1):
+        with pytest.raises(ValueError):
+            pack(MeasureVector(*[0] * 10, bad))
+
+
+@st.composite
+def _vector_pairs(draw):
+    # b at least a on every field, then maybe one field of b below a's
+    a = draw(_VECTORS)
+    b = [min(v + draw(st.sampled_from([0, 1, FIELD_MASK])), FIELD_MASK) for v in a]
+    k = draw(st.integers(-1, len(a) - 1))
+    if k >= 0 and a[k] > 0:
+        b[k] = draw(st.sampled_from([0, a[k] - 1]) | st.integers(0, a[k] - 1))
+    return a, MeasureVector(*b)
+
+
+@given(pair=_vector_pairs())
+def test_packed_dominance_is_the_tuple_rule(pair):
+    a, b = pair
+    assert packed_dominates(pack(a), pack(b)) == a.dominates(b)
+    assert packed_dominates(pack(b), pack(a)) == b.dominates(a)
+
+
+@given(
+    a=_HALF_VECTORS,
+    b=_HALF_VECTORS,
+    amask=_VAR_MASKS,
+    bmask=_VAR_MASKS,
+    node=st.sampled_from([(Or, "or_count"), (And, "and_count")]),
+)
+def test_packed_binary_compose_is_the_tuple_rule(a, b, amask, bmask, node):
+    node_type, count = node
+    summed = MeasureVector(*(x + y for x, y in zip(a, b)))
+    expected = summed._replace(
+        length=summed.length + 1,
+        modal_depth=max(a.modal_depth, b.modal_depth),
+        var_count=(amask | bmask).bit_count(),
+        **{count: getattr(summed, count) + 1},
+    )
+    packed, vmask = compose(node_type, ((pack(a), amask), (pack(b), bmask)))
+    assert vmask == amask | bmask
+    assert unpack(packed) == expected
+
+
+@given(
+    a=_HALF_VECTORS,
+    amask=_VAR_MASKS,
+    node=st.sampled_from(
+        [(Dia, "dia_count"), (Box, "box_count"), (ExistsMod, "exists_count"), (ForallMod, "forall_count")]
+    ),
+)
+def test_packed_unary_compose_is_the_tuple_rule(a, amask, node):
+    node_type, count = node
+    expected = a._replace(
+        length=a.length + 1, modal_depth=a.modal_depth + 1, **{count: getattr(a, count) + 1}
+    )
+    assert compose(node_type, ((pack(a), amask),)) == (pack(expected), amask)
 
 
 # --- negation ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from modalmin.formula import (
     BASIC,
     GLOBAL,
     MeasureKind,
+    field,
     measure,
     parse,
     print_formula,
@@ -303,7 +304,7 @@ def test_every_stored_element_walks_to_its_own_tree(rng):
                         tree = search.build(e, e[0], r)
                         assert verify_closed_tree(tree, language), (e[3][0], kind, language)
                         assert node_count(tree) == e[2]
-                        assert tree_cost(tree, kind) == e[1][0].get(kind)
+                        assert tree_cost(tree, kind) == field(e[1][0], kind)
                         walked += 1
     assert walked > 1000
 
