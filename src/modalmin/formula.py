@@ -174,10 +174,13 @@ FALSE = FalseConst()
 _GLOBAL_ONLY = (ExistsMod, ForallMod)
 
 
+def in_language(node_type: type, language: str) -> bool:
+    """Whether the language has the connective: E and A are global only."""
+    return language == GLOBAL or node_type not in _GLOBAL_ONLY
+
+
 def uses_global(phi: Formula) -> bool:
-    if isinstance(phi, _GLOBAL_ONLY):
-        return True
-    return any(uses_global(c) for c in phi.children())
+    return not in_language(type(phi), BASIC) or any(map(uses_global, phi.children()))
 
 
 def language_of(phi: Formula) -> str:
@@ -457,7 +460,7 @@ class _Parser:
             cls = _UNARY_BY_LEAD[ch]
             if not self.text.startswith(cls._tag, self.pos):
                 raise ParseError(f"expected '{cls._tag}'", self.pos)
-            if cls in _GLOBAL_ONLY and self.language == BASIC:
+            if not in_language(cls, self.language):
                 raise ParseError("universal modality in basic modal context", self.pos)
             self.pos += len(cls._tag)
             return cls(self.formula(depth + 1))

@@ -179,7 +179,7 @@ class WitnessSet:
 
 
 def reduced_witnesses(
-    w: WitnessSet, var_bound: int, language: str, cap: int
+    w: WitnessSet, var_bound: int, language: str
 ) -> tuple[Universe, int, list[tuple[str, tuple[int, ...]]]]:
     """w's frames expanded over var_bound variables and reduced by bisimilarity.
 
@@ -189,7 +189,7 @@ def reduced_witnesses(
     """
     named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
     named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
-    red = expand_reduced(named, var_bound, language, cap)
+    red = expand_reduced(named, var_bound, language)
     positive = 0
     for nm, _ in w.named_positives():
         for i in red.class_reps[f"+{nm}"]:

@@ -20,7 +20,6 @@ from .formula import (
     Box,
     Dia,
     ExistsMod,
-    FALSE,
     ForallMod,
     FIELD_MASK,
     FIELD_SHIFT,
@@ -31,24 +30,24 @@ from .formula import (
     NegLit,
     Or,
     PosLit,
-    TRUE,
     TrueConst,
     check_language,
     check_measure,
     compose,
     field,
+    in_language,
     measure,
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
+    MODAL_STEPS,
     PointedModel,
     ResourceCapError,
-    UNIVERSE_CAP,
     Universe,
-    all_pre_image,
     bisimilar,
     forward_image,
     mask_bits,
+    modal_steps,
     some_pre_image,
 )
 
@@ -72,16 +71,13 @@ POSITION_CAP = 200_000
 
 MOVES = ("bot", "top", "lit", "or", "and", "dia", "box", "exists", "forall")
 
-_ARITY = {
-    "bot": 0, "top": 0, "lit": 0,
-    "dia": 1, "box": 1, "exists": 1, "forall": 1,
-    "or": 2, "and": 2,
-}
-
+# every move but lit builds one connective, whose fields are its children
 _NODE_OF_MOVE = {
     "bot": FalseConst, "top": TrueConst, "or": Or, "and": And,
     "dia": Dia, "box": Box, "exists": ExistsMod, "forall": ForallMod,
 }
+_MOVE_OF_NODE = {node: move for move, node in _NODE_OF_MOVE.items()}
+_ARITY = {"lit": 0, **{move: len(node._fields) for move, node in _NODE_OF_MOVE.items()}}
 
 
 class GamePosition:
@@ -145,10 +141,6 @@ def psi_of_tree(t: GameTree) -> Formula:
         raise ValueError(
             f"{t.move} node with {len(t.children)} children is not closed"
         )
-    if t.move == "bot":
-        return FALSE
-    if t.move == "top":
-        return TRUE
     if t.move == "lit":
         if t.var is None or t.positive is None:
             raise ValueError("literal leaf without a literal")
@@ -232,7 +224,7 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             if c.position.universe is not u:
                 out.append(f"{path}.{k}: child position over a different universe")
                 return
-        if node.move in ("exists", "forall") and language == BASIC:
+        if node.move != "lit" and not in_language(_NODE_OF_MOVE[node.move], language):
             out.append(f"{path}: {node.move} move outside the basic language")
 
         if node.move == "bot":
@@ -268,14 +260,15 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
         elif not u.point_closed:
             out.append(f"{path}: {node.move} move over a universe that is not point-closed")
         else:
-            # dia/exists: left picks a target per left index, the reply keeps
-            # every right target; box/forall swap the two sides.
+            # a move whose step is some_pre_image: left picks a target per
+            # left index, the reply keeps every right target; an
+            # all_pre_image step swaps the two sides.
             child = node.children[0].position
-            moves = u.succ if node.move in ("dia", "box") else u.same
-            if node.move in ("dia", "exists"):
-                sides = (("left", left, child.left), ("right", right, child.right))
-            else:
-                sides = (("right", right, child.right), ("left", left, child.left))
+            pre_image, relation = MODAL_STEPS[_NODE_OF_MOVE[node.move]]
+            moves = (u.succ, u.same)[relation]
+            sides = (("left", left, child.left), ("right", right, child.right))
+            if pre_image is not some_pre_image:
+                sides = sides[::-1]
             (chooser, chosen, image), (replier, replied, reply) = sides
             options = [tuple(mask_bits(moves.row(i))) for i in sorted(chosen)]
             if any(not o for o in options):
@@ -346,7 +339,8 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
 
 
 def _as_mask(indices) -> int:
-    return sum(1 << i for i in indices)
+    # an index may repeat, as when two negative frames share a class
+    return sum(1 << i for i in set(indices))
 
 
 def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
@@ -393,7 +387,7 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # positions directly while keeping large left sets tractable.
 #
 # An element's provenance is the move that built it and the elements it was
-# built from: (tag, child right set, child) for a modal move, ("or", e1, e2),
+# built from: (move, child right set, child) for a modal move, ("or", e1, e2),
 # ("and", part1, e1, part2, e2), or the leaf itself.  A level reads only
 # finished lower levels, and an insertion evicts only from the level being
 # built, so every element a provenance holds is a surviving element, and the
@@ -405,10 +399,11 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # measure is at most another when its variables are a subset of the
 # other's, and ties order by the variables themselves.
 #
-# A right set's replies to the modal moves do not depend on the length being
-# built, so each (right set, modal move) pair computes its greedy reply and
-# its minimal hitting images once, and right sets whose moves offer the same
-# options share one list of images.
+# The modal moves are the language's MODAL_STEPS.  A right set's replies
+# over a relation do not depend on the length being built, so each (right
+# set, relation) pair computes its greedy reply and its minimal hitting
+# images once, and right sets whose moves offer the same options share one
+# list of images.
 
 
 class _FamilySearch:
@@ -420,12 +415,13 @@ class _FamilySearch:
         self.u = universe
         self.kind = kind
         self.budget = budget
-        self.language = language
         self.element_cap = element_cap
         self.cells: dict[int, list[list]] = {}
-        # (rmask, modal move) -> (greedy reply, minimal hitting images); no
+        # node type -> (pre-image, relation) for the language's modal moves
+        self.steps = modal_steps(universe, language)
+        # (rmask, relation) -> (greedy reply, minimal hitting images); no
         # images when some right index has no move
-        self.replies: dict[tuple[int, str], tuple[int, list[int]]] = {}
+        self.replies: dict[tuple, tuple[int, list[int]]] = {}
         # one images list per distinct set of right move options
         self.hitting: dict[frozenset[int], list[int]] = {}
         self.element_count = 0
@@ -481,7 +477,6 @@ class _FamilySearch:
         return levels
 
     def _level(self, rmask: int, levels: list[list], length: int) -> None:
-        u = self.u
         if length == 1:
             self._insert(levels, (0, self.bot, 1, ("bot",)))
             if rmask == 0:
@@ -496,36 +491,26 @@ class _FamilySearch:
         def child_entries(crmask: int):
             return self.compute(crmask, length - 1)[length - 1]
 
-        modal = [("dia", "box", u.succ)]
-        if self.language == GLOBAL:
-            modal.append(("exists", "forall", u.same))
-        for some, every, moves in modal:
-            replies = self.replies.get((rmask, some))
+        for node, (pre_image, moves) in self.steps.items():
+            replies = self.replies.get((rmask, moves))
             if replies is None:
                 options = frozenset(moves.row(i) for i in mask_bits(rmask))
                 images = [] if 0 in options else self.hitting.get(options)
                 if images is None:
                     images = self.hitting[options] = _minimal_hitting_masks(list(options))
-                replies = self.replies[rmask, some] = (forward_image(moves, rmask), images)
+                replies = self.replies[rmask, moves] = (forward_image(moves, rmask), images)
             greedy, images = replies
-            # dia/exists: the reply keeps every right move target; a subtree
-            # winning from (M, R') admits every left index with a move into M.
-            for child in child_entries(greedy):
-                self._insert(
-                    levels,
-                    (some_pre_image(moves, child[0]),
-                     compose(_NODE_OF_MOVE[some], (child[1],)),
-                     length, (some, greedy, child)),
-                )
-            # box/forall: an image of the right move targets is chosen; the
-            # admitted left indices are those whose moves all land inside M.
-            for image in images:
-                for child in child_entries(image):
+            # A some_pre_image step answers with the greedy reply, which
+            # keeps every right move target; an all_pre_image step lets an
+            # image of the right move targets be chosen.  A subtree winning
+            # from (M, R') admits the step's pre-image of M.
+            move = _MOVE_OF_NODE[node]
+            for crmask in (greedy,) if pre_image is some_pre_image else images:
+                for child in child_entries(crmask):
                     self._insert(
                         levels,
-                        (all_pre_image(moves, child[0]),
-                         compose(_NODE_OF_MOVE[every], (child[1],)),
-                         length, (every, image, child)),
+                        (pre_image(moves, child[0]), compose(node, (child[1],)),
+                         length, (move, crmask, child)),
                     )
 
         # or: union of two achievable sets against the same right set.
@@ -590,8 +575,8 @@ class _FamilySearch:
         if tag in ("bot", "top"):
             return GameTree(tag, pos)
         _, crmask, child = prov
-        moves = u.succ if tag in ("dia", "box") else u.same
-        if tag in ("dia", "exists"):
+        pre_image, moves = self.steps[_NODE_OF_MOVE[tag]]
+        if pre_image is some_pre_image:
             # one move per left index, to the lowest target inside the child
             image = 0
             for i in mask_bits(target):
@@ -698,7 +683,6 @@ def fgf_min_cost(
     budget: int,
     language: str = BASIC,
     length_cap: int | None = None,
-    cap: int = UNIVERSE_CAP,
     element_cap: int = POSITION_CAP,
 ) -> tuple[int, GameTree, dict[str, PointedModel]] | None:
     """The cheapest formula separating the witness frames, as a game value.
@@ -710,7 +694,7 @@ def fgf_min_cost(
     bisimilarity), or None when no separating formula fits the caps.
     """
     eff_cap = _length_bound(kind, budget, language, length_cap)
-    u, target, negatives = reduced_witnesses(w, var_bound, language, cap)
+    u, target, negatives = reduced_witnesses(w, var_bound, language)
     # Classes are merged globally, so a candidate bisimilar to some positive
     # pointed model is simply a candidate index inside the target set; such
     # a choice blocks every separating formula.
@@ -721,15 +705,23 @@ def fgf_min_cost(
             return None
         candidates.append((nm, free))
 
+    if eff_cap < 1:
+        return None
+    # product yields the combos in ascending tuple order, so keeping each
+    # right set's first combo breaks ties as the combos themselves would.
+    # Every family gets its bot element at length 1, so more right sets
+    # than element_cap would pass the cap in the first sweep anyway.
+    combos: dict[int, tuple[int, ...]] = {}
+    for combo in itertools.product(*(free for _, free in candidates)):
+        combos.setdefault(_as_mask(combo), combo)
+        if len(combos) > element_cap:
+            raise ResourceCapError(f"frame game search exceeded {element_cap} elements")
+    rmasks = list(combos)
     search = _FamilySearch(u, kind, budget, language, element_cap)
-    # product yields the combos in ascending tuple order, so list position
-    # breaks ties as the combos themselves would
-    combos = list(itertools.product(*(free for _, free in candidates)))
-    rmasks = [_as_mask(combo) for combo in combos]
     found = _cheapest_cover(search, target, rmasks, eff_cap)
     if found is None:
         return None
     k, element = found
     tree = search.build(element, target, rmasks[k])
-    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[k])}
+    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[rmasks[k]])}
     return field(element[1][0], kind), tree, choice

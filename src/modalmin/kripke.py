@@ -27,6 +27,7 @@ from .formula import (
     PosLit,
     TrueConst,
     check_language,
+    in_language,
     vars_of,
 )
 
@@ -288,7 +289,7 @@ def all_pre_image(moves: Moves, m: int) -> int:
 
 # The modal connectives as kernel steps: the pre-image each one takes and the
 # relation it takes it over, 0 for the successor and 1 for the same-model
-# relation of a layout.  _den and the enumerator both read this table.
+# relation of a layout.  _den, the enumerator and the game all read this table.
 MODAL_STEPS = {
     Dia: (some_pre_image, 0),
     Box: (all_pre_image, 0),
@@ -513,6 +514,16 @@ class Universe:
         return out
 
 
+def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
+    """The language's MODAL_STEPS, in order, with each relation read over u."""
+    moves = (u.succ, u.same)
+    return {
+        node: (pre_image, moves[relation])
+        for node, (pre_image, relation) in MODAL_STEPS.items()
+        if in_language(node, language)
+    }
+
+
 def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
     """The model whose valuation code has bit k*W+s set iff p(k+1) holds at s."""
     w = frame.state_count
@@ -595,7 +606,6 @@ def expand_reduced(
     named_frames: Sequence[tuple[str, Frame]],
     var_bound: int,
     language: str = BASIC,
-    cap: int = UNIVERSE_CAP,
 ) -> ReducedExpansion:
     """Expands every frame over var_bound variables and quotients by bisimilarity.
 
@@ -620,10 +630,11 @@ def expand_reduced(
     colours: list[int] = []
     for _, frame in named_frames:
         w = frame.state_count
+        bits = w * var_bound
         # the first test keeps a huge var bound from building a huge integer
-        if w * var_bound >= cap.bit_length() or len(colours) + (w << (w * var_bound)) > cap:
-            raise ResourceCapError(f"expansion would exceed {cap} states")
-        count = 1 << (w * var_bound)
+        if bits >= UNIVERSE_CAP.bit_length() or len(colours) + (w << bits) > UNIVERSE_CAP:
+            raise ResourceCapError(f"expansion would exceed {UNIVERSE_CAP} states")
+        count = 1 << bits
         runs.append((len(colours), frame, count))
         # the atom colour has bit j set iff p(j+1) holds, as in _coded_model
         colours += [

@@ -36,7 +36,7 @@ from .formula import (
     unpack,
 )
 from .gallery import WitnessSet, reduced_witnesses
-from .kripke import MODAL_STEPS, UNIVERSE_CAP, ResourceCapError, Universe, frame_valid
+from .kripke import ResourceCapError, Universe, frame_valid, modal_steps
 
 __all__ = [
     "ENUM_CAP",
@@ -82,7 +82,7 @@ def enumerate_formulas(
         yield phi, den, unpack(packed)
 
 
-def _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
+def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stats=None):
     """enumerate_formulas with each measure vector packed into one int."""
     check_language(language)
     if var_bound < 0:
@@ -95,12 +95,7 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
         stats = EnumerationStats()
 
     full = (1 << len(u)) - 1
-    # the basic language has no E and A, the only steps over the same-model relation
-    steps = [
-        (ctor, pre_image, (u.succ, u.same)[relation])
-        for ctor, (pre_image, relation) in MODAL_STEPS.items()
-        if relation == 0 or language != BASIC
-    ]
+    steps = modal_steps(u, language).items()
 
     # per denotation, the Pareto-minimal packed vectors retained so far
     pareto: dict[int, list[int]] = {}
@@ -147,7 +142,7 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
         if max(by_len) < length // 2:
             return
         for phi, den, measured in list(by_len.get(length - 1, ())):
-            for ctor, pre_image, moves in steps:
+            for ctor, (pre_image, moves) in steps:
                 out = admit(ctor(phi), pre_image(moves, den), compose(ctor, (measured,)))
                 if out:
                     yield out
@@ -192,7 +187,6 @@ def min_separating(
     var_bound: int,
     length_cap: int,
     language: str = BASIC,
-    max_candidates: int = ENUM_CAP,
 ) -> tuple[Formula, MeasureVector] | None:
     """The cheapest formula true on all left and false on all right indices.
 
@@ -207,7 +201,7 @@ def min_separating(
     lmask = sum(1 << i for i in left)
     rmask = sum(1 << i for i in right)
     return _cheapest(
-        _enumerate(u, var_bound, length_cap, language, max_candidates, None),
+        _enumerate(u, var_bound, length_cap, language),
         kind,
         lambda den: lmask & ~den == 0 and rmask & den == 0,
     )
@@ -216,13 +210,13 @@ def min_separating(
 # --- frame-wise separation --------------------------------------------------
 
 
-def _frame_separation(w: WitnessSet, var_bound: int, language: str, cap: int):
+def _frame_separation(w: WitnessSet, var_bound: int, language: str):
     """w's reduced universe and a test of whether a denotation separates w.
 
     A denotation separates when it is valid on every positive frame and
     refuted somewhere on every negative one.
     """
-    u, positive, negatives = reduced_witnesses(w, var_bound, language, cap)
+    u, positive, negatives = reduced_witnesses(w, var_bound, language)
     neg_masks = [sum(1 << i for i in reps) for _, reps in negatives]
 
     def separates(den: int) -> bool:
@@ -237,8 +231,6 @@ def min_separating_frames(
     var_bound: int,
     length_cap: int,
     language: str = BASIC,
-    max_candidates: int = ENUM_CAP,
-    cap: int = UNIVERSE_CAP,
 ) -> tuple[Formula, MeasureVector] | None:
     """The cheapest formula valid on all positive and on no negative frame.
 
@@ -246,9 +238,9 @@ def min_separating_frames(
     of all witness frames; ties break as in min_separating.
     """
     check_measure(kind, language)
-    u, separates = _frame_separation(w, var_bound, language, cap)
+    u, separates = _frame_separation(w, var_bound, language)
     return _cheapest(
-        _enumerate(u, var_bound, length_cap, language, max_candidates, None),
+        _enumerate(u, var_bound, length_cap, language),
         kind,
         separates,
     )
@@ -306,7 +298,6 @@ def certify_bound(
     length_cap: int | None = None,
     language: str = BASIC,
     max_candidates: int = ENUM_CAP,
-    cap: int = UNIVERSE_CAP,
 ) -> Certificate:
     """Check that no formula with measure below claimed_bound separates w.
 
@@ -344,7 +335,7 @@ def certify_bound(
         )
 
     try:
-        u, separates = _frame_separation(w, var_bound, language, cap)
+        u, separates = _frame_separation(w, var_bound, language)
         for phi, den, packed in _enumerate(
             u, var_bound, length_cap, language, max_candidates, stats
         ):

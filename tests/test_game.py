@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,7 +33,12 @@ from modalmin.game import (
     tree_cost,
     verify_closed_tree,
 )
-from modalmin.gallery import builtin_witnesses, symmetry_witnesses, transfer_witnesses
+from modalmin.gallery import (
+    builtin_witnesses,
+    parse_witnesses,
+    symmetry_witnesses,
+    transfer_witnesses,
+)
 from modalmin.kripke import (
     Frame,
     Model,
@@ -42,8 +48,10 @@ from modalmin.kripke import (
     bisimilar,
     build_universe,
     den_states,
+    eval_formula,
+    frame_valid,
 )
-from modalmin.synth import min_separating
+from modalmin.synth import min_separating, min_separating_frames
 
 from .oracles import brute_exact_image, brute_min_value, brute_table
 
@@ -121,6 +129,51 @@ def test_dia_requires_left_successors():
     root = GamePosition(u, [0], [])
     child = GameTree("top", GamePosition(u, [], []))
     assert not verify_closed_tree(GameTree("dia", root, children=(child,)))
+
+
+# Per modal move, over the universe of two models of the frame 0->1, 0->2,
+# one with p1 everywhere (indices 0-2) and one with p1 nowhere (3-5): the
+# side that chooses, a legal child (left, right) of the root ({0}, {3}), a
+# child without the greedy reply, a child whose chooser set no choice
+# yields, and a root with a chooser index that has no move (None for the
+# same-model relation, where every index has one).
+_MODAL_MOVE_CASES = {
+    "dia": ("left", ((1,), (4, 5)), ((1,), (4,)), ((1, 2), (4, 5)), ((0, 2), (3,))),
+    "box": ("right", ((1, 2), (4,)), ((1,), (4,)), ((1, 2), (4, 5)), ((0,), (3, 5))),
+    "exists": ("left", ((1,), (3, 4, 5)), ((1,), (4, 5)), ((1, 2), (3, 4, 5)), None),
+    "forall": ("right", ((0, 1, 2), (4,)), ((0, 1), (4,)), ((0, 1, 2), (4, 5)), None),
+}
+
+
+@pytest.mark.parametrize("language", (BASIC, GLOBAL))
+@pytest.mark.parametrize("move", tuple(_MODAL_MOVE_CASES))
+def test_modal_move_legality(move, language):
+    chooser, legal, no_reply, no_image, bare_root = _MODAL_MOVE_CASES[move]
+    replier = "right" if chooser == "left" else "left"
+    frame = Frame(3, [(0, 1), (0, 2)])
+    models = (Model(frame, {1: 0b111}), Model(frame, {}))
+    u = Universe([PointedModel(m, s) for m in models for s in range(3)])
+
+    def violations(child, root=((0,), (3,)), universe=u):
+        leaf = GameTree("lit", GamePosition(universe, *child), var=1, positive=True)
+        tree = GameTree(move, GamePosition(universe, *root), children=(leaf,))
+        return closed_tree_violations(tree, language)
+
+    global_only = move in ("exists", "forall")
+    outside = [f"root: {move} move outside the basic language"]
+    assert violations(legal) == (outside if global_only and language == BASIC else [])
+    assert f"root: child {replier} set is not the greedy reply" in violations(no_reply)
+    assert f"root: child {chooser} set is not an exact choice image" in violations(no_image)
+    if bare_root is not None:
+        assert f"root: {move} move with a successor-less {chooser} index" in violations(
+            legal, root=bare_root
+        )
+    # the second model lacks two of its states
+    open_u = Universe([PointedModel(models[0], s) for s in range(3)] + [PointedModel(models[1], 0)])
+    assert not open_u.point_closed
+    assert f"root: {move} move over a universe that is not point-closed" in violations(
+        ((1,), ()), universe=open_u
+    )
 
 
 # --- helper machinery -------------------------------------------------------
@@ -399,10 +452,60 @@ def test_fgf_tree_separates_the_frames():
     cost, tree, _ = fgf_min_cost(w, MeasureKind.LENGTH, 1, 8)
     assert cost == 6
     psi = psi_of_tree(tree)
-    from modalmin.kripke import frame_valid
-
     assert all(frame_valid(f, psi) for f in w.positives)
     assert not any(frame_valid(f, psi) for f in w.negatives)
+
+
+# negatives of the symmetric property: b1 and b3 share their dead end's classes
+_SYMMETRIC_NEGATIVES = {
+    "b1": [(0, 1), (1, 2)],
+    "b2": [(0, 1), (1, 2), (2, 2)],
+    "b3": [(0, 1), (0, 2), (1, 1)],
+    "b4": [(0, 1), (1, 2), (2, 0)],
+}
+
+
+def _symmetric_witnesses(negatives, var_bound):
+    """One reflexive state against the named three-state negatives."""
+    lines = ["witnesses shared", "property symmetric", f"vars {var_bound}"]
+    lines += ["positive:", "frame a1", "states 1", "edge 0 0", "negative:"]
+    for name, frame in negatives:
+        lines += [f"frame {name}", "states 3"]
+        lines += [f"edge {a} {b}" for a, b in _SYMMETRIC_NEGATIVES[frame]]
+    return parse_witnesses("\n".join(lines) + "\n")
+
+
+def test_fgf_caps_the_opponent_choices_before_building_them():
+    # 342,720 choices of one class per negative frame; the right sets past
+    # the cap are never built
+    w = _symmetric_witnesses([(nm, nm) for nm in ("b1", "b2", "b3")], 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="frame game search exceeded 1000 elements"):
+            fgf_min_cost(w, MeasureKind.LENGTH, 2, 3, element_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("language", (BASIC, GLOBAL))
+@pytest.mark.parametrize(
+    "negatives",
+    ([("b1", "b1"), ("c1", "b1")], [("b1", "b1"), ("b3", "b3")], [("b2", "b2"), ("c2", "b2"), ("b4", "b4")]),
+)
+def test_fgf_negatives_sharing_classes(negatives, language):
+    # two negative frames may pick the same class; the chosen pointed models
+    # must all refute the formula the tree reads off
+    w = _symmetric_witnesses(negatives, 1)
+    cost, tree, choice = fgf_min_cost(w, MeasureKind.LENGTH, 1, 4, language)
+    psi = psi_of_tree(tree)
+    assert verify_closed_tree(tree, language)
+    _, enumerated = min_separating_frames(w, MeasureKind.LENGTH, 1, 4, language)
+    assert cost == enumerated.length
+    assert all(frame_valid(f, psi) for f in w.positives)
+    assert set(choice) == {nm for nm, _ in negatives}
+    assert not any(eval_formula(pm.model, pm.point, psi) for pm in choice.values())
 
 
 # --- weight functions -------------------------------------------------------
