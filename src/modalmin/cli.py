@@ -75,12 +75,14 @@ from .synth import certify_bound, enumerate_formulas, format_certificate, min_se
 
 
 def _capped(fn):
-    """Turn an uncaught resource-cap overflow into exit status 3."""
+    """The exit-code boundary: bad input (ValueError) exits 2, a resource cap 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
         except ResourceCapError as exc:
             click.echo(f"resource cap exceeded: {exc}", err=True)
             sys.exit(3)
@@ -127,10 +129,7 @@ def _load_one_frame(spec: str) -> Frame:
 
 def _load_witnesses(spec: str) -> WitnessSet:
     if spec.startswith("builtin:"):
-        try:
-            return builtin_witnesses(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+        return builtin_witnesses(spec.split(":", 1)[1])
     return _parse_file(parse_witnesses, spec, "witness")
 
 
@@ -139,21 +138,6 @@ def _parse_formula(text: str, language: str) -> "Formula":
         return parse(text, language)
     except ValueError as exc:
         raise click.UsageError(f"bad formula: {exc}") from None
-
-
-def _phi_n(n: int) -> "Formula":
-    """phi_n, with a colour count below 1 or past the nesting limit as a usage error."""
-    try:
-        return phi_n(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-
-
-def _measure_kind(name: str) -> MeasureKind:
-    try:
-        return MeasureKind.from_name(name)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 def _parse_indices(text: str, what: str) -> tuple[int, ...]:
@@ -195,11 +179,7 @@ def eval_cmd(model_path: str, point: int | None, formula_text: str) -> None:
     if point is None:
         raise click.UsageError("no evaluation state: pass --point or add a point line to the model file")
     phi = _parse_formula(formula_text, GLOBAL)
-    try:
-        value = eval_formula(model, point, phi)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    click.echo("TRUE" if value else "FALSE")
+    click.echo("TRUE" if eval_formula(model, point, phi) else "FALSE")
 
 
 @main.command()
@@ -238,8 +218,6 @@ def bisim(left_path: str, right_path: str, language: str) -> None:
 @_capped
 def colour(frame_spec: str, n: int) -> None:
     """Search for a proper n-colouring; prints the assignment if one exists."""
-    if n < 1:
-        raise click.UsageError("need at least one colour")
     frame = _load_one_frame(frame_spec)
     assignment = colour_assignment(frame, n)
     if assignment is None:
@@ -259,11 +237,11 @@ def noncol(emit_n: int | None, frame_spec: str | None, n: int | None) -> None:
     if emit_n is None and frame_spec is None:
         raise click.UsageError("pass --emit N, or --frame with --n")
     if emit_n is not None:
-        click.echo(print_formula(_phi_n(emit_n)))
+        click.echo(print_formula(phi_n(emit_n)))
     if frame_spec is not None:
         if n is None:
             raise click.UsageError("--frame needs --n")
-        phi = _phi_n(n)
+        phi = phi_n(n)
         frame = _load_one_frame(frame_spec)
         valid_here = frame_valid(frame, phi)
         colourable = is_n_colourable(frame, n)
@@ -291,20 +269,18 @@ def synth(
     language: str,
 ) -> None:
     """Exhaustively search for a minimal formula true on the left indices, false on the right."""
-    kind = _measure_kind(measure_name)
+    kind = MeasureKind.from_name(measure_name)
+    # checked before the universe is built, so a huge --vars with this measure exits 2, not 3
     if not kind.applies_to(language):
         raise click.UsageError(f"measure {measure_name} needs --language global")
     frames = _load_frames(frames_spec)
-    try:
-        universe = build_universe([(frame, var_bound) for _, frame in frames])
-        left = _parse_indices(left_text, "left")
-        right = _parse_indices(right_text, "right")
-        for index in left + right:
-            if not 0 <= index < len(universe.models):
-                raise click.UsageError(f"index {index} outside the {len(universe.models)}-element universe")
-        found = min_separating(universe, left, right, kind, var_bound, length_cap, language=language)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    universe = build_universe([(frame, var_bound) for _, frame in frames])
+    left = _parse_indices(left_text, "left")
+    right = _parse_indices(right_text, "right")
+    for index in left + right:
+        if not 0 <= index < len(universe.models):
+            raise click.UsageError(f"index {index} outside the {len(universe.models)}-element universe")
+    found = min_separating(universe, left, right, kind, var_bound, length_cap, language=language)
     if found is None:
         click.echo("ABSENT")
         return
@@ -346,14 +322,11 @@ def game(
     language: str,
 ) -> None:
     """Play the formula-size game on a witness set; prints the minimal cost and formula."""
-    kind = _measure_kind(measure_name)
+    kind = MeasureKind.from_name(measure_name)
     witnesses = _load_witnesses(witness_spec)
     if var_bound is None:
         var_bound = witnesses.recommended_var_bound
-    try:
-        found = fgf_min_cost(witnesses, kind, var_bound, budget, language=language, length_cap=length_cap)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    found = fgf_min_cost(witnesses, kind, var_bound, budget, language=language, length_cap=length_cap)
     if found is None:
         click.echo("ABSENT")
         return
@@ -389,16 +362,13 @@ def certify(
     language: str,
 ) -> None:
     """Certify a lower bound by exhaustive search; prints the certificate document."""
-    kind = _measure_kind(measure_name)
+    kind = MeasureKind.from_name(measure_name)
     witnesses = _load_witnesses(witness_spec)
     if var_bound is None:
         var_bound = witnesses.recommended_var_bound
-    try:
-        cert = certify_bound(
-            witnesses, kind, claimed_bound, var_bound=var_bound, length_cap=length_cap, language=language
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    cert = certify_bound(
+        witnesses, kind, claimed_bound, var_bound=var_bound, length_cap=length_cap, language=language
+    )
     text = format_certificate(cert)
     click.echo(text, nl=False)
     if out_path is not None:

@@ -72,8 +72,6 @@ def phi_n(n: int) -> Formula:
     2^k + k + 1 connectives deep; an n whose bound exceeds MAX_NESTING
     raises ValueError, since the printed formula would not parse back.
     """
-    if n < 1:
-        raise ValueError("need at least one colour")
     if n == 1:
         return ExistsMod(Dia(TRUE))
     width = colour_code_width(n)

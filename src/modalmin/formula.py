@@ -235,9 +235,8 @@ class MeasureKind(enum.Enum):
         raise ValueError(f"unknown measure {name!r}")
 
     def applies_to(self, language: str) -> bool:
-        if self in (MeasureKind.EXISTS_COUNT, MeasureKind.FORALL_COUNT):
-            return language == GLOBAL
-        return True
+        """Whether some connective of the language counts toward the measure."""
+        return any(field(own, self) for node, own in _OWN.items() if in_language(node, language))
 
 
 def check_measure(kind: MeasureKind, language: str) -> None:

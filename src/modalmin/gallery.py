@@ -10,16 +10,18 @@ property can be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .formula import Formula, Or, And, Dia, Box, PosLit, NegLit
+from .formula import MAX_NESTING, Formula, Or, And, Dia, Box, PosLit, NegLit
 from .kripke import (
     Frame,
     Universe,
     _int_field,
     expand_reduced,
     format_frame,
-    forward_image,
     frames_of_rows,
+    mask_bits,
     text_rows,
 )
 
@@ -87,11 +89,20 @@ _PROPERTY_NAMES = {
 }
 
 
+def _then(rows: tuple[int, ...], step: tuple[int, ...]) -> tuple[int, ...]:
+    """Successor masks of the relation rows followed by the relation step."""
+    return tuple(reduce(or_, (step[t] for t in mask_bits(row)), 0) for row in rows)
+
+
 def _relation_power(frame: Frame, k: int) -> tuple[int, ...]:
-    """Successor masks of R^k; R^0 is the identity."""
+    """Successor masks of R^k by repeated squaring; R^0 is the identity."""
     rows = tuple(1 << s for s in range(frame.state_count))
-    for _ in range(k):
-        rows = tuple(forward_image(frame.moves()[0], row) for row in rows)
+    power = frame.succ_masks
+    while k > 0:
+        if k & 1:
+            rows = _then(rows, power)
+        power = _then(power, power)
+        k >>= 1
     return rows
 
 
@@ -303,6 +314,9 @@ def transfer_witnesses(m: int, n: int) -> WitnessSet:
     """
     if m == n:
         raise ValueError("transfer witnesses need distinct exponents")
+    # the axiom's disjunction adds one level above the longer modal chain
+    if 1 + max(m, n) > MAX_NESTING:
+        raise ValueError(f"the transfer {m} {n} axiom nests deeper than {MAX_NESTING}")
     if m == 0:
         pos, neg = _transfer_frames_m0(n)
     elif n == 0:

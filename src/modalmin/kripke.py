@@ -530,6 +530,17 @@ def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
     return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
 
 
+def _coded_count(frame: Frame, var_bound: int, used: int, cap: int) -> int:
+    """2^(W*v), the frame's valuation codes; their points and used others must fit cap."""
+    if var_bound < 0:
+        raise ValueError("var bound must be >= 0")
+    bits = frame.state_count * var_bound
+    # the first test keeps a huge var bound from building a huge integer
+    if bits >= cap.bit_length() or used + (frame.state_count << bits) > cap:
+        raise ResourceCapError(f"universe would exceed {cap} pointed models")
+    return 1 << bits
+
+
 def build_universe(
     seeds: Iterable[PointedModel | tuple[Frame, int]],
     cap: int = UNIVERSE_CAP,
@@ -545,15 +556,7 @@ def build_universe(
             out.append(seed)
         else:
             frame, var_bound = seed
-            if var_bound < 0:
-                raise ValueError("var bound must be >= 0")
-            bits = frame.state_count * var_bound
-            # the first test keeps a huge var bound from building a huge integer
-            if bits >= cap.bit_length() or len(out) + (frame.state_count << bits) > cap:
-                raise ResourceCapError(
-                    f"universe would exceed {cap} pointed models"
-                )
-            for code in range(1 << bits):
+            for code in range(_coded_count(frame, var_bound, len(out), cap)):
                 model = _coded_model(frame, var_bound, code)
                 out.extend(PointedModel(model, s) for s in range(frame.state_count))
         if len(out) > cap:
@@ -618,8 +621,6 @@ def expand_reduced(
     coincide with read-offs over the full expansion.
     """
     check_language(language)
-    if var_bound < 0:
-        raise ValueError("var bound must be >= 0")
     names = [name for name, _ in named_frames]
     if len(set(names)) != len(names):
         raise ValueError("frame names must be unique")
@@ -628,19 +629,14 @@ def expand_reduced(
     # code k and holds state s at off + k*W + s
     runs: list[tuple[int, Frame, int]] = []
     colours: list[int] = []
+    variables = range(1, var_bound + 1)
     for _, frame in named_frames:
-        w = frame.state_count
-        bits = w * var_bound
-        # the first test keeps a huge var bound from building a huge integer
-        if bits >= UNIVERSE_CAP.bit_length() or len(colours) + (w << bits) > UNIVERSE_CAP:
-            raise ResourceCapError(f"expansion would exceed {UNIVERSE_CAP} states")
-        count = 1 << bits
+        count = _coded_count(frame, var_bound, len(colours), UNIVERSE_CAP)
         runs.append((len(colours), frame, count))
-        # the atom colour has bit j set iff p(j+1) holds, as in _coded_model
-        colours += [
-            sum((k >> (j * w + s) & 1) << j for j in range(var_bound))
-            for k in range(count) for s in range(w)
-        ]
+        # the atom colour has bit j set iff p(j+1) holds
+        for k in range(count):
+            model = _coded_model(frame, var_bound, k)
+            colours += [model.atom_code(s, variables) for s in range(frame.state_count)]
     colours = _refine(colours, runs, language)
 
     # the cover picks whole models: (frame, valuation code, first index) each

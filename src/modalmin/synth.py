@@ -310,6 +310,8 @@ def certify_bound(
     check_language(language)
     if claimed_bound < 0:
         raise ValueError("claimed bound must be non-negative")
+    if length_cap is not None and length_cap < 0:
+        raise ValueError("length cap must be non-negative")
     check_measure(kind, language)
     if length_cap is None:
         if kind is MeasureKind.LENGTH:

@@ -1,6 +1,8 @@
 """Shared fixtures and generator helpers for the test suite."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -28,6 +30,22 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(97)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once seconds of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rand_frame(rng: random.Random, max_states: int = 4, edge_chance: float = 0.4) -> Frame:

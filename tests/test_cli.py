@@ -8,7 +8,9 @@ from click.testing import CliRunner
 from modalmin.cli import COVERAGE, OP_INVENTORY, _CLAIMS, main
 from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
-from modalmin.kripke import VALIDITY_CAP_BITS
+from modalmin.kripke import UNIVERSE_CAP, VALIDITY_CAP_BITS
+
+from .conftest import time_limit
 
 SINGLE_MODEL = """\
 frame triangle
@@ -324,6 +326,73 @@ def test_usage_errors_exit_2(runner, tmp_path):
     path = _model_file(tmp_path, "m.model", SINGLE_MODEL)
     assert runner.invoke(main, ["eval", "--model", path, "--formula", "(p1 |"]).exit_code == 2
     assert runner.invoke(main, ["colour", "--frame", "builtin:k3", "--n", "0"]).exit_code == 2
+
+
+# one row per command whose library errors reach the user only through the
+# exit-code boundary; "MODEL" stands for a two-state model file
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "--model", "MODEL", "--point", "9", "--formula", "p1"], "state 9 out of range"),
+        (["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1", "--length-cap", "3",
+          "--measure", "size"], "unknown measure 'size'"),
+        (["game", "--witnesses", "builtin:symmetry", "--budget", "3", "--measure", "size"],
+         "unknown measure 'size'"),
+        (["certify", "--witnesses", "builtin:symmetry", "--bound", "3", "--measure", "size"],
+         "unknown measure 'size'"),
+        (["game", "--witnesses", "builtin:symmetry", "--budget", "0"], "budget must be at least 1"),
+        (["certify", "--witnesses", "builtin:symmetry", "--bound", "-1"], "claimed bound must be non-negative"),
+        (["game", "--witnesses", "builtin:nope", "--budget", "3"], "unknown witness set: 'nope'"),
+        (["noncol", "--emit", "0"], "need at least one colour"),
+        (["colour", "--frame", "builtin:k3", "--n", "0"], "need at least one colour"),
+    ],
+)
+def test_library_errors_exit_2_with_their_message(runner, tmp_path, args, message):
+    model = _model_file(tmp_path, "m.model", "frame m\nstates 2\nedge 0 1\nval p1 0\npoint 0\n")
+    result = runner.invoke(main, [model if arg == "MODEL" else arg for arg in args])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_huge_transfer_exponents_end_quickly(runner, tmp_path):
+    name = "transfer-1-100000000000000000000"
+    with time_limit(20):
+        builtin = runner.invoke(main, ["game", "--witnesses", f"builtin:{name}", "--budget", "3"])
+    assert builtin.exit_code == 2, builtin.output
+    assert builtin.output.splitlines()[-1] == f"Error: bad witness set name: '{name}'"
+    assert builtin.exception is None or isinstance(builtin.exception, SystemExit)
+    # R^(10^20) of a loop is the loop and of an edge is empty, so the set checks out
+    text = "witnesses w\nproperty transfer 1 100000000000000000000\npositive:\n"
+    text += "frame a\nstates 1\nedge 0 0\nnegative:\nframe b\nstates 2\nedge 0 1\n"
+    path = _model_file(tmp_path, "w.txt", text)
+    with time_limit(20):
+        played = runner.invoke(main, ["game", "--witnesses", path, "--budget", "3"])
+    assert played.exit_code == 0, played.output
+    assert played.output.splitlines()[:2] == ["cost 2", "formula <> T"]
+
+
+def test_certify_negative_length_cap_exits_2(runner):
+    args = ["certify", "--witnesses", "builtin:symmetry", "--bound", "5", "--length-cap", "-1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == "Error: length cap must be non-negative"
+    # a zero bound still certifies vacuously under its default cap of -1
+    vacuous = _invoke(runner, "certify", "--witnesses", "builtin:symmetry", "--bound", "0")
+    assert vacuous.exit_code == 0
+    assert "length-cap -1" in vacuous.output.splitlines()
+    assert "verdict Proved" in vacuous.output.splitlines()
+
+
+def test_universe_cap_exits_3_with_one_message(runner):
+    cap = f"resource cap exceeded: universe would exceed {UNIVERSE_CAP} pointed models"
+    synth = runner.invoke(
+        main, ["synth", "--frames", "builtin:k2", "--vars", "20", "--left", "0", "--right", "1", "--length-cap", "3"]
+    )
+    game = runner.invoke(main, ["game", "--witnesses", "builtin:symmetry", "--budget", "3", "--vars", "20"])
+    for result in (synth, game):
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines()[-1] == cap
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,7 @@ def test_measure_families():
     assert len(measures_for(BASIC)) == 9
     assert len(measures_for(GLOBAL)) == 11
     assert MeasureKind.EXISTS_COUNT not in measures_for(BASIC)
+    assert set(MeasureKind) - set(measures_for(BASIC)) == {MeasureKind.EXISTS_COUNT, MeasureKind.FORALL_COUNT}
     assert all(kind.applies_to(GLOBAL) for kind in MeasureKind)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modalmin.formula import MeasureKind, measure, parse, print_formula
+from modalmin.formula import MAX_NESTING, MeasureKind, measure, parse, print_formula
 from modalmin.gallery import (
     CONVERSE_WELL_FOUNDED,
     FrameProperty,
@@ -22,11 +22,12 @@ from modalmin.gallery import (
     parse_witnesses,
     s4_witnesses,
     symmetry_witnesses,
+    _relation_power,
     transfer_witnesses,
 )
 from modalmin.kripke import Frame, frame_valid
 
-from .conftest import rand_frame
+from .conftest import rand_frame, time_limit
 
 TRANSFER_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
 
@@ -138,6 +139,36 @@ def test_transfer_witness_shapes(m, n):
 def test_transfer_rejects_equal_exponents():
     with pytest.raises(ValueError):
         transfer_witnesses(1, 1)
+
+
+def _stepwise_power(frame: Frame, k: int) -> tuple[int, ...]:
+    pairs = {(s, s) for s in range(frame.state_count)}
+    for _ in range(k):
+        pairs = {(a, c) for a, b in pairs for b2, c in frame.edges() if b == b2}
+    return tuple(sum(1 << c for a, c in pairs if a == s) for s in range(frame.state_count))
+
+
+def test_relation_power_matches_stepwise_composition(rng):
+    for _ in range(100):
+        frame = rand_frame(rng)
+        for k in range(9):
+            assert _relation_power(frame, k) == _stepwise_power(frame, k)
+    # on a 3-cycle R^k is R^(k mod 3), however large k is
+    cycle = Frame(3, [(0, 1), (1, 2), (2, 0)])
+    with time_limit(10):
+        for k in range(10**20, 10**20 + 3):
+            assert _relation_power(cycle, k) == _stepwise_power(cycle, k % 3)
+
+
+def test_transfer_witnesses_stop_at_the_nesting_limit():
+    w = transfer_witnesses(MAX_NESTING - 1, 1)
+    assert parse(print_formula(axiom(w.prop))) == axiom(w.prop)
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse(print_formula(axiom(FrameProperty.transfer(MAX_NESTING, 1))))
+    with time_limit(10):
+        for m, n in ((MAX_NESTING, 1), (1, MAX_NESTING), (1, 10**20)):
+            with pytest.raises(ValueError, match=f"nests deeper than {MAX_NESTING}"):
+                transfer_witnesses(m, n)
 
 
 def test_transfer_2_1_counts():
