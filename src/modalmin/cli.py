@@ -8,6 +8,7 @@ computation, ``direct`` for immediate consequences of the definitions.
 """
 
 import functools
+import itertools
 import random
 import sys
 import time
@@ -75,7 +76,7 @@ from .synth import certify_bound, enumerate_formulas, format_certificate, min_se
 
 
 def _capped(fn):
-    """The exit-code boundary: bad input (ValueError) exits 2, a resource cap 3."""
+    """The exit-code boundary: any ValueError the command raises exits 2, a resource cap 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -395,13 +396,10 @@ def _rng_model(rng: random.Random, var_bound: int = 1, max_states: int = 3) -> P
 
 
 def _brute_colourable(frame: Frame, n: int) -> bool:
-    assignments = [()]
-    for _ in range(frame.state_count):
-        assignments = [a + (c,) for a in assignments for c in range(n)]
-    for colours in assignments:
-        if all(colours[u] != colours[v] for u, v in frame.edges()):
-            return True
-    return False
+    return any(
+        all(colours[u] != colours[v] for u, v in frame.edges())
+        for colours in itertools.product(range(n), repeat=frame.state_count)
+    )
 
 
 def _claim_noncol_equivalence(seed: int) -> tuple[str, str]:

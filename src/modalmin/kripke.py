@@ -530,6 +530,14 @@ def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
     return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
 
 
+def _coded_colours(w: int, var_bound: int) -> list[int]:
+    """At k*w+s, the atom colour of state s of _coded_model's model k: bit j iff p(j+1) holds."""
+    return [
+        sum((k >> (j * w + s) & 1) << j for j in range(var_bound))
+        for k in range(1 << w * var_bound) for s in range(w)
+    ]
+
+
 def _coded_count(frame: Frame, var_bound: int, used: int, cap: int) -> int:
     """2^(W*v), the frame's valuation codes; their points and used others must fit cap."""
     if var_bound < 0:
@@ -629,14 +637,10 @@ def expand_reduced(
     # code k and holds state s at off + k*W + s
     runs: list[tuple[int, Frame, int]] = []
     colours: list[int] = []
-    variables = range(1, var_bound + 1)
     for _, frame in named_frames:
         count = _coded_count(frame, var_bound, len(colours), UNIVERSE_CAP)
         runs.append((len(colours), frame, count))
-        # the atom colour has bit j set iff p(j+1) holds
-        for k in range(count):
-            model = _coded_model(frame, var_bound, k)
-            colours += [model.atom_code(s, variables) for s in range(frame.state_count)]
+        colours += _coded_colours(frame.state_count, var_bound)
     colours = _refine(colours, runs, language)
 
     # the cover picks whole models: (frame, valuation code, first index) each

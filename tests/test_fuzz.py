@@ -111,11 +111,9 @@ def _arguments(rng: random.Random, files) -> list[str]:
     return ["certify", "--witnesses", witnesses, "--bound", number()] + caps + language
 
 
-@settings(max_examples=1000)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_hostile_input_never_ends_in_a_traceback(tmp_path_factory, seed):
+def _case(seed: int, directory) -> tuple[list[str], list[str]]:
+    """Seed's input texts, written to directory as input0..3.txt, and its arguments."""
     rng = random.Random(seed)
-    directory = tmp_path_factory.mktemp("fuzz")
     texts = [
         _mutated(rng, _frame_lines(rng, "f")),
         _mutated(rng, _model_lines(rng)),
@@ -127,7 +125,13 @@ def test_hostile_input_never_ends_in_a_traceback(tmp_path_factory, seed):
         path = directory / f"input{i}.txt"
         path.write_text(text)
         files.append(str(path))
-    args = _arguments(rng, files)
+    return texts, _arguments(rng, files)
+
+
+@settings(max_examples=1000)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hostile_input_never_ends_in_a_traceback(tmp_path_factory, seed):
+    texts, args = _case(seed, tmp_path_factory.mktemp("fuzz"))
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (args, texts, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, texts)

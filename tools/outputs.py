@@ -19,7 +19,7 @@ The corpus, in this order:
   - reproduce --out;
   - synth on four builtin frames, six measures, both languages, two index pairs;
   - valid of each set's axiom on every one of its witness frames;
-  - the argument lists of tests/test_fuzz.py's generators, seeds 0..N-1.
+  - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import random
 import re
 import subprocess
 import sys
@@ -43,13 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from modalmin.formula import print_formula  # noqa: E402
 from modalmin.gallery import axiom, builtin_witnesses  # noqa: E402
 from modalmin.kripke import format_frame  # noqa: E402
-from tests.test_fuzz import (  # noqa: E402
-    _arguments,
-    _frame_lines,
-    _model_lines,
-    _mutated,
-    _witness_lines,
-)
+from tests.test_fuzz import _case  # noqa: E402
 
 # the sets the game and certify families run, with their length minima
 # (m+n+3 for transfer-m-n)
@@ -70,6 +63,7 @@ GLOBAL_MEASURES = ("exists", "forall")
 
 TIMEOUT_S = 60  # a command still running after this is reported as TIMEOUT
 JOBS = 2
+FUZZ_SEEDS = 3000  # the fuzz family runs seeds 0..FUZZ_SEEDS-1
 
 _STRIPS = [
     (re.compile(r"^wall-time \d+\.\d+s$", re.M), "wall-time T"),
@@ -77,7 +71,7 @@ _STRIPS = [
 ]
 
 
-def _corpus(tmp: Path, fuzz: int) -> list[tuple[list[str], list[str]]]:
+def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
     """(arguments, files the command writes) for every command, in order."""
     commands: list[tuple[list[str], list[str]]] = []
 
@@ -126,23 +120,10 @@ def _corpus(tmp: Path, fuzz: int) -> list[tuple[list[str], list[str]]]:
             path = tmp / f"frame-{name}-{frame_name}.txt"
             path.write_text(format_frame(frame_name, frame))
             commands.append((["valid", "--frame", str(path), "--formula", formula], []))
-    for seed in range(fuzz):
-        # the body of test_hostile_input_never_ends_in_a_traceback, seed by seed
-        rng = random.Random(seed)
+    for seed in range(FUZZ_SEEDS):
         directory = tmp / f"fuzz-{seed}"
         directory.mkdir()
-        texts = [
-            _mutated(rng, _frame_lines(rng, "f")),
-            _mutated(rng, _model_lines(rng)),
-            _mutated(rng, _model_lines(rng)),
-            _mutated(rng, _witness_lines(rng)),
-        ]
-        files = []
-        for i, text in enumerate(texts):
-            path = directory / f"input{i}.txt"
-            path.write_text(text)
-            files.append(str(path))
-        commands.append((_arguments(rng, files), []))
+        commands.append((_case(seed, directory)[1], []))
     return commands
 
 
@@ -172,12 +153,11 @@ def _run(command: tuple[list[str], list[str]], src: Path, tmp: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the modalmin package")
-    parser.add_argument("--fuzz", type=int, default=3000, help="number of fuzz seeds, from 0")
     opts = parser.parse_args()
     src = opts.src.resolve()
     with tempfile.TemporaryDirectory(prefix="modalmin-outputs-") as name:
         tmp = Path(name)
-        commands = _corpus(tmp, opts.fuzz)
+        commands = _corpus(tmp)
         with ThreadPoolExecutor(JOBS) as pool:
             for line in pool.map(lambda c: _run(c, src, tmp), commands):
                 print(line, flush=True)
