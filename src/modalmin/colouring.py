@@ -193,8 +193,8 @@ def noncol_game_setup(
     The left side holds one pointed model per state w: the doubled graph
     ``khat(n)`` carrying the right valuation composed with the
     transposition of 0 and w, pointed so that its code matches the right
-    point's code.  Returns a point-closed universe plus the left and right
-    index tuples.
+    point's code.  Returns the universe of these n + 1 whole models, the
+    doubled ones first, plus the left and right index tuples.
     """
     if n < 1:
         raise ValueError("need at least one colour")
@@ -209,7 +209,7 @@ def noncol_game_setup(
         raise ValueError("right model's state codes must be pairwise distinct")
 
     doubled = khat(n)
-    pointed: list[PointedModel] = []
+    models: list[Model] = []
     left: list[int] = []
     for w in range(n):
         swap = {0: w, w: 0}
@@ -220,11 +220,7 @@ def noncol_game_setup(
                 if mask >> swap.get(u, u) & 1:
                     out |= 1 << u | 1 << (n + u)
             valuation[var] = out
-        moved = Model(doubled, valuation)
-        base = len(pointed)
-        pointed.extend(PointedModel(moved, s) for s in range(2 * n))
-        left.append(base + swap.get(point, point))
-    base = len(pointed)
-    pointed.extend(PointedModel(model, s) for s in range(n))
-    right = (base + point,)
-    return Universe(pointed), tuple(left), right
+        left.append(2 * n * w + swap.get(point, point))
+        models.append(Model(doubled, valuation))
+    models.append(model)
+    return Universe(models), tuple(left), (2 * n * n + point,)

@@ -179,14 +179,6 @@ def in_language(node_type: type, language: str) -> bool:
     return language == GLOBAL or node_type not in _GLOBAL_ONLY
 
 
-def uses_global(phi: Formula) -> bool:
-    return not in_language(type(phi), BASIC) or any(map(uses_global, phi.children()))
-
-
-def language_of(phi: Formula) -> str:
-    return GLOBAL if uses_global(phi) else BASIC
-
-
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Yields phi and all descendants, preorder."""
     stack = [phi]
@@ -244,10 +236,10 @@ def check_measure(kind: MeasureKind, language: str) -> None:
         raise ValueError(f"measure {kind.value} needs the global language")
 
 
-def measures_for(language: str) -> tuple[MeasureKind, ...]:
-    """The measure family of a language: 9 for basic, 11 for global."""
-    check_language(language)
-    return tuple(k for k in MeasureKind if k.applies_to(language))
+def check_length_cap(length_cap: int | None) -> None:
+    """Rejects a negative length cap given by a caller; None is no cap given."""
+    if length_cap is not None and length_cap < 0:
+        raise ValueError("length cap must be non-negative")
 
 
 class MeasureVector(NamedTuple):
@@ -492,7 +484,7 @@ class _Parser:
         return int(self.text[start : self.pos])
 
 
-# --- dual negation and renaming ---------------------------------------------
+# --- dual negation ----------------------------------------------------------
 
 def nnf_negate(phi: Formula) -> Formula:
     """Semantic negation by dual swapping, staying in negation normal form."""
@@ -501,21 +493,3 @@ def nnf_negate(phi: Formula) -> Formula:
     if isinstance(phi, _Lit):
         return phi._dual(phi.var)
     return phi._dual(*map(nnf_negate, phi.children()))
-
-
-def canonical_rename(phi: Formula) -> Formula:
-    """Renames variables to p1, p2, ... in order of first occurrence."""
-    mapping: dict[int, int] = {}
-    for node in subformulas(phi):
-        if isinstance(node, _Lit) and node.var not in mapping:
-            mapping[node.var] = len(mapping) + 1
-    return rename_vars(phi, mapping)
-
-
-def rename_vars(phi: Formula, mapping: dict[int, int]) -> Formula:
-    if isinstance(phi, _Lit):
-        return type(phi)(mapping.get(phi.var, phi.var))
-    kids = phi.children()
-    if not kids:
-        return phi
-    return type(phi)(*(rename_vars(c, mapping) for c in kids))

@@ -5,8 +5,8 @@ modal move greedily by keeping all available successor (or same-model)
 pointed models.  A finished tree whose leaves legally close reads off a
 formula separating the root position, and the cheapest closed tree equals
 the cheapest separating formula, which is what the search procedures here
-compute.  Positions are pairs of index sets over a fixed point-closed
-Universe, handled internally as int bit masks.
+compute.  Positions are pairs of index sets over a fixed Universe of whole
+models, handled internally as int bit masks.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .formula import (
     PosLit,
     TrueConst,
     check_language,
+    check_length_cap,
     check_measure,
     compose,
     field,
     in_language,
-    measure,
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
@@ -58,7 +58,6 @@ __all__ = [
     "GameTree",
     "psi_of_tree",
     "node_count",
-    "tree_cost",
     "closed_tree_violations",
     "verify_closed_tree",
     "check_weight",
@@ -150,10 +149,6 @@ def psi_of_tree(t: GameTree) -> Formula:
 
 def node_count(t: GameTree) -> int:
     return 1 + sum(node_count(c) for c in t.children)
-
-
-def tree_cost(t: GameTree, kind: MeasureKind) -> int:
-    return measure(psi_of_tree(t), kind)
 
 
 # --- legality ---------------------------------------------------------------
@@ -257,8 +252,6 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
                 out.append(f"{path}: and move must keep the left set")
             if a.position.right | b.position.right != right:
                 out.append(f"{path}: and children do not cover the right set")
-        elif not u.point_closed:
-            out.append(f"{path}: {node.move} move over a universe that is not point-closed")
         else:
             # a move whose step is some_pre_image: left picks a target per
             # left index, the reply keeps every right target; an
@@ -433,7 +426,7 @@ class _FamilySearch:
         self.top = compose(TrueConst)
         self.lits = [
             (var, universe.lit_mask(var), compose(PosLit, var=var), compose(NegLit, var=var))
-            for var in sorted({v for pm in universe.models for v in pm.model.valuation})
+            for var in sorted({v for _, model in universe.placed for v in model.valuation})
         ]
 
     def no_worse(self, a: Measured, b: Measured) -> bool:
@@ -593,6 +586,7 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
     if budget < 1:
         raise ValueError("budget must be at least 1")
     check_measure(kind, language)
+    check_length_cap(length_cap)
     if kind is MeasureKind.LENGTH:
         return budget if length_cap is None else min(budget, length_cap)
     if length_cap is None:
@@ -649,8 +643,6 @@ def min_cost_fgm(
     """
     eff_cap = _length_bound(kind, budget, language, length_cap)
     u = pos.universe
-    if not u.point_closed:
-        raise ValueError("game search needs a point-closed universe")
     for i in pos.left:
         for j in pos.right:
             if bisimilar(u.models[i], u.models[j], language):

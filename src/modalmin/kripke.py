@@ -89,13 +89,6 @@ class Frame:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.succ_masks)
 
-    def reflexive_mask(self) -> int:
-        out = 0
-        for s, m in enumerate(self.succ_masks):
-            if m >> s & 1:
-                out |= 1 << s
-        return out
-
     def transitive_closure(self) -> "Frame":
         masks = list(self.succ_masks)
         for k in range(self.state_count):
@@ -460,58 +453,47 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
 
 
 class Universe:
-    """An indexed list of pointed models.
+    """The pointed models of whole models, indexed state by state.
 
-    The universe is point-closed when its indices split into whole models,
-    each with its states in point order, so that consecutive models over one
-    frame form the runs of the kernel's layout.  Only then does it carry the
-    move relations: succ moves an index to its point's successors inside its
-    model, same to every index of its model.  Equal models at two positions
-    are two models.  The enumerator and the game search require closure.
+    Model k holds its states in point order from the sum of the earlier
+    models' state counts, and consecutive models over one frame form the
+    runs of the kernel's layout: succ moves an index to its point's
+    successors inside its model, same to every index of its model.  Equal
+    models at two positions are two models.  placed pairs each model with
+    its first index; models lists the pointed model at every index.
     """
 
-    __slots__ = ("models", "succ", "same", "point_closed")
+    __slots__ = ("placed", "models", "succ", "same")
 
-    def __init__(self, models: Sequence[PointedModel]):
-        self.models = tuple(models)
-        # [offset, frame, model count] per run of whole models over one frame
-        runs: list[list] | None = []
-        i = 0
-        while runs is not None and i < len(self.models):
-            model = self.models[i].model
-            w = model.frame.state_count
-            if [(pm.model, pm.point) for pm in self.models[i:i + w]] != [(model, s) for s in range(w)]:
-                runs = None
-            elif runs and runs[-1][1] == model.frame:
+    def __init__(self, models: Sequence[Model]):
+        placed: list[tuple[int, Model]] = []
+        # [offset, frame, model count] per run of models over one frame
+        runs: list[list] = []
+        size = 0
+        for model in models:
+            placed.append((size, model))
+            if runs and runs[-1][1] == model.frame:
                 runs[-1][2] += 1
             else:
-                runs.append([i, model.frame, 1])
-            i += w
-        self.point_closed = runs is not None
-        self.succ = Moves(runs) if self.point_closed else None
-        self.same = Moves(runs, everywhere=True) if self.point_closed else None
+                runs.append([size, model.frame, 1])
+            size += model.frame.state_count
+        self.placed = tuple(placed)
+        self.models = tuple(
+            PointedModel(model, s) for _, model in placed for s in range(model.frame.state_count)
+        )
+        self.succ = Moves(runs)
+        self.same = Moves(runs, everywhere=True)
 
     def __len__(self):
         return len(self.models)
 
     def lit_mask(self, var: int) -> int:
         """Bit i set iff p{var} holds at pointed model i."""
-        return sum(
-            1 << i for i, pm in enumerate(self.models) if pm.model.holds(var, pm.point)
-        )
+        return sum(model.val_mask(var) << off for off, model in self.placed)
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        cache: dict[Model, int] = {}
-        out = 0
-        for i, pm in enumerate(self.models):
-            mask = cache.get(pm.model)
-            if mask is None:
-                mask = den_states(pm.model, phi)
-                cache[pm.model] = mask
-            if mask >> pm.point & 1:
-                out |= 1 << i
-        return out
+        return sum(den_states(model, phi) << off for off, model in self.placed)
 
 
 def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
@@ -555,21 +537,35 @@ def build_universe(
 ) -> Universe:
     """Builds a Universe from pointed models and/or (frame, var_bound) pairs.
 
-    A (frame, v) seed expands to all valuations of p1..pv times all points,
-    in ascending valuation codes as in _coded_model.
+    Pointed seeds must list whole models, each model's states in point
+    order.  A (frame, v) seed expands to all valuations of p1..pv, in
+    ascending valuation codes as in _coded_model, times all points.
     """
-    out: list[PointedModel] = []
+    models: list[Model] = []
+    size = 0
+    # the points of the model the pointed seeds are listing, 0 between models
+    listed = 0
+    partial = "pointed seeds must list whole models, states in point order"
     for seed in seeds:
         if isinstance(seed, PointedModel):
-            out.append(seed)
+            if seed.point != listed or (listed and seed.model != models[-1]):
+                raise ValueError(partial)
+            if not listed:
+                models.append(seed.model)
+            listed = (listed + 1) % seed.model.frame.state_count
+            size += 1
         else:
+            if listed:
+                raise ValueError(partial)
             frame, var_bound = seed
-            for code in range(_coded_count(frame, var_bound, len(out), cap)):
-                model = _coded_model(frame, var_bound, code)
-                out.extend(PointedModel(model, s) for s in range(frame.state_count))
-        if len(out) > cap:
+            count = _coded_count(frame, var_bound, size, cap)
+            models.extend(_coded_model(frame, var_bound, code) for code in range(count))
+            size += count * frame.state_count
+        if size > cap:
             raise ResourceCapError(f"universe would exceed {cap} pointed models")
-    return Universe(out)
+    if listed:
+        raise ValueError(partial)
+    return Universe(models)
 
 
 # --- reduced expansions -----------------------------------------------------
@@ -620,8 +616,8 @@ def expand_reduced(
 ) -> ReducedExpansion:
     """Expands every frame over var_bound variables and quotients by bisimilarity.
 
-    Returns a point-closed universe of representative models plus, per frame
-    name, the universe indices representing that frame's pointed-model classes.
+    Returns a universe of whole representative models plus, per frame name,
+    the universe indices representing that frame's pointed-model classes.
     The classes are those of _refine in the chosen language, so global
     classes also split points whose models realize different class sets.
     A greedy cover keeps few models that together realize every class.
@@ -650,20 +646,21 @@ def expand_reduced(
     covers = [frozenset(colours[start:start + frame.state_count]) for frame, _, start in models]
 
     # materialize kept models and the class -> universe index map
-    pointed: list[PointedModel] = []
+    kept: list[Model] = []
     class_index: dict[int, int] = {}
+    size = 0
     for idx in sorted(_greedy_cover(covers)):
         frame, code, start = models[idx]
-        model = _coded_model(frame, var_bound, code)
         for s in range(frame.state_count):
-            class_index.setdefault(colours[start + s], len(pointed))
-            pointed.append(PointedModel(model, s))
+            class_index.setdefault(colours[start + s], size + s)
+        size += frame.state_count
+        kept.append(_coded_model(frame, var_bound, code))
 
     class_reps = {
         name: tuple(sorted({class_index[c] for c in colours[off:off + count * frame.state_count]}))
         for name, (off, frame, count) in zip(names, runs)
     }
-    return ReducedExpansion(Universe(pointed), class_reps)
+    return ReducedExpansion(Universe(kept), class_reps)
 
 
 # --- file formats -----------------------------------------------------------
@@ -747,16 +744,6 @@ def frames_of_rows(rows: Iterable[tuple[int, list[str]]], end: int) -> list[tupl
     if not out:
         raise ValueError("no frames found")
     return out
-
-
-def format_model(name: str, model: Model, point: int | None = None) -> str:
-    lines = [format_frame(name, model.frame).rstrip("\n")]
-    for var in sorted(model.valuation):
-        states = " ".join(map(str, mask_bits(model.valuation[var])))
-        lines.append(f"val p{var} {states}")
-    if point is not None:
-        lines.append(f"point {point}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_model(text: str) -> tuple[str, Model, int | None]:

@@ -11,7 +11,7 @@ these frames" into a checkable Certificate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -28,6 +28,7 @@ from .formula import (
     TRUE,
     TrueConst,
     check_language,
+    check_length_cap,
     check_measure,
     compose,
     field,
@@ -87,10 +88,6 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
     check_language(language)
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
-    # modal denotations are composed through the universe's move relations,
-    # which only a point-closed universe has
-    if not u.point_closed:
-        raise ValueError("universe must be point-closed")
     if stats is None:
         stats = EnumerationStats()
 
@@ -198,6 +195,7 @@ def min_separating(
     if left & right:
         raise ValueError("left and right index sets must be disjoint")
     check_measure(kind, language)
+    check_length_cap(length_cap)
     lmask = sum(1 << i for i in left)
     rmask = sum(1 << i for i in right)
     return _cheapest(
@@ -238,6 +236,7 @@ def min_separating_frames(
     of all witness frames; ties break as in min_separating.
     """
     check_measure(kind, language)
+    check_length_cap(length_cap)
     u, separates = _frame_separation(w, var_bound, language)
     return _cheapest(
         _enumerate(u, var_bound, length_cap, language),
@@ -284,11 +283,6 @@ class Certificate:
             return "full"
         return "length-capped"
 
-    def same_claim(self, other: "Certificate") -> bool:
-        """Equality up to run statistics and timing."""
-        zeroed = dict(formulas_enumerated=0, distinct_denotations=0, wall_time=0.0)
-        return replace(self, **zeroed) == replace(other, **zeroed)
-
 
 def certify_bound(
     w: WitnessSet,
@@ -305,13 +299,13 @@ def certify_bound(
     Proved verdict a full proof; for other measures a length cap bounds the
     infinite space and the certificate records the capped scope.  A
     refutation is re-validated per frame via frame_valid before being
-    reported; a resource cap yields Inconclusive with partial statistics.
+    reported.  The enumeration's cap yields Inconclusive with partial
+    statistics; the expansion's cap raises ResourceCapError.
     """
     check_language(language)
     if claimed_bound < 0:
         raise ValueError("claimed bound must be non-negative")
-    if length_cap is not None and length_cap < 0:
-        raise ValueError("length cap must be non-negative")
+    check_length_cap(length_cap)
     check_measure(kind, language)
     if length_cap is None:
         if kind is MeasureKind.LENGTH:
@@ -336,8 +330,8 @@ def certify_bound(
             wall_time=time.perf_counter() - t0,
         )
 
+    u, separates = _frame_separation(w, var_bound, language)
     try:
-        u, separates = _frame_separation(w, var_bound, language)
         for phi, den, packed in _enumerate(
             u, var_bound, length_cap, language, max_candidates, stats
         ):

@@ -269,11 +269,8 @@ def test_criterion_08_game_enumeration_agreement(capsys):
         count = rng.randint(1, 4)
         edges = [(u, v) for u in range(count) for v in range(count) if rng.random() < 0.35]
         frame = Frame(count, edges)
-        seeds = []
-        for _ in range(rng.randint(1, 3)):
-            model = Model(frame, {1: rng.getrandbits(count)})
-            seeds.extend(PointedModel(model, s) for s in range(count))
-        universe = Universe(seeds)
+        models = [Model(frame, {1: rng.getrandbits(count)}) for _ in range(rng.randint(1, 3))]
+        universe = Universe(models)
         size = len(universe.models)
         if size > 12 or size < 2:
             continue

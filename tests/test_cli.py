@@ -373,10 +373,15 @@ def test_huge_transfer_exponents_end_quickly(runner, tmp_path):
 
 
 def test_certify_negative_length_cap_exits_2(runner):
-    args = ["certify", "--witnesses", "builtin:symmetry", "--bound", "5", "--length-cap", "-1"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert result.output.splitlines()[-1] == "Error: length cap must be non-negative"
+    for args in (
+        ["certify", "--witnesses", "builtin:symmetry", "--bound", "5"],
+        ["game", "--witnesses", "builtin:symmetry", "--budget", "5"],
+        ["game", "--witnesses", "builtin:symmetry", "--budget", "5", "--measure", "diamond"],
+        ["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1"],
+    ):
+        result = runner.invoke(main, args + ["--length-cap", "-1"])
+        assert result.exit_code == 2, (args, result.output)
+        assert result.output.splitlines()[-1] == "Error: length cap must be non-negative"
     # a zero bound still certifies vacuously under its default cap of -1
     vacuous = _invoke(runner, "certify", "--witnesses", "builtin:symmetry", "--bound", "0")
     assert vacuous.exit_code == 0
@@ -390,7 +395,11 @@ def test_universe_cap_exits_3_with_one_message(runner):
         main, ["synth", "--frames", "builtin:k2", "--vars", "20", "--left", "0", "--right", "1", "--length-cap", "3"]
     )
     game = runner.invoke(main, ["game", "--witnesses", "builtin:symmetry", "--budget", "3", "--vars", "20"])
-    for result in (synth, game):
+    # the expansion's cap, not the enumeration's, so no Inconclusive certificate
+    certify = runner.invoke(
+        main, ["certify", "--witnesses", "builtin:symmetry", "--bound", "1", "--vars", str(10**20)]
+    )
+    for result in (synth, game, certify):
         assert result.exit_code == 3, result.output
         assert result.output.splitlines()[-1] == cap
 

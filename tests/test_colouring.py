@@ -93,7 +93,7 @@ def test_complete_graph_shape():
     k3 = k_complete(3)
     assert k3.state_count == 3
     assert k3.edge_count() == 6
-    assert k3.reflexive_mask() == 0
+    assert not any(k3.has_edge(s, s) for s in range(3))
 
 
 def test_khat_shape():
@@ -101,7 +101,7 @@ def test_khat_shape():
     assert doubled.state_count == 6
     assert doubled.edge_count() == 13
     for n in range(1, 9):
-        assert bin(khat(n).reflexive_mask()).count("1") == 1
+        assert [s for s in range(2 * n) if khat(n).has_edge(s, s)] == [n]
 
 
 # --- colouring search -------------------------------------------------------
@@ -182,7 +182,7 @@ def test_game_setup_shapes():
     universe, left, right = noncol_game_setup(3)
     assert len(left) == 3 and len(right) == 1
     assert len(universe.models) == 3 * 6 + 3
-    assert universe.point_closed
+    assert [off for off, _ in universe.placed] == [0, 6, 12, 18]
     right_model = universe.models[right[0]]
     assert right_model.model.frame == k_complete(3)
     var_order = sorted(right_model.model.valuation)

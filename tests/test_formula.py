@@ -25,22 +25,17 @@ from modalmin.formula import (
     PosLit,
     TRUE,
     TrueConst,
-    canonical_rename,
     compose,
     field,
-    language_of,
     measure,
     measure_all,
-    measures_for,
     nnf_negate,
     pack,
     packed_dominates,
     parse,
     print_formula,
-    rename_vars,
     subformulas,
     unpack,
-    uses_global,
     vars_of,
 )
 from modalmin.kripke import Frame, Model, den_states
@@ -164,14 +159,7 @@ def test_non_formulas_raise_type_error(operation):
             operation(thing)
 
 
-# --- language classification ------------------------------------------------
-
-
-def test_uses_global_and_language_of():
-    assert not uses_global(parse("(p1 | <> ~p1)"))
-    assert uses_global(parse("[] A p1"))
-    assert language_of(parse("<> p1")) == BASIC
-    assert language_of(parse("E p1")) == GLOBAL
+# --- subformulas and variables ----------------------------------------------
 
 
 def test_subformulas_and_vars():
@@ -192,10 +180,9 @@ def test_subformulas_and_vars():
 
 
 def test_measure_families():
-    assert len(measures_for(BASIC)) == 9
-    assert len(measures_for(GLOBAL)) == 11
-    assert MeasureKind.EXISTS_COUNT not in measures_for(BASIC)
-    assert set(MeasureKind) - set(measures_for(BASIC)) == {MeasureKind.EXISTS_COUNT, MeasureKind.FORALL_COUNT}
+    basic = [kind for kind in MeasureKind if kind.applies_to(BASIC)]
+    assert len(basic) == 9
+    assert set(MeasureKind) - set(basic) == {MeasureKind.EXISTS_COUNT, MeasureKind.FORALL_COUNT}
     assert all(kind.applies_to(GLOBAL) for kind in MeasureKind)
 
 
@@ -381,21 +368,3 @@ def test_negate_flips_evaluation(phi, seed):
     for state in range(model.frame.state_count):
         assert naive_eval(model, state, nnf_negate(phi)) != naive_eval(model, state, phi)
 
-
-# --- renaming ---------------------------------------------------------------
-
-
-def test_canonical_rename_orders_by_first_occurrence():
-    assert canonical_rename(parse("(p5 | (p2 & p5))")) == parse("(p1 | (p2 & p1))")
-    assert canonical_rename(parse("(~p3 | <> p1)")) == parse("(~p1 | <> p2)")
-    assert canonical_rename(TRUE) == TRUE
-
-
-def test_rename_vars_applies_mapping():
-    assert rename_vars(parse("(p1 & ~p2)"), {1: 4, 2: 1}) == parse("(p4 & ~p1)")
-
-
-@given(phi=formulas())
-def test_canonical_rename_is_idempotent(phi):
-    once = canonical_rename(phi)
-    assert canonical_rename(once) == once

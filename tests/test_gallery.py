@@ -57,7 +57,8 @@ def _naive_checks(frame: Frame) -> dict[str, bool]:
         (a, c) in edges for a, b in edges for b2, c in edges if b == b2
     )
     symmetric = all((b, a) in edges for a, b in edges)
-    cwf = frame.transitive_closure().reflexive_mask() == 0
+    closure = frame.transitive_closure()
+    cwf = not any(closure.has_edge(s, s) for s in range(count))
     return {
         "reflexive": reflexive,
         "transitive": transitive,

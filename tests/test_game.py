@@ -30,11 +30,18 @@ from modalmin.game import (
     node_count,
     psi_of_tree,
     special_pair_weight,
-    tree_cost,
     verify_closed_tree,
 )
 from modalmin.gallery import (
+    CONVERSE_WELL_FOUNDED,
+    REFLEXIVE,
+    REFLEXIVE_TRANSITIVE,
+    SYMMETRIC,
+    TRANSITIVE,
+    TRANSITIVE_CWF,
+    WitnessSet,
     builtin_witnesses,
+    check_property,
     parse_witnesses,
     symmetry_witnesses,
     transfer_witnesses,
@@ -51,8 +58,9 @@ from modalmin.kripke import (
     eval_formula,
     frame_valid,
 )
-from modalmin.synth import min_separating, min_separating_frames
+from modalmin.synth import certify_bound, min_separating, min_separating_frames
 
+from .conftest import rand_frame
 from .oracles import brute_exact_image, brute_min_value, brute_table
 
 BASIC_KINDS = tuple(k for k in MeasureKind if k.applies_to(BASIC))
@@ -62,9 +70,7 @@ ALL_KINDS = tuple(MeasureKind)
 def _universe_pair():
     """Two single-state models, one satisfying p1, one not."""
     loop = Frame(1, [(0, 0)])
-    yes = PointedModel(Model(loop, {1: 1}), 0)
-    no = PointedModel(Model(loop, {}), 0)
-    return Universe([yes, no])
+    return Universe([Model(loop, {1: 1}), Model(loop, {})])
 
 
 # --- trees and read-off -----------------------------------------------------
@@ -79,8 +85,8 @@ def test_psi_of_tree_reads_off_structure():
     or_node = GameTree("or", leaf_pos, children=(leaf, GameTree("bot", GamePosition(u, [], [1]))))
     assert psi_of_tree(or_node) == parse("(p1 | F)")
     assert node_count(or_node) == 3
-    assert tree_cost(or_node, MeasureKind.LENGTH) == 3
-    assert tree_cost(or_node, MeasureKind.FALSE_COUNT) == 1
+    assert measure(psi_of_tree(or_node), MeasureKind.LENGTH) == 3
+    assert measure(psi_of_tree(or_node), MeasureKind.FALSE_COUNT) == 1
 
 
 def test_psi_of_tree_rejects_open_nodes():
@@ -110,12 +116,12 @@ def test_bot_and_top_leaf_legality():
 def test_dia_greedy_reply_is_checked():
     chain = Frame(2, [(0, 1), (1, 1)])
     model = Model(chain, {1: 0b10})
-    u = Universe([PointedModel(model, s) for s in range(2)])
+    u = Universe([model])
     root = GamePosition(u, [0], [])
     child_ok = GameTree("lit", GamePosition(u, [1], []), var=1, positive=True)
     assert verify_closed_tree(GameTree("dia", root, children=(child_ok,)))
     # a diamond that drops a right successor is not the greedy reply
-    both = Universe([PointedModel(model, s) for s in range(2)] + [PointedModel(Model(chain, {}), s) for s in range(2)])
+    both = Universe([model, Model(chain, {})])
     root2 = GamePosition(both, [0], [2])
     dropped = GameTree("lit", GamePosition(both, [1], []), var=1, positive=True)
     assert not verify_closed_tree(GameTree("dia", root2, children=(dropped,)))
@@ -125,7 +131,7 @@ def test_dia_greedy_reply_is_checked():
 
 def test_dia_requires_left_successors():
     bare = Frame(1, [])
-    u = Universe([PointedModel(Model(bare, {1: 1}), 0), PointedModel(Model(bare, {}), 0)])
+    u = Universe([Model(bare, {1: 1}), Model(bare, {})])
     root = GamePosition(u, [0], [])
     child = GameTree("top", GamePosition(u, [], []))
     assert not verify_closed_tree(GameTree("dia", root, children=(child,)))
@@ -152,11 +158,11 @@ def test_modal_move_legality(move, language):
     replier = "right" if chooser == "left" else "left"
     frame = Frame(3, [(0, 1), (0, 2)])
     models = (Model(frame, {1: 0b111}), Model(frame, {}))
-    u = Universe([PointedModel(m, s) for m in models for s in range(3)])
+    u = Universe(models)
 
-    def violations(child, root=((0,), (3,)), universe=u):
-        leaf = GameTree("lit", GamePosition(universe, *child), var=1, positive=True)
-        tree = GameTree(move, GamePosition(universe, *root), children=(leaf,))
+    def violations(child, root=((0,), (3,))):
+        leaf = GameTree("lit", GamePosition(u, *child), var=1, positive=True)
+        tree = GameTree(move, GamePosition(u, *root), children=(leaf,))
         return closed_tree_violations(tree, language)
 
     global_only = move in ("exists", "forall")
@@ -168,12 +174,9 @@ def test_modal_move_legality(move, language):
         assert f"root: {move} move with a successor-less {chooser} index" in violations(
             legal, root=bare_root
         )
-    # the second model lacks two of its states
-    open_u = Universe([PointedModel(models[0], s) for s in range(3)] + [PointedModel(models[1], 0)])
-    assert not open_u.point_closed
-    assert f"root: {move} move over a universe that is not point-closed" in violations(
-        ((1,), ()), universe=open_u
-    )
+    # a universe whose second model lacks two of its states is not built
+    with pytest.raises(ValueError):
+        build_universe([PointedModel(models[0], s) for s in range(3)] + [PointedModel(models[1], 0)])
 
 
 # --- helper machinery -------------------------------------------------------
@@ -254,14 +257,13 @@ def test_fgm_validates_arguments():
         min_cost_fgm(pos, MeasureKind.DIA_COUNT, 3)  # needs a length cap
     with pytest.raises(ValueError):
         min_cost_fgm(pos, MeasureKind.EXISTS_COUNT, 3, language=BASIC, length_cap=4)
-    open_universe = Universe([PointedModel(Model(Frame(2, [(0, 1)]), {}), 0)])
     with pytest.raises(ValueError):
-        min_cost_fgm(GamePosition(open_universe, [0], []), MeasureKind.LENGTH, 3)
+        build_universe([PointedModel(Model(Frame(2, [(0, 1)]), {}), 0)])
 
 
 def test_fgm_trees_verify_and_match_cost(rng):
     for _ in range(40):
-        # random universe over one frame; full expansion keeps it point-closed
+        # the full expansion of one random frame
         count = rng.randint(1, 3)
         edges = [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45]
         u = build_universe([(Frame(count, edges), 1)])
@@ -289,12 +291,7 @@ def test_fgm_matches_enumeration_oracle(rng):
         count = rng.randint(1, 3)
         edges = [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45]
         model_count = rng.randint(1, 2)
-        seeds = []
-        for _ in range(model_count):
-            valuation = {1: rng.getrandbits(count)}
-            model = Model(Frame(count, edges), valuation)
-            seeds.extend(PointedModel(model, s) for s in range(count))
-        u = Universe(seeds)
+        u = Universe([Model(Frame(count, edges), {1: rng.getrandbits(count)}) for _ in range(model_count)])
         if len(u.models) > 7:
             continue
         indices = range(len(u.models))
@@ -357,7 +354,7 @@ def test_every_stored_element_walks_to_its_own_tree(rng):
                         tree = search.build(e, e[0], r)
                         assert verify_closed_tree(tree, language), (e[3][0], kind, language)
                         assert node_count(tree) == e[2]
-                        assert tree_cost(tree, kind) == field(e[1][0], kind)
+                        assert measure(psi_of_tree(tree), kind) == field(e[1][0], kind)
                         walked += 1
     assert walked > 1000
 
@@ -506,6 +503,54 @@ def test_fgf_negatives_sharing_classes(negatives, language):
     assert all(frame_valid(f, psi) for f in w.positives)
     assert set(choice) == {nm for nm, _ in negatives}
     assert not any(eval_formula(pm.model, pm.point, psi) for pm in choice.values())
+
+
+_GALLERY = (REFLEXIVE, TRANSITIVE, SYMMETRIC, CONVERSE_WELL_FOUNDED, REFLEXIVE_TRANSITIVE, TRANSITIVE_CWF)
+
+
+def _random_witnesses(rng) -> WitnessSet:
+    """1-4 random frames of 1-3 states, split by a random gallery property.
+
+    A draw is redrawn unless both sides are non-empty and at most two frames
+    are negative: the frame game's right sets multiply with every negative
+    frame's classes, and three negatives can take it past half a minute.
+    """
+    while True:
+        frames = [rand_frame(rng, 3) for _ in range(rng.randint(1, 4))]
+        prop = rng.choice(_GALLERY)
+        pos = tuple(f for f in frames if check_property(f, prop))
+        neg = tuple(f for f in frames if not check_property(f, prop))
+        if pos and 1 <= len(neg) <= 2:
+            names = tuple(f"a{k}" for k in range(len(pos))), tuple(f"b{k}" for k in range(len(neg)))
+            return WitnessSet("random", prop, pos, neg, *names)
+
+
+def test_frame_routes_agree_on_random_witness_sets():
+    # the frame game, the frame-wise enumeration and the certificate, per
+    # measure of each language: Length to budget 5, the others to budget 2
+    # within length 3
+    rng = random.Random(2024)
+    separated = 0
+    for _ in range(24):
+        w = _random_witnesses(rng)
+        for language in (BASIC, GLOBAL):
+            for kind in (k for k in MeasureKind if k.applies_to(language)):
+                budget, cap = (5, 5) if kind is MeasureKind.LENGTH else (2, 3)
+                played = fgf_min_cost(w, kind, 1, budget, language, length_cap=cap)
+                found = min_separating_frames(w, kind, 1, cap, language)
+                cost = None if found is None or found[1].get(kind) > budget else found[1].get(kind)
+                assert (None if played is None else played[0]) == cost
+                if played is None:
+                    continue
+                separated += 1
+                _, tree, choice = played
+                assert verify_closed_tree(tree, language)
+                psi = psi_of_tree(tree)
+                assert set(choice) == set(w.negative_names)
+                assert not any(eval_formula(pm.model, pm.point, psi) for pm in choice.values())
+                assert certify_bound(w, kind, cost, 1, cap, language).verdict == "Proved"
+                assert certify_bound(w, kind, cost + 1, 1, cap, language).verdict == "Refuted"
+    assert separated > 300
 
 
 # --- weight functions -------------------------------------------------------

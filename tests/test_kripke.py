@@ -35,7 +35,6 @@ from modalmin.kripke import (
     eval_formula,
     expand_reduced,
     format_frame,
-    format_model,
     forward_image,
     frame_valid,
     mask_bits,
@@ -75,7 +74,7 @@ def test_frame_dedups_edges_and_exposes_masks():
 
 
 def test_reflexive_mask_and_transitive_closure():
-    assert CHAIN.reflexive_mask() == 0b10
+    assert [s for s in range(CHAIN.state_count) if CHAIN.has_edge(s, s)] == [1]
     closed = Frame(3, [(0, 1), (1, 2)]).transitive_closure()
     assert sorted(closed.edges()) == [(0, 1), (0, 2), (1, 2)]
     assert LOOP.transitive_closure() == LOOP
@@ -271,7 +270,7 @@ def test_build_universe_keeps_explicit_seeds():
     seeds = [PointedModel(Model(CHAIN, {1: 0b01}), s) for s in range(2)]
     u = build_universe(seeds)
     assert u.models == tuple(seeds)
-    assert u.point_closed
+    assert u.placed == ((0, seeds[0].model),)
 
 
 def test_build_universe_cap():
@@ -291,41 +290,38 @@ def test_universe_structure_matches_frames():
     assert len(full_groups) == 4
 
 
-def test_universe_point_closed_flag():
-    open_universe = Universe([PointedModel(Model(CHAIN, {}), 0)])
-    assert not open_universe.point_closed
-    closed = Universe([PointedModel(Model(CHAIN, {}), s) for s in range(2)])
-    assert closed.point_closed
-
-
-def test_permuted_or_split_universe_is_not_point_closed():
+def test_build_universe_rejects_seeds_that_are_not_whole_models():
     model = Model(CHAIN, {1: 0b01})
     other = Model(LOOP, {})
-    permuted = Universe([PointedModel(model, 1), PointedModel(model, 0)])
-    split = Universe([PointedModel(model, 0), PointedModel(other, 0), PointedModel(model, 1)])
-    for u in (permuted, split):
-        assert not u.point_closed
-        assert u.succ is None and u.same is None
-        # per-model denotations still work on an open universe
-        assert u.den(parse("<> p1")) == 0
-        assert u.den(parse("~p1")) == sum(
-            1 << i for i, pm in enumerate(u.models) if not pm.model.holds(1, pm.point)
-        )
+    pointed = [PointedModel(model, s) for s in range(2)]
+    whole = build_universe(pointed + [PointedModel(other, 0), (LOOP, 1)])
+    assert [pm.point for pm in whole.models] == [0, 1, 0, 0, 0]
+    cases = (
+        pointed[:1],  # the model lacks its state 1
+        pointed[::-1],  # states out of point order
+        [pointed[0], PointedModel(other, 0), pointed[1]],  # model split by another
+        [pointed[0], PointedModel(Model(CHAIN, {}), 1)],  # two models mixed
+        [pointed[0], (LOOP, 1)],  # an expansion inside a model
+    )
+    for seeds in cases:
+        with pytest.raises(ValueError, match="whole models"):
+            build_universe(seeds)
 
 
 def test_universe_den_is_per_model_truth():
     model = Model(CHAIN, {1: 0b10})
-    u = Universe([PointedModel(model, 0)])
-    # the successor state 1 is absent from the universe, but den still
-    # evaluates inside the full model
-    assert u.den(parse("<> p1")) == 1
+    other = Model(CHAIN, {1: 0b01})
+    u = Universe([model, other])
+    # both states move to state 1, which holds p1 in the first model only
+    assert u.den(parse("<> p1")) == 0b0011
+    assert u.den(parse("~p1")) == 0b1001
+    assert u.lit_mask(1) == 0b0110
 
 
 def test_reduced_expansion_read_off_matches_validity():
     rng = random.Random(12)
     frames = [("a", rand_frame(rng, 3)), ("b", rand_frame(rng, 3))]
     red = expand_reduced(frames, 1)
-    assert red.universe.point_closed
     for _ in range(40):
         phi = rand_formula(rng, 1, rng.randint(1, 6), BASIC)
         den = red.universe.den(phi)
@@ -408,18 +404,17 @@ def test_mask_kernel_matches_set_comprehensions(seed):
     # possibly equal to the one before it, then a model whose state has no
     # successor at all
     rng = random.Random(seed)
-    pointed, succ_sets, same_sets = [], [], []
+    layout, succ_sets, same_sets = [], [], []
     models = [Model(rand_frame(rng, 3), {1: rng.getrandbits(1)}) for _ in range(rng.randint(1, 3))]
     models += [Model(Frame(1, []), {})]
     for model in models:
         for _ in range(rng.choice((1, 1, 2, 3))):
-            base, w = len(pointed), model.frame.state_count
+            base, w = len(succ_sets), model.frame.state_count
+            layout.append(model)
             for s in range(w):
-                pointed.append(PointedModel(model, s))
                 succ_sets.append({base + t for t in model.frame.successors_of(s)})
                 same_sets.append(set(range(base, base + w)))
-    u = Universe(pointed)
-    assert u.point_closed
+    u = Universe(layout)
     n = len(u)
     dead = n - 1
 
@@ -493,8 +488,6 @@ def test_parse_model_rejects_malformed_with_line_number(text, line):
 
 def test_model_text_roundtrip():
     model = Model(CHAIN, {1: 0b10, 3: 0b01})
-    text = format_model("m", model, point=1)
-    name, back, point = parse_model(text)
-    assert (name, back, point) == ("m", model, 1)
-    bare = format_model("m", model)
-    assert parse_model(bare) == ("m", model, None)
+    text = "frame m\nstates 2\nedge 0 1\nedge 1 1\nval p1 1\nval p3 0\n"
+    assert parse_model(text + "point 1\n") == ("m", model, 1)
+    assert parse_model(text) == ("m", model, None)

@@ -28,7 +28,6 @@ from modalmin.kripke import (
     frame_valid,
 )
 from modalmin.synth import (
-    Certificate,
     EnumerationStats,
     certify_bound,
     enumerate_formulas,
@@ -42,9 +41,7 @@ from .oracles import brute_denotations, brute_min_separating
 
 def _two_point_universe():
     loop = Frame(1, [(0, 0)])
-    yes = PointedModel(Model(loop, {1: 1}), 0)
-    no = PointedModel(Model(loop, {}), 0)
-    return Universe([yes, no])
+    return Universe([Model(loop, {1: 1}), Model(loop, {})])
 
 
 # --- enumeration ------------------------------------------------------------
@@ -66,7 +63,7 @@ def test_enumeration_is_shortest_first():
 
 def test_enumeration_irreflexive_point_no_vars():
     # one state, no arrows, no atoms: only two denotations ever appear
-    u = Universe([PointedModel(Model(Frame(1, []), {}), 0)])
+    u = Universe([Model(Frame(1, []), {})])
     dens = {den for _, den, _ in enumerate_formulas(u, 0, 3)}
     assert dens == {0, 1}
 
@@ -94,10 +91,10 @@ def test_enumeration_keeps_pareto_incomparable_vectors():
 
 
 def test_enumeration_rejects_open_universe():
+    # a universe is its whole models: a lone state of one is no universe
     chain = Frame(2, [(0, 1)])
-    u = Universe([PointedModel(Model(chain, {}), 0)])
     with pytest.raises(ValueError):
-        list(enumerate_formulas(u, 1, 3))
+        build_universe([PointedModel(Model(chain, {}), 0)])
 
 
 def test_enumeration_rejects_negative_var_bound():
@@ -110,7 +107,7 @@ def test_enumeration_stops_once_no_level_can_hold_a_candidate():
     # already enumerates everything; a cap of 10^9 must end just as soon
     universes = (
         (_two_point_universe(), 1),
-        (Universe([PointedModel(Model(Frame(1, []), {}), 0)]), 1),
+        (Universe([Model(Frame(1, []), {})]), 1),
         (build_universe([(Frame(2, [(0, 1)]), 0)]), 0),
     )
     for u, var_bound in universes:
@@ -149,7 +146,7 @@ def test_min_separating_transfer_shape():
     # within one model: a state with a p1 successor against one without
     frame = Frame(3, [(0, 1), (2, 2)])
     model = Model(frame, {1: 0b010})
-    u = Universe([PointedModel(model, s) for s in range(3)])
+    u = Universe([model])
     phi, _ = min_separating(u, [0], [2], MeasureKind.LENGTH, 1, 4)
     assert u.den(phi) & 1
     assert not (u.den(phi) >> 2) & 1
@@ -197,7 +194,7 @@ def test_min_separating_matches_brute_force(rng):
 def test_min_separating_non_length_measure():
     frame = Frame(3, [(0, 1), (1, 2)])
     model = Model(frame, {1: 0b100})
-    u = Universe([PointedModel(model, s) for s in range(3)])
+    u = Universe([model])
     phi, vec = min_separating(u, [0], [1, 2], MeasureKind.DIA_COUNT, 1, 6)
     # a diamond-free separator exists here, e.g. (~p1 & [] ~p1)
     want = brute_min_separating(u, (0,), (1, 2), MeasureKind.DIA_COUNT, 99, 6, BASIC)
@@ -314,25 +311,6 @@ def test_certify_inconclusive_on_tiny_cap():
     assert cert.verdict == "Inconclusive"
     assert cert.refutation is None
     assert cert.formulas_enumerated == 9
-
-
-def test_certificate_same_claim_ignores_statistics():
-    a = certify_bound(transfer_witnesses(0, 1), MeasureKind.LENGTH, 4)
-    b = Certificate(
-        witnesses=a.witnesses,
-        measure=a.measure,
-        claimed_bound=a.claimed_bound,
-        var_bound=a.var_bound,
-        length_cap=a.length_cap,
-        language=a.language,
-        verdict=a.verdict,
-        formulas_enumerated=0,
-        distinct_denotations=0,
-        wall_time=99.0,
-    )
-    assert a.same_claim(b)
-    c = certify_bound(transfer_witnesses(0, 1), MeasureKind.LENGTH, 5)
-    assert not a.same_claim(c)
 
 
 def test_certify_lob_axiom_is_optimal_witness():

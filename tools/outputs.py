@@ -6,7 +6,7 @@
 
 Each command runs as `python -m modalmin.cli ARGS` in its own process, with
 the modalmin package taken from --src (default: this checkout's src/) and a
-time limit per command.  A line holds the exit code (or TIMEOUT), digests of
+time limit per command; an `expand` command runs the _EXPAND script instead.  A line holds the exit code (or TIMEOUT), digests of
 stdout, stderr and the files the command wrote, and the arguments.  Before
 hashing, the certificate's wall-time, the reproduce timings and the
 temporary directory are replaced by fixed tokens, so identical behaviour
@@ -19,6 +19,8 @@ The corpus, in this order:
   - reproduce --out;
   - synth on four builtin frames, six measures, both languages, two index pairs;
   - valid of each set's axiom on every one of its witness frames;
+  - expand: one reduced expansion of each of the 12 builtin sets, both
+    languages, var bounds 0-2 (lob-4 to 1: at 2 it passes the universe cap);
   - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
@@ -60,6 +62,21 @@ SETS = {
 }
 MEASURES = ("length", "modal-depth", "var-count", "or", "and", "diamond", "box")
 GLOBAL_MEASURES = ("exists", "forall")
+
+# A digest of one reduced expansion of a builtin set's frames, named as
+# gallery.reduced_witnesses names them: its pointed models in index order,
+# then its class representatives per frame.
+_EXPAND = """
+import hashlib, sys
+from modalmin.gallery import builtin_witnesses
+from modalmin.kripke import expand_reduced
+name, language, var_bound = sys.argv[1], sys.argv[2], int(sys.argv[3])
+w = builtin_witnesses(name)
+named = [("+" + n, f) for n, f in w.named_positives()] + [("-" + n, f) for n, f in w.named_negatives()]
+red = expand_reduced(named, var_bound, language)
+text = repr([(pm.model, pm.point) for pm in red.universe.models]) + repr(sorted(red.class_reps.items()))
+print(len(red.universe), hashlib.sha256(text.encode()).hexdigest()[:12])
+"""
 
 TIMEOUT_S = 60  # a command still running after this is reported as TIMEOUT
 JOBS = 2
@@ -120,6 +137,10 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
             path = tmp / f"frame-{name}-{frame_name}.txt"
             path.write_text(format_frame(frame_name, frame))
             commands.append((["valid", "--frame", str(path), "--formula", formula], []))
+    for name in [*SETS, "lob-3", "lob-4"]:
+        for language in ("basic", "global"):
+            for var_bound in range(2 if name == "lob-4" else 3):
+                commands.append((["expand", name, language, str(var_bound)], []))
     for seed in range(FUZZ_SEEDS):
         directory = tmp / f"fuzz-{seed}"
         directory.mkdir()
@@ -138,9 +159,10 @@ def _run(command: tuple[list[str], list[str]], src: Path, tmp: Path) -> str:
     args, written = command
     env = dict(os.environ, PYTHONPATH=str(src))
     shown = " ".join(map(repr, args)).replace(str(tmp), "$TMP")
+    program = ["-c", _EXPAND, *args[1:]] if args[0] == "expand" else ["-m", "modalmin.cli", *args]
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "modalmin.cli", *args],
+            [sys.executable, *program],
             capture_output=True, text=True, env=env, timeout=TIMEOUT_S, cwd=tmp,
         )
     except subprocess.TimeoutExpired:
