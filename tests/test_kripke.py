@@ -290,14 +290,23 @@ def test_universe_structure_matches_frames():
     assert len(full_groups) == 4
 
 
-def test_build_universe_rejects_seeds_that_are_not_whole_models():
+def test_universe_point_closed_flag():
+    """A point-closed seed list (whole models) builds; a lone state does not."""
     model = Model(CHAIN, {1: 0b01})
     other = Model(LOOP, {})
     pointed = [PointedModel(model, s) for s in range(2)]
     whole = build_universe(pointed + [PointedModel(other, 0), (LOOP, 1)])
     assert [pm.point for pm in whole.models] == [0, 1, 0, 0, 0]
+    with pytest.raises(ValueError, match="whole models"):
+        build_universe(pointed[:1])  # the model lacks its state 1
+
+
+def test_permuted_or_split_universe_is_not_point_closed():
+    """Seeds that hold every state but not as whole models in point order."""
+    model = Model(CHAIN, {1: 0b01})
+    other = Model(LOOP, {})
+    pointed = [PointedModel(model, s) for s in range(2)]
     cases = (
-        pointed[:1],  # the model lacks its state 1
         pointed[::-1],  # states out of point order
         [pointed[0], PointedModel(other, 0), pointed[1]],  # model split by another
         [pointed[0], PointedModel(Model(CHAIN, {}), 1)],  # two models mixed
