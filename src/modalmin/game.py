@@ -396,7 +396,10 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # over a relation do not depend on the length being built, so each (right
 # set, relation) pair computes its greedy reply and its minimal hitting
 # images once, and right sets whose moves offer the same options share one
-# list of images.
+# list of images.  A step lifts each finished child level once, into the
+# list of elements every parent replying with that child set inserts; a
+# finished level never changes, so no list goes stale, and the lists hold
+# at most one element per step and stored element.
 
 
 class _FamilySearch:
@@ -417,6 +420,9 @@ class _FamilySearch:
         self.replies: dict[tuple, tuple[int, list[int]]] = {}
         # one images list per distinct set of right move options
         self.hitting: dict[frozenset[int], list[int]] = {}
+        # (child rmask, length, node type) -> the step's elements of that
+        # length lifted from the child family's finished level below
+        self.lifted: dict[tuple, list[tuple]] = {}
         self.element_count = 0
         self.longest = 0
         self.shift = FIELD_SHIFT[kind]
@@ -481,9 +487,6 @@ class _FamilySearch:
                     self._insert(levels, (self.full & ~holds, neg, 1, ("lit", var, False)))
             return
 
-        def child_entries(crmask: int):
-            return self.compute(crmask, length - 1)[length - 1]
-
         for node, (pre_image, moves) in self.steps.items():
             replies = self.replies.get((rmask, moves))
             if replies is None:
@@ -497,14 +500,17 @@ class _FamilySearch:
             # keeps every right move target; an all_pre_image step lets an
             # image of the right move targets be chosen.  A subtree winning
             # from (M, R') admits the step's pre-image of M.
-            move = _MOVE_OF_NODE[node]
             for crmask in (greedy,) if pre_image is some_pre_image else images:
-                for child in child_entries(crmask):
-                    self._insert(
-                        levels,
+                lifted = self.lifted.get((crmask, length, node))
+                if lifted is None:
+                    move = _MOVE_OF_NODE[node]
+                    lifted = self.lifted[crmask, length, node] = [
                         (pre_image(moves, child[0]), compose(node, (child[1],)),
-                         length, (move, crmask, child)),
-                    )
+                         length, (move, crmask, child))
+                        for child in self.compute(crmask, length - 1)[length - 1]
+                    ]
+                for element in lifted:
+                    self._insert(levels, element)
 
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .formula import (
     And,
     BASIC,
-    FALSE,
     FalseConst,
     Formula,
     MeasureKind,
@@ -25,7 +24,6 @@ from .formula import (
     NegLit,
     Or,
     PosLit,
-    TRUE,
     TrueConst,
     check_language,
     check_length_cap,
@@ -99,7 +97,8 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
     # per length, the retained (formula, denotation, (packed vector, variable mask))
     by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
 
-    def admit(phi: Formula, den: int, measured: Measured):
+    def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
+        # the formula ctor(*args) is built only once the candidate is kept
         stats.formulas += 1
         if stats.formulas > max_candidates:
             raise ResourceCapError(
@@ -118,14 +117,15 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
             # vector includes Length, so shorter retained entries never are
             kept[:] = [v for v in kept if not packed_dominates(vec, v)]
             kept.append(vec)
+        phi = ctor(*args)
         by_len.setdefault(field(vec, MeasureKind.LENGTH), []).append((phi, den, measured))
         return phi, den, vec
 
-    atoms = [(FALSE, 0, compose(FalseConst)), (TRUE, full, compose(TrueConst))]
+    atoms = [(FalseConst, (), 0, compose(FalseConst)), (TrueConst, (), full, compose(TrueConst))]
     for var in range(1, var_bound + 1):
         lit = u.lit_mask(var)
-        atoms.append((PosLit(var), lit, compose(PosLit, var=var)))
-        atoms.append((NegLit(var), full & ~lit, compose(NegLit, var=var)))
+        atoms.append((PosLit, (var,), lit, compose(PosLit, var=var)))
+        atoms.append((NegLit, (var,), full & ~lit, compose(NegLit, var=var)))
 
     for length in range(1, length_cap + 1):
         if length == 1:
@@ -138,9 +138,13 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
         # past the longest retained length no later level has a candidate either
         if max(by_len) < length // 2:
             return
+        # entries sharing a denotation share its step images, in steps order
+        images: dict[int, list[int]] = {}
         for phi, den, measured in list(by_len.get(length - 1, ())):
-            for ctor, (pre_image, moves) in steps:
-                out = admit(ctor(phi), pre_image(moves, den), compose(ctor, (measured,)))
+            if den not in images:
+                images[den] = [pre_image(moves, den) for _, (pre_image, moves) in steps]
+            for (ctor, _), image in zip(steps, images[den]):
+                out = admit(ctor, (phi,), image, compose(ctor, (measured,)))
                 if out:
                     yield out
         for len1 in range(1, (length - 1) // 2 + 1):
@@ -150,10 +154,10 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
             for i1, (a, da, ma) in enumerate(ones):
                 start = i1 if len1 == len2 else 0
                 for b, db, mb in twos[start:]:
-                    out = admit(Or(a, b), da | db, compose(Or, (ma, mb)))
+                    out = admit(Or, (a, b), da | db, compose(Or, (ma, mb)))
                     if out:
                         yield out
-                    out = admit(And(a, b), da & db, compose(And, (ma, mb)))
+                    out = admit(And, (a, b), da & db, compose(And, (ma, mb)))
                     if out:
                         yield out
 

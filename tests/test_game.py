@@ -11,12 +11,14 @@ from modalmin.formula import (
     BASIC,
     GLOBAL,
     MeasureKind,
+    compose,
     field,
     measure,
     parse,
     print_formula,
 )
 from modalmin.game import (
+    _MOVE_OF_NODE,
     POSITION_CAP,
     GamePosition,
     GameTree,
@@ -52,11 +54,14 @@ from modalmin.kripke import (
     PointedModel,
     ResourceCapError,
     Universe,
+    all_pre_image,
     bisimilar,
     build_universe,
     den_states,
     eval_formula,
     frame_valid,
+    modal_steps,
+    some_pre_image,
 )
 from modalmin.synth import certify_bound, min_separating, min_separating_frames
 
@@ -335,10 +340,8 @@ def _enumerated_value(u, left, right, kind, budget, var_bound, language):
     return found[1].get(kind)
 
 
-def test_every_stored_element_walks_to_its_own_tree(rng):
-    # the search answers only from winning elements; this walks every
-    # element the families keep, winning or not
-    walked = 0
+def _random_searches(rng):
+    """Family searches grown to length 5 on random one-frame universes."""
     for _ in range(30):
         count = rng.randint(1, 3)
         edges = [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45]
@@ -349,14 +352,49 @@ def test_every_stored_element_walks_to_its_own_tree(rng):
             for language in (BASIC, GLOBAL):
                 search = _FamilySearch(u, kind, 5, language, POSITION_CAP)
                 search.compute(rmask, 5)
-                for r, levels in search.cells.items():
-                    for e in itertools.chain.from_iterable(levels):
-                        tree = search.build(e, e[0], r)
-                        assert verify_closed_tree(tree, language), (e[3][0], kind, language)
-                        assert node_count(tree) == e[2]
-                        assert measure(psi_of_tree(tree), kind) == field(e[1][0], kind)
-                        walked += 1
+                yield search, kind, language
+
+
+def test_every_stored_element_walks_to_its_own_tree(rng):
+    # the search answers only from winning elements; this walks every
+    # element the families keep, winning or not
+    walked = 0
+    for search, kind, language in _random_searches(rng):
+        for r, levels in search.cells.items():
+            for e in itertools.chain.from_iterable(levels):
+                tree = search.build(e, e[0], r)
+                assert verify_closed_tree(tree, language), (e[3][0], kind, language)
+                assert node_count(tree) == e[2]
+                assert measure(psi_of_tree(tree), kind) == field(e[1][0], kind)
+                walked += 1
     assert walked > 1000
+
+
+def test_lifted_levels_stay_the_lifting_of_their_child_level(rng):
+    # every parent replying with a child set inserts the step's lifted list
+    # as it stands, so the list must still lift the child's finished level
+    lifted = 0
+    for search, kind, language in _random_searches(rng):
+        for (crmask, length, node), elements in search.lifted.items():
+            pre_image, moves = search.steps[node]
+            children = search.cells[crmask][length - 1]
+            assert len(elements) == len(children), (node, kind, language)
+            for (image, measured, n, prov), child in zip(elements, children):
+                assert image == pre_image(moves, child[0])
+                assert measured == compose(node, (child[1],))
+                assert n == length
+                assert prov[:2] == (_MOVE_OF_NODE[node], crmask) and prov[2] is child
+                lifted += 1
+    assert lifted > 1000
+
+
+def test_modal_steps_are_the_kernel_functions():
+    # the game tells the steps apart by identity, so a wrapped entry would
+    # silently change its answers
+    u = build_universe([(Frame(2, [(0, 1)]), 1)])
+    for language in (BASIC, GLOBAL):
+        for node, (pre_image, _) in modal_steps(u, language).items():
+            assert pre_image is some_pre_image or pre_image is all_pre_image, node
 
 
 def test_fgm_cost_monotone_in_left_set(rng):
