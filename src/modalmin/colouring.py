@@ -21,7 +21,7 @@ from .formula import (
     NegLit,
     ExistsMod,
 )
-from .kripke import Frame, Model, PointedModel, Universe, frame_valid, mask_bits
+from .kripke import Frame, Model, PointedModel, Universe, frame_valid, index_mask, mask_bits
 
 __all__ = [
     "colour_code_width",
@@ -178,7 +178,7 @@ def standard_colour_model(n: int) -> PointedModel:
     frame = k_complete(n)
     valuation = {}
     for b in range(width):
-        valuation[b + 1] = sum(1 << w for w in range(n) if w >> b & 1)
+        valuation[b + 1] = index_mask(w for w in range(n) if w >> b & 1)
     return PointedModel(Model(frame, valuation), 0)
 
 
@@ -210,7 +210,7 @@ def noncol_game_setup(
 
     doubled = khat(n)
     models: list[Model] = []
-    left: list[int] = []
+    points: list[int] = []
     for w in range(n):
         swap = {0: w, w: 0}
         valuation = {}
@@ -220,7 +220,8 @@ def noncol_game_setup(
                 if mask >> swap.get(u, u) & 1:
                     out |= 1 << u | 1 << (n + u)
             valuation[var] = out
-        left.append(2 * n * w + swap.get(point, point))
+        points.append(swap.get(point, point))
         models.append(Model(doubled, valuation))
-    models.append(model)
-    return Universe(models), tuple(left), (2 * n * n + point,)
+    universe = Universe(models + [model])
+    left = tuple(off + p for (off, _), p in zip(universe.placed, points))
+    return universe, left, (universe.placed[n][0] + point,)

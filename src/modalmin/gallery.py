@@ -21,6 +21,7 @@ from .kripke import (
     expand_reduced,
     format_frame,
     frames_of_rows,
+    index_mask,
     mask_bits,
     text_rows,
 )
@@ -201,10 +202,7 @@ def reduced_witnesses(
     named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
     named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
     red = expand_reduced(named, var_bound, language)
-    positive = 0
-    for nm, _ in w.named_positives():
-        for i in red.class_reps[f"+{nm}"]:
-            positive |= 1 << i
+    positive = index_mask(i for nm, _ in w.named_positives() for i in red.class_reps[f"+{nm}"])
     negatives = [(nm, red.class_reps[f"-{nm}"]) for nm, _ in w.named_negatives()]
     return red.universe, positive, negatives
 

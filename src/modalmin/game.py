@@ -40,12 +40,12 @@ from .formula import (
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
-    MODAL_STEPS,
     PointedModel,
     ResourceCapError,
     Universe,
     bisimilar,
     forward_image,
+    index_mask,
     mask_bits,
     modal_steps,
     some_pre_image,
@@ -257,8 +257,7 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             # left index, the reply keeps every right target; an
             # all_pre_image step swaps the two sides.
             child = node.children[0].position
-            pre_image, relation = MODAL_STEPS[_NODE_OF_MOVE[node.move]]
-            moves = (u.succ, u.same)[relation]
+            pre_image, moves = modal_steps(u, GLOBAL)[_NODE_OF_MOVE[node.move]]
             sides = (("left", left, child.left), ("right", right, child.right))
             if pre_image is not some_pre_image:
                 sides = sides[::-1]
@@ -266,7 +265,7 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             options = [tuple(mask_bits(moves.row(i))) for i in sorted(chosen)]
             if any(not o for o in options):
                 out.append(f"{path}: {node.move} move with a successor-less {chooser} index")
-            if _as_mask(reply) != forward_image(moves, _as_mask(replied)):
+            if index_mask(reply) != forward_image(moves, index_mask(replied)):
                 out.append(f"{path}: child {replier} set is not the greedy reply")
             if not _is_exact_image(options, image):
                 out.append(f"{path}: child {chooser} set is not an exact choice image")
@@ -329,11 +328,6 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
                     break
         out[node] = len(pairs)
     return out
-
-
-def _as_mask(indices) -> int:
-    # an index may repeat, as when two negative frames share a class
-    return sum(1 << i for i in set(indices))
 
 
 def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
@@ -655,8 +649,8 @@ def min_cost_fgm(
                 return None
 
     search = _FamilySearch(u, kind, budget, language, position_cap)
-    lmask = _as_mask(pos.left)
-    rmask = _as_mask(pos.right)
+    lmask = index_mask(pos.left)
+    rmask = index_mask(pos.right)
     found = _cheapest_cover(search, lmask, [rmask], eff_cap)
     best = None if found is None else found[1]
     if lmask == 0 and eff_cap >= 1:
@@ -711,7 +705,7 @@ def fgf_min_cost(
     # than element_cap would pass the cap in the first sweep anyway.
     combos: dict[int, tuple[int, ...]] = {}
     for combo in itertools.product(*(free for _, free in candidates)):
-        combos.setdefault(_as_mask(combo), combo)
+        combos.setdefault(index_mask(combo), combo)
         if len(combos) > element_cap:
             raise ResourceCapError(f"frame game search exceeded {element_cap} elements")
     rmasks = list(combos)

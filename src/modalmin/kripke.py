@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
@@ -50,10 +51,18 @@ def mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def index_mask(indices: Iterable[int]) -> int:
+    """The mask with the bits at indices set, mask_bits' inverse; an index may repeat."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
 class Frame:
     """A finite directed graph: state_count states, successor bit masks."""
 
-    __slots__ = ("state_count", "succ_masks", "_hash", "_moves")
+    __slots__ = ("state_count", "succ_masks", "_hash")
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int]] = ()):
         if state_count < 1:
@@ -66,14 +75,6 @@ class Frame:
         self.state_count = state_count
         self.succ_masks = tuple(masks)
         self._hash = hash((state_count, self.succ_masks))
-        self._moves = None
-
-    def moves(self) -> tuple[Moves, Moves]:
-        """The successor and the same-model relation of one model over the frame."""
-        if self._moves is None:
-            one = [(0, self, 1)]
-            self._moves = (Moves(one), Moves(one, everywhere=True))
-        return self._moves
 
     def successors_of(self, s: int) -> tuple[int, ...]:
         return tuple(mask_bits(self.succ_masks[s]))
@@ -137,7 +138,7 @@ class Model:
 
     @classmethod
     def from_sets(cls, frame: Frame, sets: dict[int, Iterable[int]]) -> "Model":
-        masks = {var: sum(1 << s for s in set(states)) for var, states in sets.items()}
+        masks = {var: index_mask(states) for var, states in sets.items()}
         return cls(frame, masks)
 
     def val_mask(self, var: int) -> int:
@@ -322,7 +323,7 @@ def _den(phi: Formula, lit, full: int, moves: tuple[Moves, Moves]) -> int:
 
 def den_states(m: Model, phi: Formula) -> int:
     """Bit mask of the model states where phi holds."""
-    return _den(phi, m.val_mask, (1 << m.frame.state_count) - 1, m.frame.moves())
+    return Universe((m,)).den(phi)
 
 
 def eval_formula(m: Model, w: int, phi: Formula) -> bool:
@@ -341,23 +342,35 @@ def eval_formula(m: Model, w: int, phi: Formula) -> bool:
 
 _CHUNK_CODE_BITS = 14
 
-_atom_cache: dict[tuple[int, int, int], int] = {}
+
+def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
+    """The model whose valuation code has bit k*W+s set iff p(k+1) holds at s."""
+    w = frame.state_count
+    return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
 
 
-def _atom_pattern(w: int, chunk_codes: int, j: int) -> int:
-    """Bits c*W+s with bit j of c set, for the code-local part (2^(j+1) <= chunk)."""
-    key = (w, chunk_codes, j)
-    got = _atom_cache.get(key)
-    if got is not None:
-        return got
-    half = 1 << j
-    unit = _geometric(w, half) << (half * w)
-    span = 1 << (j + 1)
-    while span < chunk_codes:
-        unit |= unit << (span * w)
-        span *= 2
-    _atom_cache[key] = unit
-    return unit
+def _coded_masks(w: int, var_bound: int, block: int) -> Iterator[list[int]]:
+    """Per aligned block of valuation codes, in code order, each slot's mask over its models.
+
+    A block is `block` consecutive codes from a multiple of block, a power of
+    two no larger than 2^(W*var_bound), laid out as a run of _coded_model's
+    models: bit i*W+s of slot k's mask is set iff p(k+1) holds at state s of
+    the block's model i.
+    """
+    masks = [0] * var_bound
+    rep = 1
+    # doubling: after round j the masks hold the block's first 2^(j+1)
+    # codes, and rep has bit i*W set for each of them
+    for j in range(block.bit_length() - 1):
+        shift = (1 << j) * w
+        masks = [mask | mask << shift for mask in masks]
+        k, s = divmod(j, w)
+        masks[k] |= rep << (shift + s)
+        rep |= rep << shift
+    state = (1 << w) - 1
+    for c0 in range(0, 1 << (w * var_bound), block):
+        # a code bit above the block's own ones is constant across the block
+        yield [mask | rep * (c0 >> (k * w) & state) for k, mask in enumerate(masks)]
 
 
 def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -> bool:
@@ -369,26 +382,12 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
         raise ResourceCapError(
             f"validity space needs {w * v} bits, cap is {cap_bits}"
         )
-    total_codes = 1 << (w * v)
-    chunk_codes = min(total_codes, 1 << _CHUNK_CODE_BITS)
+    chunk_codes = 1 << min(w * v, _CHUNK_CODE_BITS)
     full = (1 << (chunk_codes * w)) - 1
-    state0 = _geometric(w, chunk_codes)
     run = [(0, frame, chunk_codes)]
     moves = (Moves(run), Moves(run, everywhere=True))
-
-    def atom_mask(slot: int, c0: int) -> int:
-        out = 0
-        for s in range(w):
-            j = slot * w + s
-            if (1 << (j + 1)) <= chunk_codes:
-                out |= _atom_pattern(w, chunk_codes, j) << s
-            elif c0 >> j & 1:
-                # bit j of the code is constant across an aligned chunk
-                out |= state0 << s
-        return out
-
-    for c0 in range(0, total_codes, chunk_codes):
-        atoms = {var: atom_mask(slot, c0) for slot, var in enumerate(var_order)}
+    for masks in _coded_masks(w, v, chunk_codes):
+        atoms = dict(zip(var_order, masks))
         if _den(phi, atoms.__getitem__, full, moves) != full:
             return False
     return True
@@ -396,12 +395,16 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
 
 # --- bisimulation -----------------------------------------------------------
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
-def _refine(colours: list[int], runs: Sequence[tuple[int, Frame, int]], language: str) -> list[int]:
-    """The coarsest bisimulation colouring of the language that refines the given one.
+
+def _refine(atoms: Sequence[int], runs: Sequence[tuple[int, Frame, int]], language: str) -> list[int]:
+    """The coarsest bisimulation colouring of the language that refines the atom colours.
 
     Colours form one flat table over the runs of Moves, (offset, frame, model
-    count) triples.  Each round recolours every state by its colour and its
+    count) triples, which lie end to end from index 0.  Bit i of atoms[j] says
+    that variable j holds at index i, and bit j of an index's first colour
+    repeats it.  Each round recolours every state by its colour and its
     successors' colour set, column by column: state s's colours across a run
     of width W are colours[off+s:end:W], and zipping its successors' columns
     gives one set per model; a state without successors has no columns to
@@ -411,7 +414,12 @@ def _refine(colours: list[int], runs: Sequence[tuple[int, Frame, int]], language
     final colour iff they are bisimilar by a bisimulation total on both their
     models.  Colour ids are only compared for equality.
     """
-    colours = list(colours)
+    size = sum(count * frame.state_count for _, frame, count in runs)
+    colours = [0] * size
+    for mask in reversed(atoms):
+        # mask_bits would be quadratic here: one byte 0 or 1 per index instead
+        bits = format(mask, f"0{size}b")[::-1].encode().translate(_BIT_VALUES)
+        colours = list(map(add, map(add, colours, colours), bits))
     while True:
         classes = len(set(colours))
         intern: dict[tuple, int] = {}
@@ -436,13 +444,10 @@ def _refine(colours: list[int], runs: Sequence[tuple[int, Frame, int]], language
 def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
     """Bisimilarity of two pointed models in the basic or the global language."""
     check_language(language)
-    var_order = sorted(
-        set(a.model.valuation) | set(b.model.valuation)
-    )
     width = a.model.frame.state_count
     colours = _refine(
-        [m.atom_code(s, var_order) for m in (a.model, b.model)
-         for s in range(m.frame.state_count)],
+        [a.model.val_mask(var) | b.model.val_mask(var) << width
+         for var in {*a.model.valuation, *b.model.valuation}],
         [(0, a.model.frame, 1), (width, b.model.frame, 1)],
         language,
     )
@@ -493,7 +498,7 @@ class Universe:
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        return sum(den_states(model, phi) << off for off, model in self.placed)
+        return _den(phi, self.lit_mask, (1 << len(self)) - 1, (self.succ, self.same))
 
 
 def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
@@ -504,20 +509,6 @@ def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
         for node, (pre_image, relation) in MODAL_STEPS.items()
         if in_language(node, language)
     }
-
-
-def _coded_model(frame: Frame, var_bound: int, code: int) -> Model:
-    """The model whose valuation code has bit k*W+s set iff p(k+1) holds at s."""
-    w = frame.state_count
-    return Model(frame, {k + 1: code >> (k * w) & ((1 << w) - 1) for k in range(var_bound)})
-
-
-def _coded_colours(w: int, var_bound: int) -> list[int]:
-    """At k*w+s, the atom colour of state s of _coded_model's model k: bit j iff p(j+1) holds."""
-    return [
-        sum((k >> (j * w + s) & 1) << j for j in range(var_bound))
-        for k in range(1 << w * var_bound) for s in range(w)
-    ]
 
 
 def _coded_count(frame: Frame, var_bound: int, used: int, cap: int) -> int:
@@ -632,12 +623,16 @@ def expand_reduced(
     # one run per frame, one model per valuation code: model k of a run has
     # code k and holds state s at off + k*W + s
     runs: list[tuple[int, Frame, int]] = []
-    colours: list[int] = []
+    # per run, each variable slot's mask moved to the run's offset
+    shifted: list[list[int]] = []
+    size = 0
     for _, frame in named_frames:
-        count = _coded_count(frame, var_bound, len(colours), UNIVERSE_CAP)
-        runs.append((len(colours), frame, count))
-        colours += _coded_colours(frame.state_count, var_bound)
-    colours = _refine(colours, runs, language)
+        count = _coded_count(frame, var_bound, size, UNIVERSE_CAP)
+        runs.append((size, frame, count))
+        masks = next(_coded_masks(frame.state_count, var_bound, count))
+        shifted.append([mask << size for mask in masks])
+        size += count * frame.state_count
+    colours = _refine([sum(slot) for slot in zip(*shifted)], runs, language)
 
     # the cover picks whole models: (frame, valuation code, first index) each
     models = [

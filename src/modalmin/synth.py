@@ -35,7 +35,7 @@ from .formula import (
     unpack,
 )
 from .gallery import WitnessSet, reduced_witnesses
-from .kripke import ResourceCapError, Universe, frame_valid, modal_steps
+from .kripke import ResourceCapError, Universe, frame_valid, index_mask, modal_steps
 
 __all__ = [
     "ENUM_CAP",
@@ -200,8 +200,8 @@ def min_separating(
         raise ValueError("left and right index sets must be disjoint")
     check_measure(kind, language)
     check_length_cap(length_cap)
-    lmask = sum(1 << i for i in left)
-    rmask = sum(1 << i for i in right)
+    lmask = index_mask(left)
+    rmask = index_mask(right)
     return _cheapest(
         _enumerate(u, var_bound, length_cap, language),
         kind,
@@ -219,7 +219,7 @@ def _frame_separation(w: WitnessSet, var_bound: int, language: str):
     refuted somewhere on every negative one.
     """
     u, positive, negatives = reduced_witnesses(w, var_bound, language)
-    neg_masks = [sum(1 << i for i in reps) for _, reps in negatives]
+    neg_masks = [index_mask(reps) for _, reps in negatives]
 
     def separates(den: int) -> bool:
         return positive & ~den == 0 and all(m & ~den for m in neg_masks)

@@ -186,6 +186,25 @@ def test_frame_valid_resource_cap():
     assert frame_valid(wide, parse("(p1 | ~p1)"), cap_bits=13)
 
 
+def test_coded_masks_transpose_coded_models():
+    # every block size 2^b, so every aligned block frame_valid reads under
+    # any chunk size; v = 0 gives one code and no slots
+    rng = random.Random(7)
+    for w in (1, 2, 3, 4, 4):
+        frame = Frame(w, [(s, t) for s in range(w) for t in range(w) if rng.random() < 0.4])
+        for v in range(4):
+            models = [kripke._coded_model(frame, v, code) for code in range(1 << w * v)]
+            for b in range(w * v + 1):
+                block = 1 << b
+                blocks = list(kripke._coded_masks(w, v, block))
+                assert len(blocks) == len(models) // block
+                for n, masks in enumerate(blocks):
+                    run = models[n * block:(n + 1) * block]
+                    assert masks == [
+                        sum(m.val_mask(k + 1) << i * w for i, m in enumerate(run)) for k in range(v)
+                    ], (w, v, block, n)
+
+
 def test_frame_valid_reads_every_chunk_of_valuations():
     # 8 states and 2 variables give 2^16 valuation codes, split into chunks;
     # p2 at state 7 is code bit 15, constant within a chunk
@@ -325,6 +344,22 @@ def test_universe_den_is_per_model_truth():
     assert u.den(parse("<> p1")) == 0b0011
     assert u.den(parse("~p1")) == 0b1001
     assert u.lit_mask(1) == 0b0110
+    # seeded universes of several runs over different frames, one model at
+    # two positions, sometimes next to itself
+    for seed in range(20):
+        rng = random.Random(seed)
+        frames = [rand_frame(rng, 3) for _ in range(3)]
+        models = [
+            Model(frame, {var: rng.getrandbits(frame.state_count) for var in (1, 2)})
+            for frame in rng.choices(frames, k=4)
+        ]
+        models.insert(rng.randint(0, 4), models[0])
+        u = Universe(models)
+        for _ in range(10):
+            phi = rand_formula(rng, 2, rng.randint(1, 8), GLOBAL)
+            den = u.den(phi)
+            for i, pm in enumerate(u.models):
+                assert bool(den >> i & 1) == naive_eval(pm.model, pm.point, phi), (seed, i, phi)
 
 
 def test_reduced_expansion_read_off_matches_validity():

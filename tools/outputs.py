@@ -19,6 +19,8 @@ The corpus, in this order:
   - reproduce --out;
   - synth on four builtin frames, six measures, both languages, two index pairs;
   - valid of each set's axiom on every one of its witness frames;
+  - valid and noncol over 16 valuation-code bits, more than one of
+    frame_valid's chunks holds;
   - expand: one reduced expansion of each of the 12 builtin sets, both
     languages, var bounds 0-2 (lob-4 to 1: at 2 it passes the universe cap);
   - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1.
@@ -137,6 +139,14 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
             path = tmp / f"frame-{name}-{frame_name}.txt"
             path.write_text(format_frame(frame_name, frame))
             commands.append((["valid", "--frame", str(path), "--formula", formula], []))
+    for frame, formula in (
+        ("builtin:khat8", "([] p1 | <> ~p1)"),
+        ("builtin:khat8", "(~p1 | <> ~p1)"),
+        ("builtin:k8", "(E (p1 & p2) | A (~p1 | ~p2))"),
+        ("builtin:k8", "((~p1 | ~p2) | <> ~p2)"),
+    ):
+        commands.append((["valid", "--frame", frame, "--formula", formula], []))
+    commands.append((["noncol", "--frame", "builtin:khat4", "--n", "3"], []))
     for name in [*SETS, "lob-3", "lob-4"]:
         for language in ("basic", "global"):
             for var_bound in range(2 if name == "lob-4" else 3):
