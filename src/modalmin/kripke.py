@@ -398,21 +398,57 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _rank_order(frame: Frame) -> tuple[list[int], list[int]]:
+    """The frame's well-founded states, successors first, and the states that reach a cycle.
+
+    Kahn's algorithm on the reversed relation: a state joins the order once
+    all its successors have, so a state on or above a cycle never does.
+    """
+    w = frame.state_count
+    preds: list[list[int]] = [[] for _ in range(w)]
+    waiting = [0] * w
+    for u, v in frame.edges():
+        preds[v].append(u)
+        waiting[u] += 1
+    order = [s for s in range(w) if not waiting[s]]
+    for t in order:  # the order grows while it is walked
+        for u in preds[t]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                order.append(u)
+    return order, [s for s in range(w) if waiting[s]]
+
+
+def _colour_sets(columns: list[list[int]]) -> Iterator[frozenset]:
+    """Per model, the colours the columns hold there; empty sets when there is no column."""
+    return map(frozenset, zip(*columns)) if columns else itertools.repeat(frozenset())
+
+
 def _refine(atoms: Sequence[int], runs: Sequence[tuple[int, Frame, int]], language: str) -> list[int]:
     """The coarsest bisimulation colouring of the language that refines the atom colours.
 
     Colours form one flat table over the runs of Moves, (offset, frame, model
     count) triples, which lie end to end from index 0.  Bit i of atoms[j] says
-    that variable j holds at index i, and bit j of an index's first colour
-    repeats it.  Each round recolours every state by its colour and its
-    successors' colour set, column by column: state s's colours across a run
-    of width W are colours[off+s:end:W], and zipping its successors' columns
-    gives one set per model; a state without successors has no columns to
-    zip, so its sets are repeat(frozenset()).  In the global language the
-    signature also carries the colour set its model realizes (the zip of all
-    the run's columns), since E/A read whole models; two states then share a
-    final colour iff they are bisimilar by a bisimulation total on both their
-    models.  Colour ids are only compared for equality.
+    that variable j holds at index i, and bit j of an index's atom code
+    repeats it.  State s's colours across a run of width W are the column
+    colours[off+s:end:W], and zipping its successors' columns gives one
+    successor colour set per model.
+
+    Refinement goes in rank order (Dovier, Piazza and Policriti, TCS 311,
+    2004).  A well-founded state, one from which no cycle can be reached,
+    has a class fixed by its atom code and its successors' final classes,
+    so each of its columns is coloured once, successors first.  The other
+    states reach a cycle, so they have an infinite path and are bisimilar to
+    no well-founded state; they start from one colour per atom code and
+    refine together, across all runs, round by round with their
+    well-founded successors' colours fixed, until a round splits no class.
+    Every id comes from one counter, so the two kinds never share one.
+
+    In the global language a last pass pairs each basic colour with the set
+    of basic colours its model realizes: two finite models have a
+    bisimulation total on both iff they realize the same basic classes, so
+    two states then share a colour iff a bisimulation total on both their
+    models relates them.  Colour ids are only compared for equality.
     """
     size = sum(count * frame.state_count for _, frame, count in runs)
     colours = [0] * size
@@ -420,25 +456,47 @@ def _refine(atoms: Sequence[int], runs: Sequence[tuple[int, Frame, int]], langua
         # mask_bits would be quadratic here: one byte 0 or 1 per index instead
         bits = format(mask, f"0{size}b")[::-1].encode().translate(_BIT_VALUES)
         colours = list(map(add, map(add, colours, colours), bits))
-    while True:
-        classes = len(set(colours))
+    ids = itertools.count()
+    settled: dict[tuple, int] = {}
+    fresh: dict[int, int] = {}
+    # (off, end, frame, states that reach a cycle) per run that has some
+    looping: list[tuple[int, int, Frame, list[int]]] = []
+    for off, frame, count in runs:
+        w = frame.state_count
+        end = off + count * w
+        order, cyclic = _rank_order(frame)
+        for s in order:
+            succs = _colour_sets([colours[off + t:end:w] for t in frame.successors_of(s)])
+            colours[off + s:end:w] = map(settled.setdefault, zip(colours[off + s:end:w], succs), ids)
+        for s in cyclic:
+            colours[off + s:end:w] = map(fresh.setdefault, colours[off + s:end:w], ids)
+        if cyclic:
+            looping.append((off, end, frame, cyclic))
+    classes = len(fresh)
+    while looping:
         intern: dict[tuple, int] = {}
-        ids = itertools.count()
+        for off, end, frame, cyclic in looping:
+            w = frame.state_count
+            columns = [colours[off + s:end:w] for s in range(w)]
+            for s in cyclic:
+                succs = _colour_sets([columns[t] for t in frame.successors_of(s)])
+                colours[off + s:end:w] = map(intern.setdefault, zip(columns[s], succs), ids)
+        # only these states can still split, and each signature holds the
+        # state's own colour, so an unchanged count means a stable partition
+        if len(intern) == classes:
+            break
+        classes = len(intern)
+
+    if language == GLOBAL:
+        intern = {}
         for off, frame, count in runs:
             w = frame.state_count
             end = off + count * w
             columns = [colours[off + s:end:w] for s in range(w)]
-            realized = (
-                list(map(frozenset, zip(*columns))) if language == GLOBAL else itertools.repeat(None)
-            )
+            realized = list(_colour_sets(columns))
             for s in range(w):
-                targets = [columns[t] for t in frame.successors_of(s)]
-                succs = map(frozenset, zip(*targets)) if targets else itertools.repeat(frozenset())
-                sigs = zip(columns[s], succs, realized)
-                colours[off + s:end:w] = map(intern.setdefault, sigs, ids)
-        # splitting is monotone, so an unchanged class count means stability
-        if len(intern) == classes:
-            return colours
+                colours[off + s:end:w] = map(intern.setdefault, zip(columns[s], realized), ids)
+    return colours
 
 
 def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:

@@ -266,6 +266,57 @@ def test_bisimilar_matches_fixpoint_oracle(seed):
         assert bisimilar(a, b, language=language) == naive_bisimilar(a, b, language)
 
 
+# the path 0 -> 1 leads into the 2-cycle 1 <-> 2, the dead end 5 lies below
+# it and below the self-loop 3, and 4 -> 5 is a path that reaches no cycle
+MIXED = Frame(6, [(0, 1), (1, 2), (2, 1), (2, 5), (3, 3), (3, 5), (4, 5)])
+
+
+def _refine_layout(rng, frames, var_bound):
+    """(atoms, runs, pointed models) of a layout of 1-3 models per frame."""
+    runs, pointed, atoms, size = [], [], [0] * var_bound, 0
+    for frame in frames:
+        count = rng.randint(1, 3)
+        runs.append((size, frame, count))
+        for _ in range(count):
+            # few valuations, so equal models recur across and inside runs
+            every = (1 << frame.state_count) - 1
+            p1 = rng.choice((0, 1, 0b110 & every, every))
+            model = Model(frame, {1: p1} if var_bound else {})
+            atoms = [mask | p1 << size for mask in atoms]
+            pointed += [PointedModel(model, s) for s in range(frame.state_count)]
+            size += frame.state_count
+    return atoms, runs, pointed
+
+
+def test_refine_matches_naive_bisimilarity_across_runs():
+    # the dead end below the second loop takes id 0, also the loops' atom code
+    layouts = [_refine_layout(random.Random(0), [Frame(3, [(0, 0), (1, 1), (1, 2)])], 0)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        frames = [MIXED, *(rand_frame(rng, 4, rng.choice((0.2, 0.4))) for _ in range(rng.randint(1, 2)))]
+        rng.shuffle(frames)
+        layouts.append(_refine_layout(rng, frames, rng.choice((0, 1))))
+    bisimilar_pairs = 0
+    for n, (atoms, runs, pointed) in enumerate(layouts):
+        for language in (BASIC, GLOBAL):
+            colours = kripke._refine(atoms, runs, language)
+            for i, a in enumerate(pointed):
+                for j in range(i + 1, len(pointed)):
+                    same = naive_bisimilar(a, pointed[j], language)
+                    assert (colours[i] == colours[j]) == same, (n, language, i, j)
+                    bisimilar_pairs += same
+    assert bisimilar_pairs > 0
+
+
+def test_bisimilar_on_long_paths():
+    path = Frame(2000, [(s, s + 1) for s in range(1999)])
+    first = PointedModel(Model(path, {1: 1}), 0)
+    last = PointedModel(Model(path, {1: 1 << 1999}), 0)
+    for language in (BASIC, GLOBAL):
+        assert bisimilar(first, first, language)
+        assert not bisimilar(first, last, language)
+
+
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 6))
 def test_bisimilar_points_agree_on_formulas(seed, length):
     rng = random.Random(seed)

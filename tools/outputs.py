@@ -23,6 +23,9 @@ The corpus, in this order:
     frame_valid's chunks holds;
   - expand: one reduced expansion of each of the 12 builtin sets, both
     languages, var bounds 0-2 (lob-4 to 1: at 2 it passes the universe cap);
+  - bisim, both languages: every pair of small pointed models whose frames
+    hold a lasso, a self-loop and a dead end, and two pairs of 800-state
+    paths;
   - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -45,7 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from modalmin.formula import print_formula  # noqa: E402
 from modalmin.gallery import axiom, builtin_witnesses  # noqa: E402
-from modalmin.kripke import format_frame  # noqa: E402
+from modalmin.kripke import Frame, format_frame  # noqa: E402
 from tests.test_fuzz import _case  # noqa: E402
 
 # the sets the game and certify families run, with their length minima
@@ -79,6 +83,21 @@ red = expand_reduced(named, var_bound, language)
 text = repr([(pm.model, pm.point) for pm in red.universe.models]) + repr(sorted(red.class_reps.items()))
 print(len(red.universe), hashlib.sha256(text.encode()).hexdigest()[:12])
 """
+
+# the bisim family's models: (frame, states where p1 holds, point)
+_LASSO = Frame(6, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (5, 5), (5, 4)])
+_PATH = Frame(800, [(s, s + 1) for s in range(799)])
+BISIM_MODELS = {
+    "lasso-0": (_LASSO, (1, 4), 0),
+    "lasso-1": (_LASSO, (1, 4), 1),
+    "lasso-4": (_LASSO, (1, 4), 4),
+    "lasso-bare-5": (_LASSO, (), 5),
+    "loop": (Frame(1, [(0, 0)]), (), 0),
+    "dead-end": (Frame(1), (0,), 0),
+    "two-cycle": (Frame(2, [(0, 1), (1, 0)]), (), 0),
+    "loop-over-dead-end": (Frame(2, [(0, 0), (0, 1)]), (), 0),
+}
+PATH_MODELS = {"path-p-first": (_PATH, (0,), 0), "path-p-last": (_PATH, (799,), 0)}
 
 TIMEOUT_S = 60  # a command still running after this is reported as TIMEOUT
 JOBS = 2
@@ -151,6 +170,20 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
         for language in ("basic", "global"):
             for var_bound in range(2 if name == "lob-4" else 3):
                 commands.append((["expand", name, language, str(var_bound)], []))
+    paths = {}
+    for name, (frame, p1, point) in {**BISIM_MODELS, **PATH_MODELS}.items():
+        paths[name] = tmp / f"model-{name}.txt"
+        val = [f"val p1 {' '.join(map(str, p1))}"] if p1 else []
+        paths[name].write_text(format_frame(name, frame) + "\n".join([*val, f"point {point}"]) + "\n")
+    pairs = [
+        *itertools.combinations_with_replacement(BISIM_MODELS, 2),
+        ("path-p-first", "path-p-first"),
+        ("path-p-first", "path-p-last"),
+    ]
+    for left, right in pairs:
+        for language in ("basic", "global"):
+            args = ["bisim", "--left", str(paths[left]), "--right", str(paths[right]), "--language", language]
+            commands.append((args, []))
     for seed in range(FUZZ_SEEDS):
         directory = tmp / f"fuzz-{seed}"
         directory.mkdir()
