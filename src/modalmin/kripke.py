@@ -8,9 +8,11 @@ arithmetic over machine integers.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
-from operator import add
+from bisect import bisect_right
+from collections import abc
+from operator import add, lshift, or_
 from typing import Iterable, Iterator, Sequence
 
 from .formula import (
@@ -448,7 +450,11 @@ def _refine(atoms: Sequence[int], runs: Sequence[tuple[int, Frame, int]], langua
     of basic colours its model realizes: two finite models have a
     bisimulation total on both iff they realize the same basic classes, so
     two states then share a colour iff a bisimulation total on both their
-    models relates them.  Colour ids are only compared for equality.
+    models relates them.
+
+    Colour ids are sparse, since every index uses up one counter value, and
+    are only compared for equality; a caller that uses them as bit
+    positions must renumber them densely first.
     """
     size = sum(count * frame.state_count for _, frame, count in runs)
     colours = [0] * size
@@ -515,6 +521,33 @@ def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
 # --- universes --------------------------------------------------------------
 
 
+class _PointedModels(abc.Sequence):
+    """The pointed model at every index of a universe, built when it is read."""
+
+    __slots__ = ("_placed", "_offsets", "_size")
+
+    def __init__(self, placed: Sequence[tuple[int, Model]], size: int):
+        self._placed = placed
+        self._offsets = [off for off, _ in placed]
+        self._size = size
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i: int) -> PointedModel:
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError("universe index out of range")
+        off, model = self._placed[bisect_right(self._offsets, i) - 1]
+        return PointedModel(model, i - off)
+
+    def __iter__(self) -> Iterator[PointedModel]:
+        for _, model in self._placed:
+            for s in range(model.frame.state_count):
+                yield PointedModel(model, s)
+
+
 class Universe:
     """The pointed models of whole models, indexed state by state.
 
@@ -523,7 +556,8 @@ class Universe:
     runs of the kernel's layout: succ moves an index to its point's
     successors inside its model, same to every index of its model.  Equal
     models at two positions are two models.  placed pairs each model with
-    its first index; models lists the pointed model at every index.
+    its first index; models is a read-only sequence of the pointed model at
+    every index, each built when it is read.
     """
 
     __slots__ = ("placed", "models", "succ", "same")
@@ -541,9 +575,7 @@ class Universe:
                 runs.append([size, model.frame, 1])
             size += model.frame.state_count
         self.placed = tuple(placed)
-        self.models = tuple(
-            PointedModel(model, s) for _, model in placed for s in range(model.frame.state_count)
-        )
+        self.models = _PointedModels(self.placed, size)
         self.succ = Moves(runs)
         self.same = Moves(runs, everywhere=True)
 
@@ -635,26 +667,32 @@ class ReducedExpansion:
         self.class_reps = class_reps
 
 
-def _greedy_cover(covers: Sequence[frozenset[int]]) -> list[int]:
-    """Indices of covers picked greedily until their union is covered.
+def _greedy_cover(covers: Sequence[int]) -> list[int]:
+    """Indices of covers, element bit masks, picked greedily until their union is covered.
 
     Each pick covers the most elements not yet covered, the lowest index on
-    ties.  Gains only shrink, so a heap entry whose refreshed gain is
-    unchanged still heads the heap and is exactly the pick a full rescan
-    would make (lazy greedy, Minoux 1978).
+    ties.  Gains only fall, so sweeping a gain from the largest cover size
+    down to 1 and picking, in index order, each cover whose gain equals it
+    makes exactly those picks: every cover left from the sweeps before
+    gains at most the sweep's gain, and a lower index passed in this sweep
+    gains less.  A repeated cover never gains after its first index.
     """
-    heap = [(-len(cover), i) for i, cover in enumerate(covers) if cover]
-    heapq.heapify(heap)
-    covered: set[int] = set()
+    # the first index of each distinct cover, ascending
+    live = sorted(dict(zip(reversed(covers), reversed(range(len(covers))))).values())
+    missing = functools.reduce(or_, covers, 0)
     picks: list[int] = []
-    while heap:
-        neg_gain, i = heapq.heappop(heap)
-        gain = len(covers[i] - covered)
-        if gain == -neg_gain:
-            picks.append(i)
-            covered |= covers[i]
-        elif gain:
-            heapq.heappush(heap, (-gain, i))
+    for gain in range(max(map(int.bit_count, covers), default=0), 0, -1):
+        kept = []
+        for i in live:
+            new = covers[i] & missing
+            if not new:
+                continue
+            if new.bit_count() == gain:
+                picks.append(i)
+                missing ^= new
+            else:
+                kept.append(i)
+        live = kept
     return picks
 
 
@@ -669,7 +707,9 @@ def expand_reduced(
     the universe indices representing that frame's pointed-model classes.
     The classes are those of _refine in the chosen language, so global
     classes also split points whose models realize different class sets.
-    A greedy cover keeps few models that together realize every class.
+    A greedy cover keeps few models that together realize every class: the
+    classes are renumbered densely, and each model's cover is the int mask
+    of the classes it realizes.
     Read-offs of formulas of the chosen language over the representatives
     coincide with read-offs over the full expansion.
     """
@@ -690,27 +730,38 @@ def expand_reduced(
         masks = next(_coded_masks(frame.state_count, var_bound, count))
         shifted.append([mask << size for mask in masks])
         size += count * frame.state_count
-    colours = _refine([sum(slot) for slot in zip(*shifted)], runs, language)
+    sparse = _refine([sum(slot) for slot in zip(*shifted)], runs, language)
+    # class numbers in first-seen order, dense so that they can be bit positions
+    colours = list(map(dict(zip(dict.fromkeys(sparse), itertools.count())).__getitem__, sparse))
 
-    # the cover picks whole models: (frame, valuation code, first index) each
-    models = [
-        (frame, k, off + k * frame.state_count) for off, frame, count in runs for k in range(count)
-    ]
-    covers = [frozenset(colours[start:start + frame.state_count]) for frame, _, start in models]
+    # the cover picks whole models, numbered run by run in code order; a
+    # model's cover has one bit per class it realizes
+    covers: list[int] = []
+    firsts = [0]  # the number of each run's first model
+    for off, frame, count in runs:
+        w = frame.state_count
+        end = off + count * w
+        run_covers: Iterable[int] = itertools.repeat(0, count)
+        for s in range(w):
+            run_covers = map(or_, run_covers, map(lshift, itertools.repeat(1), colours[off + s:end:w]))
+        covers.extend(run_covers)
+        firsts.append(len(covers))
 
     # materialize kept models and the class -> universe index map
     kept: list[Model] = []
-    class_index: dict[int, int] = {}
-    size = 0
+    kept_colours: list[int] = []
     for idx in sorted(_greedy_cover(covers)):
-        frame, code, start = models[idx]
-        for s in range(frame.state_count):
-            class_index.setdefault(colours[start + s], size + s)
-        size += frame.state_count
+        r = bisect_right(firsts, idx) - 1
+        off, frame, _ = runs[r]
+        code = idx - firsts[r]
+        start = off + code * frame.state_count
+        kept_colours += colours[start:start + frame.state_count]
         kept.append(_coded_model(frame, var_bound, code))
+    # the first index of each class wins
+    class_index = dict(zip(reversed(kept_colours), reversed(range(len(kept_colours)))))
 
     class_reps = {
-        name: tuple(sorted({class_index[c] for c in colours[off:off + count * frame.state_count]}))
+        name: tuple(sorted(map(class_index.__getitem__, set(colours[off:off + count * frame.state_count]))))
         for name, (off, frame, count) in zip(names, runs)
     }
     return ReducedExpansion(Universe(kept), class_reps)

@@ -1,5 +1,6 @@
 """Frames, models, evaluation, validity, bisimulation, universes."""
 
+import hashlib
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from modalmin.kripke import (
     format_frame,
     forward_image,
     frame_valid,
+    index_mask,
     mask_bits,
     parse_frames,
     parse_model,
@@ -339,13 +341,36 @@ def test_expand_frame_counts():
 def test_build_universe_keeps_explicit_seeds():
     seeds = [PointedModel(Model(CHAIN, {1: 0b01}), s) for s in range(2)]
     u = build_universe(seeds)
-    assert u.models == tuple(seeds)
+    assert tuple(u.models) == tuple(seeds)
     assert u.placed == ((0, seeds[0].model),)
 
 
 def test_build_universe_cap():
     with pytest.raises(ResourceCapError):
         build_universe([(CHAIN, 1)], cap=7)
+
+
+def test_universe_models_view_matches_eager_listing():
+    for seed in range(30):
+        rng = random.Random(seed)
+        seeds = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                model = rand_model(rng, 2, 3)
+                seeds += [PointedModel(model, s) for s in range(model.frame.state_count)]
+            else:
+                seeds.append((rand_frame(rng, 2), rng.randint(0, 2)))
+        u = build_universe(seeds)
+        eager = tuple(PointedModel(m, s) for _, m in u.placed for s in range(m.frame.state_count))
+        assert len(u.models) == len(eager) == len(u)
+        assert tuple(u.models) == eager
+        assert [u.models[i] for i in range(len(eager))] == list(eager)
+        assert u.models[-1] == eager[-1]
+        assert u.models[-len(eager)] == eager[0]
+        for outside in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                u.models[outside]
+    assert len(Universe(()).models) == 0
 
 
 def test_universe_structure_matches_frames():
@@ -464,15 +489,34 @@ def test_reduced_expansion_sizes_lob_3():
         assert len(set().union(*red.class_reps.values())) == classes
 
 
+def _greedy_matches_rescanning(covers: list[int]) -> None:
+    sets = [frozenset(mask_bits(cover)) for cover in covers]
+    assert _greedy_cover(covers) == rescanning_greedy_cover(sets), covers
+
+
 def test_greedy_cover_matches_rescanning_rule_on_random_families():
-    for seed in range(200):
+    for seed in range(600):
         rng = random.Random(seed)
         elements = rng.randint(1, 12)
+        # sizes from 0 so that some covers are empty; sets of equal size
+        # tie on their gains
         covers = [
-            frozenset(rng.sample(range(elements), rng.randint(1, elements)))
+            index_mask(rng.sample(range(elements), rng.randint(0 if seed % 3 else 1, elements)))
             for _ in range(rng.randint(0, 15))
         ]
-        assert _greedy_cover(covers) == rescanning_greedy_cover(covers)
+        if covers and seed % 2:
+            # repeat some covers, before and after their first index
+            for _ in range(rng.randint(1, 4)):
+                covers.insert(rng.randint(0, len(covers)), rng.choice(covers))
+        _greedy_matches_rescanning(covers)
+    for covers in (
+        [],
+        [0, 0],
+        [0b11, 0b11, 0b1100, 0b0110, 0b11],  # ties on gain 2, a repeat picked once
+        [0b0011, 0b1100, 0b0110, 0b1001],  # every cover ties
+        [0b0110, 0b0011, 0b1100, 0, 0b0110],  # the tie goes to the lower index
+    ):
+        _greedy_matches_rescanning(covers)
 
 
 def test_greedy_cover_matches_rescanning_rule_on_lob_3(monkeypatch):
@@ -487,7 +531,21 @@ def test_greedy_cover_matches_rescanning_rule_on_lob_3(monkeypatch):
         expand_reduced(_lob_named(3), 1, language)
     assert len(families) == 2
     for covers in families:
-        assert _greedy_cover(covers) == rescanning_greedy_cover(covers)
+        _greedy_matches_rescanning(covers)
+
+
+def test_reduced_expansion_lob_4_layout_pinned():
+    """tools/outputs.py's expand digest of lob-4 at var bound 1: every kept
+    model and index, and each frame's class representatives."""
+    for language, indices, digest, models in (
+        (BASIC, 11342, "85ad4e10633a", 1046), (GLOBAL, 11382, "399ac724d866", 1058),
+    ):
+        red = expand_reduced(_lob_named(4), 1, language)
+        text = repr([(pm.model, pm.point) for pm in red.universe.models])
+        text += repr(sorted(red.class_reps.items()))
+        assert len(red.universe) == indices
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+        assert len(red.universe.placed) == models
 
 
 # --- the mask kernel --------------------------------------------------------
