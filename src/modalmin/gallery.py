@@ -18,6 +18,7 @@ from .kripke import (
     Frame,
     Universe,
     _int_field,
+    _rank_order,
     expand_reduced,
     format_frame,
     frames_of_rows,
@@ -122,11 +123,8 @@ def _is_symmetric(frame: Frame) -> bool:
 
 def _is_cwf(frame: Frame) -> bool:
     # Converse well-founded on a finite frame means no cycle at all,
-    # including self-loops: check the diagonal of the transitive closure.
-    closure = frame.transitive_closure()
-    return all(
-        not closure.succ_masks[s] >> s & 1 for s in range(frame.state_count)
-    )
+    # including self-loops: no state reaches a cycle.
+    return not _rank_order(frame)[1]
 
 
 def check_property(frame: Frame, prop: FrameProperty) -> bool:

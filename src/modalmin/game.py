@@ -43,7 +43,6 @@ from .kripke import (
     PointedModel,
     ResourceCapError,
     Universe,
-    bisimilar,
     forward_image,
     index_mask,
     mask_bits,
@@ -401,11 +400,11 @@ class _FamilySearch:
     # the elements of length k, for k up to the last level computed, and
     # cells[rmask][0] is empty; longest is the greatest length ever inserted
 
-    def __init__(self, universe, kind, budget, language, element_cap):
+    def __init__(self, universe, kind, budget, language):
         self.u = universe
         self.kind = kind
         self.budget = budget
-        self.element_cap = element_cap
+        self.cap = POSITION_CAP
         self.cells: dict[int, list[list]] = {}
         # node type -> (pre-image, relation) for the language's modal moves
         self.steps = modal_steps(universe, language)
@@ -456,9 +455,9 @@ class _FamilySearch:
         ] + [element]
         self.longest = max(self.longest, length)
         self.element_count += 1
-        if self.element_count > self.element_cap:
+        if self.element_count > self.cap:
             raise ResourceCapError(
-                f"frame game search exceeded {self.element_cap} elements"
+                f"frame game search exceeded {self.cap} elements"
             )
 
     def compute(self, rmask: int, upto: int) -> list[list]:
@@ -633,7 +632,6 @@ def min_cost_fgm(
     budget: int,
     language: str = BASIC,
     length_cap: int | None = None,
-    position_cap: int = POSITION_CAP,
 ) -> tuple[int, GameTree] | None:
     """The cheapest closed game tree from the position, if any within budget.
 
@@ -643,12 +641,11 @@ def min_cost_fgm(
     """
     eff_cap = _length_bound(kind, budget, language, length_cap)
     u = pos.universe
-    for i in pos.left:
-        for j in pos.right:
-            if bisimilar(u.models[i], u.models[j], language):
-                return None
+    colours = u.colours(language)
+    if {colours[i] for i in pos.left} & {colours[j] for j in pos.right}:
+        return None
 
-    search = _FamilySearch(u, kind, budget, language, position_cap)
+    search = _FamilySearch(u, kind, budget, language)
     lmask = index_mask(pos.left)
     rmask = index_mask(pos.right)
     found = _cheapest_cover(search, lmask, [rmask], eff_cap)
@@ -675,7 +672,6 @@ def fgf_min_cost(
     budget: int,
     language: str = BASIC,
     length_cap: int | None = None,
-    element_cap: int = POSITION_CAP,
 ) -> tuple[int, GameTree, dict[str, PointedModel]] | None:
     """The cheapest formula separating the witness frames, as a game value.
 
@@ -702,14 +698,15 @@ def fgf_min_cost(
     # product yields the combos in ascending tuple order, so keeping each
     # right set's first combo breaks ties as the combos themselves would.
     # Every family gets its bot element at length 1, so more right sets
-    # than element_cap would pass the cap in the first sweep anyway.
+    # than POSITION_CAP would pass the cap in the first sweep anyway.
+    cap = POSITION_CAP
     combos: dict[int, tuple[int, ...]] = {}
     for combo in itertools.product(*(free for _, free in candidates)):
         combos.setdefault(index_mask(combo), combo)
-        if len(combos) > element_cap:
-            raise ResourceCapError(f"frame game search exceeded {element_cap} elements")
+        if len(combos) > cap:
+            raise ResourceCapError(f"frame game search exceeded {cap} elements")
     rmasks = list(combos)
-    search = _FamilySearch(u, kind, budget, language, element_cap)
+    search = _FamilySearch(u, kind, budget, language)
     found = _cheapest_cover(search, target, rmasks, eff_cap)
     if found is None:
         return None

@@ -508,14 +508,8 @@ def _refine(atoms: Sequence[int], runs: Sequence[tuple[int, Frame, int]], langua
 def bisimilar(a: PointedModel, b: PointedModel, language: str = BASIC) -> bool:
     """Bisimilarity of two pointed models in the basic or the global language."""
     check_language(language)
-    width = a.model.frame.state_count
-    colours = _refine(
-        [a.model.val_mask(var) | b.model.val_mask(var) << width
-         for var in {*a.model.valuation, *b.model.valuation}],
-        [(0, a.model.frame, 1), (width, b.model.frame, 1)],
-        language,
-    )
-    return colours[a.point] == colours[width + b.point]
+    colours = Universe((a.model, b.model)).colours(language)
+    return colours[a.point] == colours[a.model.frame.state_count + b.point]
 
 
 # --- universes --------------------------------------------------------------
@@ -557,10 +551,11 @@ class Universe:
     successors inside its model, same to every index of its model.  Equal
     models at two positions are two models.  placed pairs each model with
     its first index; models is a read-only sequence of the pointed model at
-    every index, each built when it is read.
+    every index, each built when it is read; runs lists the layout's runs
+    as (offset, frame, model count).
     """
 
-    __slots__ = ("placed", "models", "succ", "same")
+    __slots__ = ("placed", "models", "runs", "succ", "same")
 
     def __init__(self, models: Sequence[Model]):
         placed: list[tuple[int, Model]] = []
@@ -576,8 +571,9 @@ class Universe:
             size += model.frame.state_count
         self.placed = tuple(placed)
         self.models = _PointedModels(self.placed, size)
-        self.succ = Moves(runs)
-        self.same = Moves(runs, everywhere=True)
+        self.runs = tuple(map(tuple, runs))
+        self.succ = Moves(self.runs)
+        self.same = Moves(self.runs, everywhere=True)
 
     def __len__(self):
         return len(self.models)
@@ -590,6 +586,11 @@ class Universe:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
         return _den(phi, self.lit_mask, (1 << len(self)) - 1, (self.succ, self.same))
 
+    def colours(self, language: str) -> list[int]:
+        """_refine's colour of every index: two share one iff they are bisimilar in the language."""
+        variables = sorted({var for _, model in self.placed for var in model.valuation})
+        return _refine([self.lit_mask(var) for var in variables], self.runs, language)
+
 
 def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
     """The language's MODAL_STEPS, in order, with each relation read over u."""
@@ -601,10 +602,11 @@ def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
     }
 
 
-def _coded_count(frame: Frame, var_bound: int, used: int, cap: int) -> int:
-    """2^(W*v), the frame's valuation codes; their points and used others must fit cap."""
+def _coded_count(frame: Frame, var_bound: int, used: int) -> int:
+    """2^(W*v), the frame's valuation codes; their points and used others must fit UNIVERSE_CAP."""
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
+    cap = UNIVERSE_CAP
     bits = frame.state_count * var_bound
     # the first test keeps a huge var bound from building a huge integer
     if bits >= cap.bit_length() or used + (frame.state_count << bits) > cap:
@@ -612,16 +614,15 @@ def _coded_count(frame: Frame, var_bound: int, used: int, cap: int) -> int:
     return 1 << bits
 
 
-def build_universe(
-    seeds: Iterable[PointedModel | tuple[Frame, int]],
-    cap: int = UNIVERSE_CAP,
-) -> Universe:
+def build_universe(seeds: Iterable[PointedModel | tuple[Frame, int]]) -> Universe:
     """Builds a Universe from pointed models and/or (frame, var_bound) pairs.
 
     Pointed seeds must list whole models, each model's states in point
     order.  A (frame, v) seed expands to all valuations of p1..pv, in
-    ascending valuation codes as in _coded_model, times all points.
+    ascending valuation codes as in _coded_model, times all points.  More
+    than UNIVERSE_CAP pointed models raise ResourceCapError.
     """
+    cap = UNIVERSE_CAP
     models: list[Model] = []
     size = 0
     # the points of the model the pointed seeds are listing, 0 between models
@@ -639,7 +640,7 @@ def build_universe(
             if listed:
                 raise ValueError(partial)
             frame, var_bound = seed
-            count = _coded_count(frame, var_bound, size, cap)
+            count = _coded_count(frame, var_bound, size)
             models.extend(_coded_model(frame, var_bound, code) for code in range(count))
             size += count * frame.state_count
         if size > cap:
@@ -725,7 +726,7 @@ def expand_reduced(
     shifted: list[list[int]] = []
     size = 0
     for _, frame in named_frames:
-        count = _coded_count(frame, var_bound, size, UNIVERSE_CAP)
+        count = _coded_count(frame, var_bound, size)
         runs.append((size, frame, count))
         masks = next(_coded_masks(frame.state_count, var_bound, count))
         shifted.append([mask << size for mask in masks])

@@ -64,7 +64,6 @@ def enumerate_formulas(
     var_bound: int,
     length_cap: int,
     language: str = BASIC,
-    max_candidates: int = ENUM_CAP,
     stats: EnumerationStats | None = None,
 ):
     """Yield (formula, denotation mask, measure vector), shortest first.
@@ -74,14 +73,14 @@ def enumerate_formulas(
     retained, yielded, and made available to later levels iff no retained
     formula with the same denotation has a measure vector that is <= on
     every component; within a level, newly dominated entries are dropped.
-    Raises ResourceCapError once more than max_candidates formulas have
-    been considered, leaving partial counts in stats.
+    Raises ResourceCapError once more than ENUM_CAP formulas have been
+    considered, leaving partial counts in stats.
     """
-    for phi, den, packed in _enumerate(u, var_bound, length_cap, language, max_candidates, stats):
+    for phi, den, packed in _enumerate(u, var_bound, length_cap, language, stats):
         yield phi, den, unpack(packed)
 
 
-def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stats=None):
+def _enumerate(u, var_bound, length_cap, language, stats=None):
     """enumerate_formulas with each measure vector packed into one int."""
     check_language(language)
     if var_bound < 0:
@@ -89,6 +88,7 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
     if stats is None:
         stats = EnumerationStats()
 
+    cap = ENUM_CAP
     full = (1 << len(u)) - 1
     steps = modal_steps(u, language).items()
 
@@ -100,9 +100,9 @@ def _enumerate(u, var_bound, length_cap, language, max_candidates=ENUM_CAP, stat
     def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
         # the formula ctor(*args) is built only once the candidate is kept
         stats.formulas += 1
-        if stats.formulas > max_candidates:
+        if stats.formulas > cap:
             raise ResourceCapError(
-                f"enumeration exceeded {max_candidates} candidate formulas "
+                f"enumeration exceeded {cap} candidate formulas "
                 f"({stats.denotations} denotations reached)"
             )
         vec = measured[0]
@@ -295,7 +295,6 @@ def certify_bound(
     var_bound: int = 1,
     length_cap: int | None = None,
     language: str = BASIC,
-    max_candidates: int = ENUM_CAP,
 ) -> Certificate:
     """Check that no formula with measure below claimed_bound separates w.
 
@@ -336,9 +335,7 @@ def certify_bound(
 
     u, separates = _frame_separation(w, var_bound, language)
     try:
-        for phi, den, packed in _enumerate(
-            u, var_bound, length_cap, language, max_candidates, stats
-        ):
+        for phi, den, packed in _enumerate(u, var_bound, length_cap, language, stats):
             if field(packed, kind) >= claimed_bound:
                 continue
             if separates(den):

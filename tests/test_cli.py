@@ -1,11 +1,13 @@
 """End-to-end runs of every subcommand through the click test runner."""
 
+import importlib
 import re
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from modalmin.cli import COVERAGE, OP_INVENTORY, _CLAIMS, main
+from modalmin.cli import _CLAIMS, main
 from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
 from modalmin.kripke import UNIVERSE_CAP, VALIDITY_CAP_BITS
@@ -534,10 +536,63 @@ def test_reproduce_deterministic_modulo_timing(runner):
     assert _strip_times(one.output) == _strip_times(two.output)
 
 
+# the public operations that the reproduce claims must call between them
+PUBLIC_OPERATIONS = (
+    "formula.parse",
+    "formula.print_formula",
+    "formula.measure",
+    "formula.measure_all",
+    "formula.nnf_negate",
+    "kripke.eval_formula",
+    "kripke.frame_valid",
+    "kripke.bisimilar",
+    "kripke.build_universe",
+    "gallery.check_property",
+    "gallery.transfer_witnesses",
+    "gallery.s4_witnesses",
+    "gallery.lob_witnesses",
+    "gallery.symmetry_witnesses",
+    "gallery.axiom",
+    "colouring.phi_n",
+    "colouring.k_complete",
+    "colouring.khat",
+    "colouring.is_n_colourable",
+    "colouring.noncol_equivalence",
+    "colouring.noncol_game_setup",
+    "game.min_cost_fgm",
+    "game.fgf_min_cost",
+    "game.psi_of_tree",
+    "game.verify_closed_tree",
+    "game.check_weight",
+    "game.special_pair_weight",
+    "synth.enumerate_formulas",
+    "synth.min_separating",
+    "synth.certify_bound",
+)
+
+
 def test_reproduce_claims_cover_public_surface():
-    claim_ids = {claim_id for claim_id, _, _, _ in _CLAIMS}
-    assert set(COVERAGE) == claim_ids
-    assert set().union(*COVERAGE.values()) == OP_INVENTORY
+    names = {}
+    for name in PUBLIC_OPERATIONS:
+        module, function = name.split(".")
+        names[getattr(importlib.import_module(f"modalmin.{module}"), function).__code__] = name
+    covered = set()
+    for claim_id, _, _, fn in _CLAIMS:
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                called.add(names[frame.f_code])
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            fn(2023)
+        finally:
+            sys.setprofile(previous)
+        assert called, f"{claim_id} calls no public operation"
+        covered |= called
+    assert covered == set(PUBLIC_OPERATIONS)
 
 
 def test_reproduce_tags_are_neutral():

@@ -19,7 +19,6 @@ from modalmin.formula import (
 )
 from modalmin.game import (
     _MOVE_OF_NODE,
-    POSITION_CAP,
     GamePosition,
     GameTree,
     _FamilySearch,
@@ -350,7 +349,7 @@ def _random_searches(rng):
         rmask = sum(1 << i for i in right)
         for kind in (MeasureKind.LENGTH, MeasureKind.MODAL_DEPTH, MeasureKind.VAR_COUNT):
             for language in (BASIC, GLOBAL):
-                search = _FamilySearch(u, kind, 5, language, POSITION_CAP)
+                search = _FamilySearch(u, kind, 5, language)
                 search.compute(rmask, 5)
                 yield search, kind, language
 
@@ -412,7 +411,8 @@ def test_fgm_cost_monotone_in_left_set(rng):
             assert small[0] <= big[0]
 
 
-def test_fgm_resource_cap():
+def test_fgm_resource_cap(monkeypatch):
+    monkeypatch.setattr("modalmin.game.POSITION_CAP", 50)
     u, left, right = noncol_game_setup(3)
     with pytest.raises(ResourceCapError):
         min_cost_fgm(
@@ -420,7 +420,6 @@ def test_fgm_resource_cap():
             MeasureKind.LENGTH,
             9,
             language=GLOBAL,
-            position_cap=50,
         )
 
 
@@ -510,14 +509,15 @@ def _symmetric_witnesses(negatives, var_bound):
     return parse_witnesses("\n".join(lines) + "\n")
 
 
-def test_fgf_caps_the_opponent_choices_before_building_them():
+def test_fgf_caps_the_opponent_choices_before_building_them(monkeypatch):
     # 342,720 choices of one class per negative frame; the right sets past
     # the cap are never built
+    monkeypatch.setattr("modalmin.game.POSITION_CAP", 1000)
     w = _symmetric_witnesses([(nm, nm) for nm in ("b1", "b2", "b3")], 2)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="frame game search exceeded 1000 elements"):
-            fgf_min_cost(w, MeasureKind.LENGTH, 2, 3, element_cap=1000)
+            fgf_min_cost(w, MeasureKind.LENGTH, 2, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -300,13 +300,15 @@ def test_refine_matches_naive_bisimilarity_across_runs():
         layouts.append(_refine_layout(rng, frames, rng.choice((0, 1))))
     bisimilar_pairs = 0
     for n, (atoms, runs, pointed) in enumerate(layouts):
+        # the same models as a universe, which finds the runs itself
+        universe = Universe([pm.model for pm in pointed if pm.point == 0])
         for language in (BASIC, GLOBAL):
-            colours = kripke._refine(atoms, runs, language)
-            for i, a in enumerate(pointed):
-                for j in range(i + 1, len(pointed)):
-                    same = naive_bisimilar(a, pointed[j], language)
-                    assert (colours[i] == colours[j]) == same, (n, language, i, j)
-                    bisimilar_pairs += same
+            for colours in (kripke._refine(atoms, runs, language), universe.colours(language)):
+                for i, a in enumerate(pointed):
+                    for j in range(i + 1, len(pointed)):
+                        same = naive_bisimilar(a, pointed[j], language)
+                        assert (colours[i] == colours[j]) == same, (n, language, i, j)
+                        bisimilar_pairs += same
     assert bisimilar_pairs > 0
 
 
@@ -345,9 +347,10 @@ def test_build_universe_keeps_explicit_seeds():
     assert u.placed == ((0, seeds[0].model),)
 
 
-def test_build_universe_cap():
+def test_build_universe_cap(monkeypatch):
+    monkeypatch.setattr(kripke, "UNIVERSE_CAP", 7)
     with pytest.raises(ResourceCapError):
-        build_universe([(CHAIN, 1)], cap=7)
+        build_universe([(CHAIN, 1)])
 
 
 def test_universe_models_view_matches_eager_listing():

@@ -119,15 +119,16 @@ def test_enumeration_stops_once_no_level_can_hold_a_candidate():
             assert runs[0] == runs[1]
 
 
-def test_enumeration_stats_and_cap():
+def test_enumeration_stats_and_cap(monkeypatch):
     u = _two_point_universe()
     stats = EnumerationStats()
     list(enumerate_formulas(u, 1, 4, stats=stats))
     assert stats.formulas > stats.denotations > 0
 
+    monkeypatch.setattr("modalmin.synth.ENUM_CAP", 10)
     partial = EnumerationStats()
     with pytest.raises(ResourceCapError):
-        list(enumerate_formulas(u, 1, 6, max_candidates=10, stats=partial))
+        list(enumerate_formulas(u, 1, 6, stats=partial))
     assert partial.formulas == 11
     assert 0 < partial.denotations <= 10
 
@@ -304,10 +305,9 @@ def test_certify_pinned_counts(w, kind, bound, length_cap, counts):
     assert (cert.formulas_enumerated, cert.distinct_denotations) == counts
 
 
-def test_certify_inconclusive_on_tiny_cap():
-    cert = certify_bound(
-        symmetry_witnesses(), MeasureKind.LENGTH, 5, max_candidates=8
-    )
+def test_certify_inconclusive_on_tiny_cap(monkeypatch):
+    monkeypatch.setattr("modalmin.synth.ENUM_CAP", 8)
+    cert = certify_bound(symmetry_witnesses(), MeasureKind.LENGTH, 5)
     assert cert.verdict == "Inconclusive"
     assert cert.refutation is None
     assert cert.formulas_enumerated == 9
