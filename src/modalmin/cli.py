@@ -41,7 +41,6 @@ from .gallery import (
     WitnessSet,
     axiom,
     builtin_witnesses,
-    check_property,
     lob_witnesses,
     parse_witnesses,
     s4_witnesses,
@@ -298,9 +297,7 @@ def _render_tree(tree, depth: int, lines: list[str]) -> None:
     if tree.move == "lit":
         label += " " + ("p" if tree.positive else "~p") + str(tree.var)
     pos = tree.position
-    left = "{" + ",".join(str(i) for i in sorted(pos.left)) + "}"
-    right = "{" + ",".join(str(i) for i in sorted(pos.right)) + "}"
-    lines.append("  " * depth + f"{label} left={left} right={right}")
+    lines.append("  " * depth + f"{label} left={_states(pos.left)} right={_states(pos.right)}")
     for child in tree.children:
         _render_tree(child, depth + 1, lines)
 
@@ -433,14 +430,11 @@ def _claim_phi_shape(seed: int) -> tuple[str, str]:
 
 
 def _axiom_splits(witnesses: WitnessSet) -> bool:
+    # WitnessSet already checks that its property splits the frames
     ax = axiom(witnesses.prop)
-    property_split = all(check_property(f, witnesses.prop) for f in witnesses.positives) and not any(
-        check_property(f, witnesses.prop) for f in witnesses.negatives
-    )
-    validity_split = all(frame_valid(f, ax) for f in witnesses.positives) and not any(
+    return all(frame_valid(f, ax) for f in witnesses.positives) and not any(
         frame_valid(f, ax) for f in witnesses.negatives
     )
-    return property_split and validity_split
 
 
 def _minimality_summary(witnesses: WitnessSet, bound: int) -> str:

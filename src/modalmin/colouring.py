@@ -182,14 +182,11 @@ def standard_colour_model(n: int) -> PointedModel:
     return PointedModel(Model(frame, valuation), 0)
 
 
-def noncol_game_setup(
-    n: int,
-    right_choice: PointedModel | None = None,
-) -> tuple[Universe, tuple[int, ...], tuple[int, ...]]:
+def noncol_game_setup(n: int) -> tuple[Universe, tuple[int, ...], tuple[int, ...]]:
     """The game position whose value bounds separating formulas for phi_n.
 
-    The right side is a single pointed model over the complete graph with
-    pairwise distinct state codes (default: ``standard_colour_model``).
+    The right side is ``standard_colour_model(n)``: the complete graph with
+    pairwise distinct state codes.
     The left side holds one pointed model per state w: the doubled graph
     ``khat(n)`` carrying the right valuation composed with the
     transposition of 0 and w, pointed so that its code matches the right
@@ -198,16 +195,8 @@ def noncol_game_setup(
     """
     if n < 1:
         raise ValueError("need at least one colour")
-    if right_choice is None:
-        right_choice = standard_colour_model(n)
-    model, point = right_choice.model, right_choice.point
-    if model.frame != k_complete(n):
-        raise ValueError("right model must live on the complete graph")
-    var_order = sorted(model.valuation)
-    codes = [model.atom_code(w, var_order) for w in range(n)]
-    if len(set(codes)) != n:
-        raise ValueError("right model's state codes must be pairwise distinct")
-
+    right = standard_colour_model(n)
+    model, point = right.model, right.point
     doubled = khat(n)
     models: list[Model] = []
     points: list[int] = []

@@ -82,12 +82,8 @@ REFLEXIVE_TRANSITIVE = FrameProperty("reflexive-transitive")
 TRANSITIVE_CWF = FrameProperty("transitive-cwf")
 
 _PROPERTY_NAMES = {
-    "reflexive": REFLEXIVE,
-    "transitive": TRANSITIVE,
-    "symmetric": SYMMETRIC,
-    "cwf": CONVERSE_WELL_FOUNDED,
-    "reflexive-transitive": REFLEXIVE_TRANSITIVE,
-    "transitive-cwf": TRANSITIVE_CWF,
+    p.kind: p
+    for p in (REFLEXIVE, TRANSITIVE, SYMMETRIC, CONVERSE_WELL_FOUNDED, REFLEXIVE_TRANSITIVE, TRANSITIVE_CWF)
 }
 
 

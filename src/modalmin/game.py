@@ -6,7 +6,7 @@ pointed models.  A finished tree whose leaves legally close reads off a
 formula separating the root position, and the cheapest closed tree equals
 the cheapest separating formula, which is what the search procedures here
 compute.  Positions are pairs of index sets over a fixed Universe of whole
-models, handled internally as int bit masks.
+models, held as int index masks.
 """
 
 from __future__ import annotations
@@ -82,18 +82,20 @@ class GamePosition:
     """A pair of index sets over a shared universe of pointed models.
 
     The left set holds the pointed models the eventual formula must satisfy,
-    the right set those it must refute.
+    the right set those it must refute.  Both are given as indices and kept
+    as int index masks.
     """
 
     __slots__ = ("universe", "left", "right")
 
     def __init__(self, universe: Universe, left, right):
-        self.universe = universe
-        self.left = frozenset(left)
-        self.right = frozenset(right)
-        for i in self.left | self.right:
+        left, right = tuple(left), tuple(right)
+        for i in left + right:
             if not (0 <= i < len(universe)):
                 raise ValueError(f"index {i} out of range for the universe")
+        self.universe = universe
+        self.left = index_mask(left)
+        self.right = index_mask(right)
 
     def __eq__(self, other):
         return (
@@ -107,7 +109,7 @@ class GamePosition:
         return hash((id(self.universe), self.left, self.right))
 
     def __repr__(self):
-        return f"GamePosition(left={sorted(self.left)}, right={sorted(self.right)})"
+        return f"GamePosition(left={[*mask_bits(self.left)]}, right={[*mask_bits(self.right)]})"
 
 
 class GameTree:
@@ -153,21 +155,22 @@ def node_count(t: GameTree) -> int:
 # --- legality ---------------------------------------------------------------
 
 
-def _is_exact_image(options: list[tuple[int, ...]], image: frozenset[int]) -> bool:
-    """Whether some choice of one option per slot has exactly this image.
+def _is_exact_image(options: list[int], image: int) -> bool:
+    """Whether some choice of one bit per option mask has exactly this image.
 
     Needs every slot to intersect the image and an injective assignment of a
     distinct slot to every image element, found by iterative augmenting
     paths so large images stay within the recursion limit.
     """
-    if not all(image.intersection(o) for o in options):
+    if not all(image & o for o in options):
         return False
-    elems = sorted(image)
+    elems = list(mask_bits(image))
     if len(elems) > len(options):
         return False
-    slots_for = {
-        x: [s for s, o in enumerate(options) if x in o] for x in elems
-    }
+    slots_for: dict[int, list[int]] = {x: [] for x in elems}
+    for s, o in enumerate(options):
+        for x in mask_bits(o & image):
+            slots_for[x].append(s)
     owner: dict[int, int] = {}
 
     def augment(x: int) -> bool:
@@ -231,11 +234,11 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             if node.var is None or node.positive is None:
                 out.append(f"{path}: literal leaf without a literal")
             else:
-                for i in sorted(left):
+                for i in mask_bits(left):
                     pm = u.models[i]
                     if pm.model.holds(node.var, pm.point) != node.positive:
                         out.append(f"{path}: left index {i} refutes the literal")
-                for i in sorted(right):
+                for i in mask_bits(right):
                     pm = u.models[i]
                     if pm.model.holds(node.var, pm.point) == node.positive:
                         out.append(f"{path}: right index {i} satisfies the literal")
@@ -261,10 +264,10 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             if pre_image is not some_pre_image:
                 sides = sides[::-1]
             (chooser, chosen, image), (replier, replied, reply) = sides
-            options = [tuple(mask_bits(moves.row(i))) for i in sorted(chosen)]
-            if any(not o for o in options):
+            options = [moves.row(i) for i in mask_bits(chosen)]
+            if 0 in options:
                 out.append(f"{path}: {node.move} move with a successor-less {chooser} index")
-            if index_mask(reply) != forward_image(moves, index_mask(replied)):
+            if reply != forward_image(moves, replied):
                 out.append(f"{path}: child {replier} set is not the greedy reply")
             if not _is_exact_image(options, image):
                 out.append(f"{path}: child {chooser} set is not an exact choice image")
@@ -315,9 +318,9 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
     for node in t.walk():
         u = node.position.universe
         pairs = set()
-        for i in node.position.left:
+        for i in mask_bits(node.position.left):
             lm = u.models[i]
-            for j in node.position.right:
+            for j in mask_bits(node.position.right):
                 rm = u.models[j]
                 var_order = sorted(set(lm.model.valuation) | set(rm.model.valuation))
                 if lm.model.atom_code(lm.point, var_order) == rm.model.atom_code(
@@ -330,34 +333,21 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
 
 
 def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
-    """All inclusion-minimal sets hitting every option mask.
+    """All inclusion-minimal sets hitting every option mask, by (size, mask).
 
     Minimal hitting sets are exactly the inclusion-minimal exact choice
     images, which by cost monotonicity are the only images worth searching;
-    with no options at all the empty image is the answer.
+    with no options at all the empty image is the answer.  Berge's method:
+    taking the options in turn, each set that misses the next one grows by
+    one bit of it, and a grown set survives unless a set that already hit
+    that option lies inside it.
     """
-    opts = sorted(set(option_masks), key=lambda m: (m.bit_count(), m))
-    found: list[int] = []
-    seen: set[int] = set()
-
-    def dfs(chosen: int) -> None:
-        if chosen in seen:
-            return
-        seen.add(chosen)
-        for m in opts:
-            if not m & chosen:
-                for b in mask_bits(m):
-                    dfs(chosen | 1 << b)
-                return
-        found.append(chosen)
-
-    dfs(0)
-    uniq = sorted(set(found), key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for m in uniq:
-        if not any(g & ~m == 0 for g in minimal):
-            minimal.append(m)
-    return minimal
+    found = [0]
+    for opt in sorted(set(option_masks), key=lambda m: (m.bit_count(), m)):
+        hit = [m for m in found if m & opt]
+        grown = [m | 1 << b for m in found if not m & opt for b in mask_bits(opt)]
+        found = hit + [g for g in grown if not any(h & ~g == 0 for h in hit)]
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 # --- the search engine ------------------------------------------------------
@@ -641,13 +631,12 @@ def min_cost_fgm(
     """
     eff_cap = _length_bound(kind, budget, language, length_cap)
     u = pos.universe
+    lmask, rmask = pos.left, pos.right
     colours = u.colours(language)
-    if {colours[i] for i in pos.left} & {colours[j] for j in pos.right}:
+    if {colours[i] for i in mask_bits(lmask)} & {colours[j] for j in mask_bits(rmask)}:
         return None
 
     search = _FamilySearch(u, kind, budget, language)
-    lmask = index_mask(pos.left)
-    rmask = index_mask(pos.right)
     found = _cheapest_cover(search, lmask, [rmask], eff_cap)
     best = None if found is None else found[1]
     if lmask == 0 and eff_cap >= 1:
@@ -658,7 +647,7 @@ def min_cost_fgm(
             best is None
             or (search.key(bot), 1) <= (search.key(best[1]), best[2])
         ):
-            return field(bot[0], kind), GameTree("bot", GamePosition(u, (), pos.right))
+            return field(bot[0], kind), GameTree("bot", GamePosition(u, (), mask_bits(rmask)))
     if best is None:
         return None
     tree = search.build(best, lmask, rmask)

@@ -194,14 +194,12 @@ def min_separating(
     Minimizes the requested measure with ties broken by Length and then by
     the printed form; None when nothing within the caps separates.
     """
-    left = frozenset(left)
-    right = frozenset(right)
-    if left & right:
+    lmask = index_mask(left)
+    rmask = index_mask(right)
+    if lmask & rmask:
         raise ValueError("left and right index sets must be disjoint")
     check_measure(kind, language)
     check_length_cap(length_cap)
-    lmask = index_mask(left)
-    rmask = index_mask(right)
     return _cheapest(
         _enumerate(u, var_bound, length_cap, language),
         kind,
@@ -260,7 +258,8 @@ class Certificate:
     witness frames within the caps; a full proof exactly when the measure
     is Length and length_cap >= claimed_bound - 1, a capped claim
     otherwise.  Refuted carries a cheaper separating formula, re-validated
-    frame by frame without the denotation machinery.  Inconclusive records
+    with frame_valid on each witness frame itself rather than on the
+    bisimulation-reduced universe.  Inconclusive records
     a resource cap ending the run early.
     """
 

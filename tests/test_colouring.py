@@ -27,7 +27,7 @@ from modalmin.formula import (
     subformulas,
     vars_of,
 )
-from modalmin.kripke import Frame, Model, PointedModel, bisimilar, frame_valid
+from modalmin.kripke import Frame, bisimilar, frame_valid
 
 from .conftest import rand_frame
 from .oracles import brute_colourable
@@ -209,12 +209,3 @@ def test_game_setup_left_models_pairwise_non_bisimilar():
         for j in left:
             if i != j:
                 assert not bisimilar(universe.models[i], universe.models[j], language=GLOBAL)
-
-
-def test_game_setup_rejects_duplicate_codes():
-    model = Model(k_complete(2), {})
-    with pytest.raises(ValueError):
-        noncol_game_setup(2, PointedModel(model, 0))
-    wrong_frame = Model(Frame(2, [(0, 1)]), {1: 0b01})
-    with pytest.raises(ValueError):
-        noncol_game_setup(2, PointedModel(wrong_frame, 0))

@@ -59,6 +59,7 @@ from modalmin.kripke import (
     den_states,
     eval_formula,
     frame_valid,
+    index_mask,
     modal_steps,
     some_pre_image,
 )
@@ -107,6 +108,16 @@ def test_literal_leaf_legality():
     bad = GameTree("lit", GamePosition(u, [0], [0]), var=1, positive=True)
     violations = closed_tree_violations(bad)
     assert violations and violations[0].startswith("root")
+
+
+def test_game_position_rejects_indices_outside_the_universe():
+    u = _universe_pair()
+    for bad in (-1, len(u)):
+        with pytest.raises(ValueError, match="out of range for the universe"):
+            GamePosition(u, [0], [bad])
+        with pytest.raises(ValueError, match="out of range for the universe"):
+            GamePosition(u, [bad], [1])
+    assert GamePosition(u, (1,), [0]) == GamePosition(u, [1], (0,))
 
 
 def test_bot_and_top_leaf_legality():
@@ -191,13 +202,14 @@ def test_exact_image_matches_brute_force(rng):
         n = rng.randint(0, 5)
         options = [tuple(sorted(rng.sample(range(6), rng.randint(1, 3)))) for _ in range(n)]
         image = frozenset(rng.sample(range(6), rng.randint(0, 4)))
-        assert _is_exact_image(options, image) == brute_exact_image(options, image)
+        masks = [index_mask(o) for o in options]
+        assert _is_exact_image(masks, index_mask(image)) == brute_exact_image(options, image)
 
 
 def test_exact_image_deep_chain_does_not_recurse():
     n = 2500
-    options = [tuple(range(max(0, i - 1), i + 1)) for i in range(n)]
-    assert _is_exact_image(options, frozenset(range(n)))
+    options = [index_mask(range(max(0, i - 1), i + 1)) for i in range(n)]
+    assert _is_exact_image(options, index_mask(range(n)))
 
 
 def test_minimal_hitting_masks_properties(rng):
@@ -205,6 +217,8 @@ def test_minimal_hitting_masks_properties(rng):
     for _ in range(120):
         sets = [rng.randrange(1, 32) for _ in range(rng.randint(1, 4))]
         hits = _minimal_hitting_masks(sets)
+        # the search inserts images in this order
+        assert hits == sorted(hits, key=lambda m: (m.bit_count(), m))
         for mask in hits:
             assert all(mask & s for s in sets)
             for other in hits:

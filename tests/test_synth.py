@@ -162,6 +162,12 @@ def test_min_separating_validates_inputs():
         min_separating(u, [0], [1], MeasureKind.EXISTS_COUNT, 1, 4, language=BASIC)
 
 
+def test_min_separating_rejects_overlapping_sides():
+    u = _two_point_universe()
+    with pytest.raises(ValueError, match="must be disjoint"):
+        min_separating(u, [0, 1], [1], MeasureKind.LENGTH, 1, 4)
+
+
 def test_min_separating_absent_for_bisimilar_pair():
     loop = Frame(1, [(0, 0)])
     a = PointedModel(Model(loop, {1: 1}), 0)
