@@ -63,6 +63,7 @@ from .kripke import (
     Model,
     PointedModel,
     ResourceCapError,
+    Universe,
     bisimilar,
     build_universe,
     eval_formula,
@@ -278,9 +279,6 @@ def synth(
     universe = build_universe([(frame, var_bound) for _, frame in frames])
     left = _parse_indices(left_text, "left")
     right = _parse_indices(right_text, "right")
-    for index in left + right:
-        if not 0 <= index < len(universe.models):
-            raise click.UsageError(f"index {index} outside the {len(universe.models)}-element universe")
     found = min_separating(universe, left, right, kind, var_bound, length_cap, language=language)
     if found is None:
         click.echo("ABSENT")
@@ -497,11 +495,8 @@ def _claim_noncol_lower_bound(seed: int) -> tuple[str, str]:
         parts.append(f"game:{cost}")
         parts.append(f"root-weight:{weight[tree]}" if check_weight(tree, weight) else "weight-bad")
         parts.append("nodes-ok" if node_count(tree) >= weight[tree] else "nodes-bad")
-    flips = all(
-        eval_formula(universe.models[i].model, universe.models[i].point, phi)
-        != eval_formula(universe.models[i].model, universe.models[i].point, nnf_negate(phi))
-        for i in left + right
-    )
+    both = universe.mask(left + right)
+    flips = (universe.den(phi) ^ universe.den(nnf_negate(phi))) & both == both
     parts.append("negation-flips" if flips else "negation-broken")
     expected = "min:6,exists,game:6,root-weight:2,nodes-ok,negation-flips"
     return expected, ",".join(parts)
@@ -514,7 +509,7 @@ def _claim_game_enum_agreement(seed: int) -> tuple[str, str]:
     replay_ok = True
     for round_index in range(total):
         universe = build_universe([(_rng_frame(rng, 4), 1)])
-        size = len(universe.models)
+        size = len(universe)
         indices = rng.sample(range(size), min(3, size))
         left, right = tuple(indices[:-1]), (indices[-1],)
         enumerated = min_separating(universe, left, right, MeasureKind.LENGTH, 1, 6)
@@ -563,12 +558,8 @@ def _claim_bisim_invariance(seed: int) -> tuple[str, str]:
         copy = _doubled(original)
         if not (bisimilar(original, copy, language=BASIC) and bisimilar(original, copy, language=GLOBAL)):
             continue
-        count = original.model.frame.state_count
-        universe = build_universe(
-            [PointedModel(original.model, s) for s in range(count)]
-            + [PointedModel(copy.model, s) for s in range(2 * count)]
-        )
-        here, there = original.point, count + copy.point
+        universe = Universe((original.model, copy.model))
+        here, there = original.point, original.model.frame.state_count + copy.point
         invariant = True
         for _, den, _ in enumerate_formulas(universe, 1, 5, language=GLOBAL):
             if (den >> here & 1) != (den >> there & 1):

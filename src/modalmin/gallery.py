@@ -99,8 +99,9 @@ def _relation_power(frame: Frame, k: int) -> tuple[int, ...]:
     while k > 0:
         if k & 1:
             rows = _then(rows, power)
-        power = _then(power, power)
         k >>= 1
+        if k:
+            power = _then(power, power)
     return rows
 
 
@@ -186,18 +187,18 @@ class WitnessSet:
 
 def reduced_witnesses(
     w: WitnessSet, var_bound: int, language: str
-) -> tuple[Universe, int, list[tuple[str, tuple[int, ...]]]]:
+) -> tuple[Universe, int, list[tuple[str, int]]]:
     """w's frames expanded over var_bound variables and reduced by bisimilarity.
 
     Returns the reduced universe, the mask of its indices standing for
     pointed models over positive frames, and per negative frame its name
-    and the indices standing for its pointed models.
+    and the mask of the indices standing for its pointed models.
     """
     named = [(f"+{nm}", fr) for nm, fr in w.named_positives()]
     named += [(f"-{nm}", fr) for nm, fr in w.named_negatives()]
     red = expand_reduced(named, var_bound, language)
     positive = index_mask(i for nm, _ in w.named_positives() for i in red.class_reps[f"+{nm}"])
-    negatives = [(nm, red.class_reps[f"-{nm}"]) for nm, _ in w.named_negatives()]
+    negatives = [(nm, index_mask(red.class_reps[f"-{nm}"])) for nm, _ in w.named_negatives()]
     return red.universe, positive, negatives
 
 
@@ -358,22 +359,25 @@ def lob_witnesses(depth: int) -> WitnessSet:
 
     ``depth`` controls the largest positive: the transitive closure of a
     tree with branches of length 1 .. depth, which forces any separating
-    formula to look that many steps ahead.
+    formula to look that many steps ahead.  A depth past MAX_NESTING
+    raises ValueError, since such a formula would not parse back.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > MAX_NESTING:
+        raise ValueError(f"lob-{depth} needs formulas nested deeper than {MAX_NESTING}")
     a1 = Frame(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     a2 = Frame(2, [(0, 1)])
     a3 = Frame(3, [(0, 1), (0, 2)])
+    # the closure's edges: the root to every node, each node to its branch's later ones
     edges = []
     nxt = 1
     for i in range(1, depth + 1):
-        prev = 0
-        for _ in range(i):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    a4 = Frame(nxt, edges).transitive_closure()
+        branch = range(nxt, nxt + i)
+        edges += [(0, v) for v in branch]
+        edges += [(u, v) for u in branch for v in range(u + 1, nxt + i)]
+        nxt += i
+    a4 = Frame(nxt, edges)
     b1 = Frame(4, [(0, 1), (1, 2), (0, 3)])
     b2 = Frame(2, [(0, 0), (0, 1)])
     return WitnessSet(

@@ -83,19 +83,15 @@ class GamePosition:
 
     The left set holds the pointed models the eventual formula must satisfy,
     the right set those it must refute.  Both are given as indices and kept
-    as int index masks.
+    as int index masks; Universe.mask rejects an index outside the universe.
     """
 
     __slots__ = ("universe", "left", "right")
 
     def __init__(self, universe: Universe, left, right):
-        left, right = tuple(left), tuple(right)
-        for i in left + right:
-            if not (0 <= i < len(universe)):
-                raise ValueError(f"index {i} out of range for the universe")
         self.universe = universe
-        self.left = index_mask(left)
-        self.right = index_mask(right)
+        self.left = universe.mask(left)
+        self.right = universe.mask(right)
 
     def __eq__(self, other):
         return (
@@ -208,9 +204,11 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
     """
     check_language(language)
     out: list[str] = []
+    # every child must share its parent's universe, so the root's serves all
+    u = t.position.universe
+    steps = modal_steps(u.runs, GLOBAL)
 
     def visit(node: GameTree, path: str) -> None:
-        u = node.position.universe
         left, right = node.position.left, node.position.right
         if len(node.children) != _ARITY[node.move]:
             out.append(
@@ -234,14 +232,14 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             if node.var is None or node.positive is None:
                 out.append(f"{path}: literal leaf without a literal")
             else:
-                for i in mask_bits(left):
-                    pm = u.models[i]
-                    if pm.model.holds(node.var, pm.point) != node.positive:
-                        out.append(f"{path}: left index {i} refutes the literal")
-                for i in mask_bits(right):
-                    pm = u.models[i]
-                    if pm.model.holds(node.var, pm.point) == node.positive:
-                        out.append(f"{path}: right index {i} satisfies the literal")
+                # where the literal holds; a negative int ands exactly with a mask
+                holds = u.lit_mask(node.var)
+                if not node.positive:
+                    holds = ~holds
+                for i in mask_bits(left & ~holds):
+                    out.append(f"{path}: left index {i} refutes the literal")
+                for i in mask_bits(right & holds):
+                    out.append(f"{path}: right index {i} satisfies the literal")
         elif node.move == "or":
             a, b = node.children
             if a.position.right != right or b.position.right != right:
@@ -259,7 +257,7 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             # left index, the reply keeps every right target; an
             # all_pre_image step swaps the two sides.
             child = node.children[0].position
-            pre_image, moves = modal_steps(u, GLOBAL)[_NODE_OF_MOVE[node.move]]
+            pre_image, moves = steps[_NODE_OF_MOVE[node.move]]
             sides = (("left", left, child.left), ("right", right, child.right))
             if pre_image is not some_pre_image:
                 sides = sides[::-1]
@@ -317,17 +315,15 @@ def special_pair_weight(t: GameTree) -> dict[GameTree, int]:
     out: dict[GameTree, int] = {}
     for node in t.walk():
         u = node.position.universe
+        lits = list(map(u.lit_mask, u.variables))
         pairs = set()
         for i in mask_bits(node.position.left):
-            lm = u.models[i]
-            for j in mask_bits(node.position.right):
-                rm = u.models[j]
-                var_order = sorted(set(lm.model.valuation) | set(rm.model.valuation))
-                if lm.model.atom_code(lm.point, var_order) == rm.model.atom_code(
-                    rm.point, var_order
-                ):
-                    pairs.add(lm.model)
-                    break
+            # the right indices whose literal column equals i's
+            agree = node.position.right
+            for lit in lits:
+                agree &= lit if lit >> i & 1 else ~lit
+            if agree:
+                pairs.add(u.models[i].model)
         out[node] = len(pairs)
     return out
 
@@ -397,7 +393,7 @@ class _FamilySearch:
         self.cap = POSITION_CAP
         self.cells: dict[int, list[list]] = {}
         # node type -> (pre-image, relation) for the language's modal moves
-        self.steps = modal_steps(universe, language)
+        self.steps = modal_steps(universe.runs, language)
         # (rmask, relation) -> (greedy reply, minimal hitting images); no
         # images when some right index has no move
         self.replies: dict[tuple, tuple[int, list[int]]] = {}
@@ -415,7 +411,7 @@ class _FamilySearch:
         self.top = compose(TrueConst)
         self.lits = [
             (var, universe.lit_mask(var), compose(PosLit, var=var), compose(NegLit, var=var))
-            for var in sorted({v for _, model in universe.placed for v in model.valuation})
+            for var in universe.variables
         ]
 
     def no_worse(self, a: Measured, b: Measured) -> bool:
@@ -675,12 +671,9 @@ def fgf_min_cost(
     # Classes are merged globally, so a candidate bisimilar to some positive
     # pointed model is simply a candidate index inside the target set; such
     # a choice blocks every separating formula.
-    candidates: list[tuple[str, list[int]]] = []
-    for nm, reps in negatives:
-        free = [i for i in reps if not target >> i & 1]
-        if not free:
-            return None
-        candidates.append((nm, free))
+    candidates = [(nm, list(mask_bits(neg & ~target))) for nm, neg in negatives]
+    if not all(free for _, free in candidates):
+        return None
 
     if eff_cap < 1:
         return None

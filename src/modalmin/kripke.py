@@ -89,19 +89,6 @@ class Frame:
             for v in self.successors_of(u):
                 yield (u, v)
 
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.succ_masks)
-
-    def transitive_closure(self) -> "Frame":
-        masks = list(self.succ_masks)
-        for k in range(self.state_count):
-            kmask = masks[k]
-            for u in range(self.state_count):
-                if masks[u] >> k & 1:
-                    masks[u] |= kmask
-        edges = [(u, v) for u, row in enumerate(masks) for v in mask_bits(row)]
-        return Frame(self.state_count, edges)
-
     def __eq__(self, other):
         return (
             isinstance(other, Frame)
@@ -148,13 +135,6 @@ class Model:
 
     def holds(self, var: int, state: int) -> bool:
         return bool(self.val_mask(var) >> state & 1)
-
-    def atom_code(self, state: int, var_order: Sequence[int]) -> int:
-        code = 0
-        for k, var in enumerate(var_order):
-            if self.holds(var, state):
-                code |= 1 << k
-        return code
 
     def __eq__(self, other):
         return (
@@ -283,35 +263,42 @@ def all_pre_image(moves: Moves, m: int) -> int:
     return out
 
 
-# The modal connectives as kernel steps: the pre-image each one takes and the
-# relation it takes it over, 0 for the successor and 1 for the same-model
-# relation of a layout.  _den, the enumerator and the game all read this table.
+# The modal connectives as kernel steps: the pre-image each one takes, and
+# whether its relation is a layout's successor one or, everywhere, the
+# same-model one.  _den, the enumerator and the game read them via modal_steps.
 MODAL_STEPS = {
-    Dia: (some_pre_image, 0),
-    Box: (all_pre_image, 0),
-    ExistsMod: (some_pre_image, 1),
-    ForallMod: (all_pre_image, 1),
+    Dia: (some_pre_image, False),
+    Box: (all_pre_image, False),
+    ExistsMod: (some_pre_image, True),
+    ForallMod: (all_pre_image, True),
 }
+
+
+def modal_steps(runs: Sequence[tuple[int, Frame, int]], language: str) -> dict[type, tuple]:
+    """The language's MODAL_STEPS in order, with one Moves over the runs per relation they use."""
+    steps = {node: step for node, step in MODAL_STEPS.items() if in_language(node, language)}
+    moves = {everywhere: Moves(runs, everywhere) for everywhere in {e for _, e in steps.values()}}
+    return {node: (pre_image, moves[everywhere]) for node, (pre_image, everywhere) in steps.items()}
 
 
 # --- evaluation -------------------------------------------------------------
 
 
-def _den(phi: Formula, lit, full: int, moves: tuple[Moves, Moves]) -> int:
+def _den(phi: Formula, lit, full: int, steps: dict[type, tuple]) -> int:
     """Mask of the indices of a run layout where phi holds.
 
     lit(var) is the mask where p{var} holds, full the mask of every index
-    and moves the layout's (successor, same-model) relations.
+    and steps the layout's modal_steps.
     """
     kind = type(phi)
-    step = MODAL_STEPS.get(kind)
+    step = steps.get(kind)
     if step is not None:
-        pre_image, relation = step
-        return pre_image(moves[relation], _den(phi.child, lit, full, moves))
+        pre_image, moves = step
+        return pre_image(moves, _den(phi.child, lit, full, steps))
     if kind is Or:
-        return _den(phi.left, lit, full, moves) | _den(phi.right, lit, full, moves)
+        return _den(phi.left, lit, full, steps) | _den(phi.right, lit, full, steps)
     if kind is And:
-        return _den(phi.left, lit, full, moves) & _den(phi.right, lit, full, moves)
+        return _den(phi.left, lit, full, steps) & _den(phi.right, lit, full, steps)
     if kind is PosLit:
         return lit(phi.var)
     if kind is NegLit:
@@ -386,11 +373,10 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
         )
     chunk_codes = 1 << min(w * v, _CHUNK_CODE_BITS)
     full = (1 << (chunk_codes * w)) - 1
-    run = [(0, frame, chunk_codes)]
-    moves = (Moves(run), Moves(run, everywhere=True))
+    steps = modal_steps([(0, frame, chunk_codes)], GLOBAL)
     for masks in _coded_masks(w, v, chunk_codes):
         atoms = dict(zip(var_order, masks))
-        if _den(phi, atoms.__getitem__, full, moves) != full:
+        if _den(phi, atoms.__getitem__, full, steps) != full:
             return False
     return True
 
@@ -547,15 +533,14 @@ class Universe:
 
     Model k holds its states in point order from the sum of the earlier
     models' state counts, and consecutive models over one frame form the
-    runs of the kernel's layout: succ moves an index to its point's
-    successors inside its model, same to every index of its model.  Equal
-    models at two positions are two models.  placed pairs each model with
-    its first index; models is a read-only sequence of the pointed model at
-    every index, each built when it is read; runs lists the layout's runs
-    as (offset, frame, model count).
+    runs of the kernel's layout, from which modal_steps builds the move
+    relations.  Equal models at two positions are two models.  placed pairs
+    each model with its first index; models is a read-only sequence of the
+    pointed model at every index, each built when it is read; runs lists
+    the layout's runs as (offset, frame, model count).
     """
 
-    __slots__ = ("placed", "models", "runs", "succ", "same")
+    __slots__ = ("placed", "models", "runs")
 
     def __init__(self, models: Sequence[Model]):
         placed: list[tuple[int, Model]] = []
@@ -572,11 +557,24 @@ class Universe:
         self.placed = tuple(placed)
         self.models = _PointedModels(self.placed, size)
         self.runs = tuple(map(tuple, runs))
-        self.succ = Moves(self.runs)
-        self.same = Moves(self.runs, everywhere=True)
 
     def __len__(self):
         return len(self.models)
+
+    @property
+    def variables(self) -> list[int]:
+        """The variables some model's valuation mentions, ascending."""
+        return sorted({var for _, model in self.placed for var in model.valuation})
+
+    def mask(self, indices: Iterable[int]) -> int:
+        """The index mask of indices; an index outside the universe raises ValueError."""
+        size = len(self)
+        out = 0
+        for i in indices:
+            if not 0 <= i < size:
+                raise ValueError(f"index {i} outside the {size}-element universe")
+            out |= 1 << i
+        return out
 
     def lit_mask(self, var: int) -> int:
         """Bit i set iff p{var} holds at pointed model i."""
@@ -584,22 +582,11 @@ class Universe:
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        return _den(phi, self.lit_mask, (1 << len(self)) - 1, (self.succ, self.same))
+        return _den(phi, self.lit_mask, (1 << len(self)) - 1, modal_steps(self.runs, GLOBAL))
 
     def colours(self, language: str) -> list[int]:
         """_refine's colour of every index: two share one iff they are bisimilar in the language."""
-        variables = sorted({var for _, model in self.placed for var in model.valuation})
-        return _refine([self.lit_mask(var) for var in variables], self.runs, language)
-
-
-def modal_steps(u: Universe, language: str) -> dict[type, tuple]:
-    """The language's MODAL_STEPS, in order, with each relation read over u."""
-    moves = (u.succ, u.same)
-    return {
-        node: (pre_image, moves[relation])
-        for node, (pre_image, relation) in MODAL_STEPS.items()
-        if in_language(node, language)
-    }
+        return _refine(list(map(self.lit_mask, self.variables)), self.runs, language)
 
 
 def _coded_count(frame: Frame, var_bound: int, used: int) -> int:

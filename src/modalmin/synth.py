@@ -35,7 +35,7 @@ from .formula import (
     unpack,
 )
 from .gallery import WitnessSet, reduced_witnesses
-from .kripke import ResourceCapError, Universe, frame_valid, index_mask, modal_steps
+from .kripke import ResourceCapError, Universe, frame_valid, modal_steps
 
 __all__ = [
     "ENUM_CAP",
@@ -90,7 +90,7 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
 
     cap = ENUM_CAP
     full = (1 << len(u)) - 1
-    steps = modal_steps(u, language).items()
+    steps = modal_steps(u.runs, language).items()
 
     # per denotation, the Pareto-minimal packed vectors retained so far
     pareto: dict[int, list[int]] = {}
@@ -192,10 +192,11 @@ def min_separating(
     """The cheapest formula true on all left and false on all right indices.
 
     Minimizes the requested measure with ties broken by Length and then by
-    the printed form; None when nothing within the caps separates.
+    the printed form; None when nothing within the caps separates.  An
+    index outside u raises ValueError.
     """
-    lmask = index_mask(left)
-    rmask = index_mask(right)
+    lmask = u.mask(left)
+    rmask = u.mask(right)
     if lmask & rmask:
         raise ValueError("left and right index sets must be disjoint")
     check_measure(kind, language)
@@ -217,7 +218,7 @@ def _frame_separation(w: WitnessSet, var_bound: int, language: str):
     refuted somewhere on every negative one.
     """
     u, positive, negatives = reduced_witnesses(w, var_bound, language)
-    neg_masks = [index_mask(reps) for _, reps in negatives]
+    neg_masks = [mask for _, mask in negatives]
 
     def separates(den: int) -> bool:
         return positive & ~den == 0 and all(m & ~den for m in neg_masks)

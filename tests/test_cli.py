@@ -357,6 +357,21 @@ def test_library_errors_exit_2_with_their_message(runner, tmp_path, args, messag
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_huge_lob_depth_ends_quickly(runner):
+    with time_limit(20):
+        result = runner.invoke(main, ["game", "--witnesses", "builtin:lob-100000", "--budget", "3"])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == f"Error: lob-100000 needs formulas nested deeper than {MAX_NESTING}"
+
+
+def test_synth_index_outside_the_universe_exits_2(runner):
+    for left, right, bad in (("0", "8", 8), ("-1", "1", -1), ("0,1", "2,99", 99)):
+        args = ["synth", "--frames", "builtin:k2", "--left", left, "--right", right, "--length-cap", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == f"Error: index {bad} outside the 8-element universe"
+
+
 def test_huge_transfer_exponents_end_quickly(runner, tmp_path):
     name = "transfer-1-100000000000000000000"
     with time_limit(20):

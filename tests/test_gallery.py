@@ -1,5 +1,6 @@
 """Witness frame families, frame-property checkers, and their axioms."""
 
+import dataclasses
 import random
 
 import pytest
@@ -35,6 +36,14 @@ TRANSFER_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
 # --- property checkers ------------------------------------------------------
 
 
+def _closure(frame: Frame) -> Frame:
+    """The transitive closure, by Warshall's algorithm over edge sets."""
+    edges = set(frame.edges())
+    for k in range(frame.state_count):
+        edges |= {(u, v) for u, k1 in edges if k1 == k for k2, v in edges if k2 == k}
+    return Frame(frame.state_count, edges)
+
+
 def test_transfer_property_basic_instances():
     loop = Frame(1, [(0, 0)])
     assert check_property(loop, FrameProperty.transfer(0, 1))
@@ -57,7 +66,7 @@ def _naive_checks(frame: Frame) -> dict[str, bool]:
         (a, c) in edges for a, b in edges for b2, c in edges if b == b2
     )
     symmetric = all((b, a) in edges for a, b in edges)
-    closure = frame.transitive_closure()
+    closure = _closure(frame)
     cwf = not any(closure.has_edge(s, s) for s in range(count))
     return {
         "reflexive": reflexive,
@@ -198,6 +207,25 @@ def test_lob_witnesses_grow_with_depth():
         lob_witnesses(0)
 
 
+def test_lob_positive_is_the_closure_of_its_tree():
+    assert sorted(_closure(Frame(3, [(0, 1), (1, 2)])).edges()) == [(0, 1), (0, 2), (1, 2)]
+    for depth in (1, 2, 3, 4, 5, 8, 20):
+        tree, nxt = [], 1
+        for i in range(1, depth + 1):
+            tree += zip([0, *range(nxt, nxt + i - 1)], range(nxt, nxt + i))
+            nxt += i
+        assert lob_witnesses(depth).positives[3] == _closure(Frame(nxt, tree))
+
+
+def test_lob_witnesses_stop_at_the_nesting_limit():
+    with time_limit(10):
+        assert lob_witnesses(150).positives[3].state_count == 1 + 150 * 151 // 2
+    for depth in (MAX_NESTING + 1, 10**20):
+        with time_limit(1):
+            with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING}"):
+                lob_witnesses(depth)
+
+
 def test_symmetry_witness_shapes():
     w = symmetry_witnesses()
     assert len(w.positives) == 3 and len(w.negatives) == 1
@@ -258,6 +286,11 @@ def test_witness_file_roundtrip():
         assert back.positives == witnesses.positives
         assert back.negatives == witnesses.negatives
         assert back.recommended_var_bound == witnesses.recommended_var_bound
+    # a bound other than 1 is written as a vars line and read back
+    wide = dataclasses.replace(symmetry_witnesses(), recommended_var_bound=2)
+    text = format_witnesses(wide)
+    assert "\nvars 2\n" in text
+    assert parse_witnesses(text) == wide
 
 
 def test_parse_witnesses_reports_file_line_numbers():

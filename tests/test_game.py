@@ -60,6 +60,7 @@ from modalmin.kripke import (
     eval_formula,
     frame_valid,
     index_mask,
+    mask_bits,
     modal_steps,
     some_pre_image,
 )
@@ -113,11 +114,88 @@ def test_literal_leaf_legality():
 def test_game_position_rejects_indices_outside_the_universe():
     u = _universe_pair()
     for bad in (-1, len(u)):
-        with pytest.raises(ValueError, match="out of range for the universe"):
+        with pytest.raises(ValueError, match=f"index {bad} outside the 2-element universe"):
             GamePosition(u, [0], [bad])
-        with pytest.raises(ValueError, match="out of range for the universe"):
+        with pytest.raises(ValueError, match=f"index {bad} outside the 2-element universe"):
             GamePosition(u, [bad], [1])
     assert GamePosition(u, (1,), [0]) == GamePosition(u, [1], (0,))
+
+
+def test_checker_reports_every_literal_index_on_the_wrong_side():
+    # indices 0 and 2 satisfy p1, 1 and 3 do not
+    u = Universe([Model(Frame(1, [(0, 0)]), {1: 1}), Model(Frame(1, []), {})] * 2)
+    for positive, holds, fails in ((True, [0, 2], [1, 3]), (False, [1, 3], [0, 2])):
+        assert verify_closed_tree(GameTree("lit", GamePosition(u, holds, fails), var=1, positive=positive))
+        swapped = GameTree("lit", GamePosition(u, fails, holds), var=1, positive=positive)
+        assert closed_tree_violations(swapped) == [
+            *(f"root: left index {i} refutes the literal" for i in fails),
+            *(f"root: right index {i} satisfies the literal" for i in holds),
+        ]
+    # a variable no model mentions holds nowhere
+    assert verify_closed_tree(GameTree("lit", GamePosition(u, [0, 1], []), var=7, positive=False))
+    assert closed_tree_violations(GameTree("lit", GamePosition(u, [1], [2]), var=7, positive=True)) == [
+        "root: left index 1 refutes the literal"
+    ]
+    for var, positive in ((None, True), (1, None)):
+        leaf = GameTree("lit", GamePosition(u, [0], [1]), var=var, positive=positive)
+        assert closed_tree_violations(leaf) == ["root: literal leaf without a literal"]
+
+
+def test_checker_reports_arity_and_universe_mismatches():
+    u = _universe_pair()
+    leaf = GameTree("lit", GamePosition(u, [0], [1]), var=1, positive=True)
+    assert closed_tree_violations(GameTree("or", GamePosition(u, [0], [1]), (leaf,))) == [
+        "root: or node has 1 children"
+    ]
+    assert closed_tree_violations(GameTree("bot", GamePosition(u, [], [1]), (leaf,))) == [
+        "root: bot node has 1 children"
+    ]
+    # an equal universe that is another object is still another universe
+    other = GameTree("lit", GamePosition(_universe_pair(), [0], [1]), var=1, positive=True)
+    assert closed_tree_violations(GameTree("or", GamePosition(u, [0], [1]), (leaf, other))) == [
+        "root.1: child position over a different universe"
+    ]
+    # the diagnostic names the path of the node whose child is bad
+    nested = GameTree("and", GamePosition(u, [0], [1]), (
+        leaf, GameTree("or", GamePosition(u, [0], [1]), (other, leaf)),
+    ))
+    assert closed_tree_violations(nested) == ["root.1.0: child position over a different universe"]
+
+
+def test_checker_reports_split_moves_that_move_the_kept_set_or_miss_the_split_one():
+    # four single-state models: 0 and 1 satisfy p1, 2 and 3 do not
+    loop = Frame(1, [(0, 0)])
+    u = Universe([Model(loop, {1: 1}), Model(loop, {1: 1}), Model(loop, {}), Model(loop, {})])
+
+    def leaf(left, right, positive=True):
+        return GameTree("lit", GamePosition(u, left, right), var=1, positive=positive)
+
+    def bot(right):
+        return GameTree("bot", GamePosition(u, [], right))
+
+    def top(left):
+        return GameTree("top", GamePosition(u, left, []))
+
+    def root(move, left, right, *children):
+        return closed_tree_violations(GameTree(move, GamePosition(u, left, right), children))
+
+    assert root("or", [0, 1], [2, 3], leaf([0], [2, 3]), leaf([1], [2, 3])) == []
+    assert root("or", [0, 1], [2, 3], leaf([0], [2]), leaf([1], [2, 3])) == [
+        "root: or move must keep the right set"
+    ]
+    assert root("or", [0, 1], [2, 3], leaf([0], [2, 3]), bot([2, 3])) == [
+        "root: or children do not cover the left set"
+    ]
+    assert root("and", [0, 1], [2, 3], leaf([0, 1], [2]), leaf([0, 1], [3])) == []
+    assert root("and", [0, 1], [2, 3], leaf([0], [2]), leaf([0, 1], [3])) == [
+        "root: and move must keep the left set"
+    ]
+    assert root("and", [0, 1], [2, 3], leaf([0, 1], [2]), top([0, 1])) == [
+        "root: and children do not cover the right set"
+    ]
+    # a cover that overlaps is legal for both moves
+    assert root("and", [0, 1], [2, 3], leaf([0, 1], [2, 3]), leaf([0, 1], [3])) == []
+    assert root("or", [0, 1], [2, 3], leaf([0, 1], [2, 3]), leaf([1], [2, 3])) == []
 
 
 def test_bot_and_top_leaf_legality():
@@ -406,7 +484,7 @@ def test_modal_steps_are_the_kernel_functions():
     # silently change its answers
     u = build_universe([(Frame(2, [(0, 1)]), 1)])
     for language in (BASIC, GLOBAL):
-        for node, (pre_image, _) in modal_steps(u, language).items():
+        for node, (pre_image, _) in modal_steps(u.runs, language).items():
             assert pre_image is some_pre_image or pre_image is all_pre_image, node
 
 
@@ -624,6 +702,30 @@ def test_check_weight_parent_excess_clause():
     parent = GameTree("or", leaf_pos, children=(left, right))
     assert check_weight(parent, {parent: 3, left: 1, right: 1})
     assert not check_weight(parent, {parent: 4, left: 1, right: 1})
+
+
+def test_special_pair_weight_matches_pairwise_valuations(rng):
+    # equal atoms at two points, read pair by pair off the models themselves
+    def naive(pos):
+        u = pos.universe
+        pairs = set()
+        for i in mask_bits(pos.left):
+            a = u.models[i]
+            for j in mask_bits(pos.right):
+                b = u.models[j]
+                variables = set(a.model.valuation) | set(b.model.valuation)
+                if all(a.model.holds(v, a.point) == b.model.holds(v, b.point) for v in variables):
+                    pairs.add(a.model)
+        return len(pairs)
+
+    for _ in range(60):
+        u = build_universe([(rand_frame(rng, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 2))])
+        indices = list(range(len(u)))
+        rng.shuffle(indices)
+        cut = rng.randint(0, len(indices))
+        pos = GamePosition(u, indices[:cut], indices[cut:])
+        node = GameTree("top", pos)
+        assert special_pair_weight(node) == {node: naive(pos)}
 
 
 def test_node_count_bounds_root_weight(rng):

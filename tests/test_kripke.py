@@ -12,6 +12,8 @@ from modalmin.formula import (
     And,
     Box,
     Dia,
+    ExistsMod,
+    ForallMod,
     MeasureKind,
     Or,
     PosLit,
@@ -24,6 +26,7 @@ from modalmin import kripke
 from modalmin.kripke import (
     Frame,
     Model,
+    Moves,
     PointedModel,
     ResourceCapError,
     Universe,
@@ -40,6 +43,7 @@ from modalmin.kripke import (
     frame_valid,
     index_mask,
     mask_bits,
+    modal_steps,
     parse_frames,
     parse_model,
     some_pre_image,
@@ -69,17 +73,14 @@ def test_frame_rejects_bad_shapes():
 
 def test_frame_dedups_edges_and_exposes_masks():
     frame = Frame(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
-    assert frame.edge_count() == 3
+    assert len(list(frame.edges())) == 3
     assert sorted(frame.edges()) == [(0, 1), (0, 2), (1, 2)]
     assert frame.succ_masks == (0b110, 0b100, 0)
     assert frame.has_edge(0, 1) and not frame.has_edge(1, 0)
 
 
-def test_reflexive_mask_and_transitive_closure():
+def test_reflexive_mask():
     assert [s for s in range(CHAIN.state_count) if CHAIN.has_edge(s, s)] == [1]
-    closed = Frame(3, [(0, 1), (1, 2)]).transitive_closure()
-    assert sorted(closed.edges()) == [(0, 1), (0, 2), (1, 2)]
-    assert LOOP.transitive_closure() == LOOP
 
 
 def test_model_normalizes_valuation():
@@ -93,11 +94,11 @@ def test_model_normalizes_valuation():
         Model(CHAIN, {1: 0b100})
 
 
-def test_model_from_sets_and_atom_code():
+def test_model_from_sets():
     model = Model.from_sets(CHAIN, {1: [0], 2: [0, 1]})
     assert model == Model(CHAIN, {1: 0b01, 2: 0b11})
-    assert model.atom_code(0, [1, 2]) == 0b11
-    assert model.atom_code(1, [1, 2]) == 0b10
+    assert [model.holds(var, 0) for var in (1, 2)] == [True, True]
+    assert [model.holds(var, 1) for var in (1, 2)] == [False, True]
 
 
 def test_pointed_model_checks_point():
@@ -378,12 +379,14 @@ def test_universe_models_view_matches_eager_listing():
 
 def test_universe_structure_matches_frames():
     u = build_universe([(CHAIN, 1)])
+    steps = modal_steps(u.runs, GLOBAL)
+    succ, same = steps[Dia][1], steps[ExistsMod][1]
     for i, pm in enumerate(u.models):
-        for j in mask_bits(u.succ.row(i)):
+        for j in mask_bits(succ.row(i)):
             other = u.models[j]
             assert other.model == pm.model
             assert pm.model.frame.has_edge(pm.point, other.point)
-        assert all(u.models[j].model == pm.model for j in mask_bits(u.same.row(i)))
+        assert all(u.models[j].model == pm.model for j in mask_bits(same.row(i)))
     full_groups = {pm.model for pm in u.models}
     assert len(full_groups) == 4
 
@@ -577,7 +580,8 @@ def test_mask_kernel_matches_set_comprehensions(seed):
     def members(mask):
         return {i for i in range(n) if mask >> i & 1}
 
-    for moves, sets in ((u.succ, succ_sets), (u.same, same_sets)):
+    succ, same = Moves(u.runs), Moves(u.runs, everywhere=True)
+    for moves, sets in ((succ, succ_sets), (same, same_sets)):
         for m in (rng.getrandbits(n), 0, (1 << n) - 1):
             target = members(m)
             assert members(forward_image(moves, m)) == {j for i in target for j in sets[i]}
@@ -586,9 +590,40 @@ def test_mask_kernel_matches_set_comprehensions(seed):
         assert all(members(moves.row(i)) == sets[i] for i in range(n))
     # the successor-less state: vacuously in every box, in no diamond
     m = rng.getrandbits(n)
-    assert dead in members(all_pre_image(u.succ, m))
-    assert dead not in members(some_pre_image(u.succ, m))
-    assert dead in members(some_pre_image(u.same, m | 1 << dead))
+    assert dead in members(all_pre_image(succ, m))
+    assert dead not in members(some_pre_image(succ, m))
+    assert dead in members(some_pre_image(same, m | 1 << dead))
+
+
+def test_modal_steps_build_each_relation_the_language_uses_once(monkeypatch):
+    u = build_universe([(CHAIN, 1), (LOOP, 1)])
+    built = []
+    monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
+    modal_steps(u.runs, BASIC)
+    modal_steps(u.runs, GLOBAL)
+    assert built == [False, False, True]
+    monkeypatch.undo()
+    basic = modal_steps(u.runs, BASIC)
+    assert list(basic) == [Dia, Box]
+    assert basic[Dia][1] is basic[Box][1]
+    full = modal_steps(u.runs, GLOBAL)
+    assert list(full) == [Dia, Box, ExistsMod, ForallMod]
+    assert full[Dia][1] is full[Box][1] and full[ExistsMod][1] is full[ForallMod][1]
+    assert full[Dia][1] is not full[ExistsMod][1]
+    for i in range(len(u)):
+        assert full[Dia][1].row(i) == basic[Dia][1].row(i) == Moves(u.runs).row(i)
+        assert full[ExistsMod][1].row(i) == Moves(u.runs, everywhere=True).row(i)
+
+
+def test_universe_mask_and_variables():
+    u = Universe([Model(CHAIN, {2: 0b01}), Model(LOOP, {})])
+    assert u.variables == [2]
+    assert Universe([Model(LOOP, {})]).variables == []
+    assert u.mask([0, 2, 2]) == 0b101
+    assert u.mask(()) == 0
+    for bad in (-1, len(u)):
+        with pytest.raises(ValueError, match=f"index {bad} outside the 3-element universe"):
+            u.mask([0, bad])
 
 
 # --- file formats -----------------------------------------------------------

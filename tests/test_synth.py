@@ -162,6 +162,17 @@ def test_min_separating_validates_inputs():
         min_separating(u, [0], [1], MeasureKind.EXISTS_COUNT, 1, 4, language=BASIC)
 
 
+def test_min_separating_rejects_indices_outside_the_universe():
+    u = build_universe([(Frame(2, [(0, 1)]), 2)])
+    for bad in (-1, len(u), len(u) + 3):
+        for left, right in (([0], [bad]), ([bad], [1])):
+            with pytest.raises(ValueError, match=f"index {bad} outside the {len(u)}-element universe"):
+                min_separating(u, left, right, MeasureKind.LENGTH, 1, 4)
+    # the gate comes before the disjointness check
+    with pytest.raises(ValueError, match="outside"):
+        min_separating(u, [0, len(u)], [0], MeasureKind.LENGTH, 1, 4)
+
+
 def test_min_separating_rejects_overlapping_sides():
     u = _two_point_universe()
     with pytest.raises(ValueError, match="must be disjoint"):
