@@ -46,7 +46,6 @@ from .kripke import (
     forward_image,
     index_mask,
     mask_bits,
-    modal_steps,
     some_pre_image,
 )
 
@@ -206,7 +205,7 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
     out: list[str] = []
     # every child must share its parent's universe, so the root's serves all
     u = t.position.universe
-    steps = modal_steps(u.runs, GLOBAL)
+    steps = u.steps(GLOBAL)
 
     def visit(node: GameTree, path: str) -> None:
         left, right = node.position.left, node.position.right
@@ -379,6 +378,11 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # list of elements every parent replying with that child set inserts; a
 # finished level never changes, so no list goes stale, and the lists hold
 # at most one element per step and stored element.
+#
+# An element is only ever evicted by one that dominates it, so a candidate
+# is dropped unmeasured when its mask shows a stored element no worse: an or
+# whose union is an operand's set, and, unless the measure is FALSE_COUNT,
+# an and or lifted modal element whose set is empty (the bot leaf's).
 
 
 class _FamilySearch:
@@ -393,7 +397,7 @@ class _FamilySearch:
         self.cap = POSITION_CAP
         self.cells: dict[int, list[list]] = {}
         # node type -> (pre-image, relation) for the language's modal moves
-        self.steps = modal_steps(universe.runs, language)
+        self.steps = universe.steps(language)
         # (rmask, relation) -> (greedy reply, minimal hitting images); no
         # images when some right index has no move
         self.replies: dict[tuple, tuple[int, list[int]]] = {}
@@ -405,6 +409,9 @@ class _FamilySearch:
         self.element_count = 0
         self.longest = 0
         self.shift = FIELD_SHIFT[kind]
+        self.by_length = kind is MeasureKind.LENGTH
+        # only a measure counting bot may prefer an empty element to it
+        self.keep_empty = kind is MeasureKind.FALSE_COUNT
         self.full = (1 << len(universe)) - 1
         # leaf measures are the same in every cell
         self.bot = compose(FalseConst)
@@ -425,19 +432,26 @@ class _FamilySearch:
             return (cost, tuple(mask_bits(a[1])))
         return cost
 
-    def _insert(self, levels: list[list], element) -> None:
-        # every stored element is at most as long as the one inserted, so
-        # only elements of its own length can be evicted
-        mask, measured, length, _ = element
-        if measured[0] >> self.shift & FIELD_MASK > self.budget:
+    def _insert(self, levels: list[list], element, node=None) -> None:
+        # Given node, element's measured slot holds the children's pairs.  A
+        # Length cost is the length, every stored element is at most as long
+        # and only those of its own length can be evicted, so for Length the
+        # masks alone decide and only a kept element is composed.
+        mask, measured, length, prov = element
+        by_length = self.by_length
+        if node is not None and not by_length:
+            measured = compose(node, measured)
+        if (length if by_length else measured[0] >> self.shift & FIELD_MASK) > self.budget:
             return
         for level in levels:
             for m2, a2, _, _ in level:
-                if mask & ~m2 == 0 and self.no_worse(a2, measured):
+                if mask & ~m2 == 0 and (by_length or self.no_worse(a2, measured)):
                     return
+        if node is not None:
+            element = (mask, compose(node, measured) if by_length else measured, length, prov)
         levels[length] = [
             e for e in levels[length]
-            if not (e[0] & ~mask == 0 and self.no_worse(measured, e[1]))
+            if not (e[0] & ~mask == 0 and (by_length or self.no_worse(measured, e[1])))
         ] + [element]
         self.longest = max(self.longest, length)
         self.element_count += 1
@@ -466,6 +480,7 @@ class _FamilySearch:
                     self._insert(levels, (self.full & ~holds, neg, 1, ("lit", var, False)))
             return
 
+        keep_empty = self.keep_empty
         for node, (pre_image, moves) in self.steps.items():
             replies = self.replies.get((rmask, moves))
             if replies is None:
@@ -489,7 +504,8 @@ class _FamilySearch:
                         for child in self.compute(crmask, length - 1)[length - 1]
                     ]
                 for element in lifted:
-                    self._insert(levels, element)
+                    if element[0] or keep_empty:
+                        self._insert(levels, element)
 
         # or: union of two achievable sets against the same right set.
         for len1 in range(1, (length - 1) // 2 + 1):
@@ -498,11 +514,9 @@ class _FamilySearch:
             for i1, e1 in enumerate(ones):
                 start = i1 + 1 if len1 == len2 else 0
                 for e2 in twos[start:]:
-                    self._insert(
-                        levels,
-                        (e1[0] | e2[0], compose(Or, (e1[1], e2[1])), length,
-                         ("or", e1, e2)),
-                    )
+                    union = e1[0] | e2[0]
+                    if union != e1[0] and union != e2[0]:
+                        self._insert(levels, (union, (e1[1], e2[1]), length, ("or", e1, e2)), Or)
 
         # and: the right set splits in two; both subtrees must admit.
         if rmask & (rmask - 1):
@@ -518,11 +532,10 @@ class _FamilySearch:
                     twos = self.compute(part2, len2)[len2]
                     for e1 in ones:
                         for e2 in twos:
-                            self._insert(
-                                levels,
-                                (e1[0] & e2[0], compose(And, (e1[1], e2[1])), length,
-                                 ("and", part1, e1, part2, e2)),
-                            )
+                            meet = e1[0] & e2[0]
+                            if meet or keep_empty:
+                                prov = ("and", part1, e1, part2, e2)
+                                self._insert(levels, (meet, (e1[1], e2[1]), length, prov), And)
                 sub = (sub - 1) & rest
 
     def build(self, entry, target: int, rmask: int) -> GameTree:

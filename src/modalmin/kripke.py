@@ -540,7 +540,7 @@ class Universe:
     the layout's runs as (offset, frame, model count).
     """
 
-    __slots__ = ("placed", "models", "runs")
+    __slots__ = ("placed", "models", "runs", "_steps")
 
     def __init__(self, models: Sequence[Model]):
         placed: list[tuple[int, Model]] = []
@@ -557,6 +557,7 @@ class Universe:
         self.placed = tuple(placed)
         self.models = _PointedModels(self.placed, size)
         self.runs = tuple(map(tuple, runs))
+        self._steps: dict[str, dict[type, tuple]] = {}
 
     def __len__(self):
         return len(self.models)
@@ -582,7 +583,13 @@ class Universe:
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        return _den(phi, self.lit_mask, (1 << len(self)) - 1, modal_steps(self.runs, GLOBAL))
+        return _den(phi, self.lit_mask, (1 << len(self)) - 1, self.steps(GLOBAL))
+
+    def steps(self, language: str) -> dict[type, tuple]:
+        """modal_steps over the universe's runs, built on first use per language."""
+        if language not in self._steps:
+            self._steps[language] = modal_steps(self.runs, language)
+        return self._steps[language]
 
     def colours(self, language: str) -> list[int]:
         """_refine's colour of every index: two share one iff they are bisimilar in the language."""

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .formula import (
     And,
     BASIC,
+    FIELD_MASK,
+    FIELD_SHIFT,
     FalseConst,
     Formula,
     MeasureKind,
@@ -29,13 +31,12 @@ from .formula import (
     check_length_cap,
     check_measure,
     compose,
-    field,
     packed_dominates,
     print_formula,
     unpack,
 )
 from .gallery import WitnessSet, reduced_witnesses
-from .kripke import ResourceCapError, Universe, frame_valid, modal_steps
+from .kripke import ResourceCapError, Universe, frame_valid
 
 __all__ = [
     "ENUM_CAP",
@@ -90,21 +91,27 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
 
     cap = ENUM_CAP
     full = (1 << len(u)) - 1
-    steps = modal_steps(u.runs, language).items()
+    steps = u.steps(language).items()
+    length_shift = FIELD_SHIFT[MeasureKind.LENGTH]
 
     # per denotation, the Pareto-minimal packed vectors retained so far
     pareto: dict[int, list[int]] = {}
     # per length, the retained (formula, denotation, (packed vector, variable mask))
     by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
 
-    def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
-        # the formula ctor(*args) is built only once the candidate is kept
-        stats.formulas += 1
+    def count(n: int) -> None:
+        # a dropped candidate counts too; the one passing the cap is the last
+        stats.formulas += n
         if stats.formulas > cap:
+            stats.formulas = cap + 1
             raise ResourceCapError(
                 f"enumeration exceeded {cap} candidate formulas "
                 f"({stats.denotations} denotations reached)"
             )
+
+    def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
+        # the formula ctor(*args) is built only once the candidate is kept
+        count(1)
         vec = measured[0]
         kept = pareto.get(den)
         if kept is None:
@@ -118,7 +125,7 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
             kept[:] = [v for v in kept if not packed_dominates(vec, v)]
             kept.append(vec)
         phi = ctor(*args)
-        by_len.setdefault(field(vec, MeasureKind.LENGTH), []).append((phi, den, measured))
+        by_len.setdefault(vec >> length_shift & FIELD_MASK, []).append((phi, den, measured))
         return phi, den, vec
 
     atoms = [(FalseConst, (), 0, compose(FalseConst)), (TrueConst, (), full, compose(TrueConst))]
@@ -138,12 +145,18 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
         # past the longest retained length no later level has a candidate either
         if max(by_len) < length // 2:
             return
-        # entries sharing a denotation share its step images, in steps order
+        # a candidate denoting an operand's set is counted, not measured: that
+        # operand (or the same-length entry that evicted it) is retained and no
+        # worse in every measure.  Entries sharing a denotation share its step
+        # images, in steps order.
         images: dict[int, list[int]] = {}
         for phi, den, measured in list(by_len.get(length - 1, ())):
             if den not in images:
                 images[den] = [pre_image(moves, den) for _, (pre_image, moves) in steps]
             for (ctor, _), image in zip(steps, images[den]):
+                if image == den:
+                    count(1)
+                    continue
                 out = admit(ctor, (phi,), image, compose(ctor, (measured,)))
                 if out:
                     yield out
@@ -154,6 +167,9 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
             for i1, (a, da, ma) in enumerate(ones):
                 start = i1 if len1 == len2 else 0
                 for b, db, mb in twos[start:]:
+                    if (da & db) in (da, db):  # Or and And each denote an operand's set
+                        count(2)
+                        continue
                     out = admit(Or, (a, b), da | db, compose(Or, (ma, mb)))
                     if out:
                         yield out
@@ -169,12 +185,13 @@ def _cheapest(found, kind: MeasureKind, separates) -> tuple[Formula, MeasureVect
     form; a Length search stops after the first level that separates.
     """
     best = None
+    shift, length_shift = FIELD_SHIFT[kind], FIELD_SHIFT[MeasureKind.LENGTH]
     for phi, den, packed in found:
-        length = field(packed, MeasureKind.LENGTH)
+        length = packed >> length_shift & FIELD_MASK
         if best is not None and kind is MeasureKind.LENGTH and length > best[0][1]:
             break
         if separates(den):
-            key = (field(packed, kind), length, print_formula(phi))
+            key = (packed >> shift & FIELD_MASK, length, print_formula(phi))
             if best is None or key < best[0]:
                 best = (key, phi, packed)
     return None if best is None else (best[1], unpack(best[2]))
@@ -334,9 +351,10 @@ def certify_bound(
         )
 
     u, separates = _frame_separation(w, var_bound, language)
+    shift = FIELD_SHIFT[kind]
     try:
         for phi, den, packed in _enumerate(u, var_bound, length_cap, language, stats):
-            if field(packed, kind) >= claimed_bound:
+            if packed >> shift & FIELD_MASK >= claimed_bound:
                 continue
             if separates(den):
                 if not all(frame_valid(fr, phi) for fr in w.positives) or any(

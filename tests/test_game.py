@@ -479,6 +479,44 @@ def test_lifted_levels_stay_the_lifting_of_their_child_level(rng):
     assert lifted > 1000
 
 
+# element_count of every search _random_searches grows, as measured before
+# the search dropped candidates on their masks: the drops never change what
+# a family stores
+_RANDOM_SEARCH_ELEMENT_COUNTS = [
+    2, 2, 2, 2, 2, 2, 11, 30, 12, 32, 11, 30, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 2, 2, 2, 2, 2, 7, 7, 7, 7, 7, 7, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+    7, 7, 7, 7, 7, 7, 20, 233, 21, 237, 20, 233, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5,
+    18, 17, 18, 19, 19, 18, 6, 46, 6, 46, 6, 53, 21, 187, 21, 187, 21, 187,
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 46, 54, 46, 54, 46, 54, 2, 2, 2, 2, 2, 2,
+    2, 2, 2, 2, 2, 2, 10, 15, 10, 15, 11, 16, 2, 2, 2, 2, 2, 2, 6, 18, 6, 19, 6, 19,
+    3, 15, 3, 17, 3, 15, 7, 7, 7, 7, 7, 7, 17, 46, 17, 46, 18, 50, 8, 40, 8, 40, 8, 40,
+    2, 2, 2, 2, 2, 2, 23, 67, 23, 69, 26, 70, 12, 56, 12, 56, 12, 61,
+]
+
+
+def test_random_search_element_counts_pinned(rng):
+    counts = [search.element_count for search, _, _ in _random_searches(rng)]
+    assert counts == _RANDOM_SEARCH_ELEMENT_COUNTS
+
+
+def test_false_count_keeps_empty_elements():
+    # A dead end (0) left; right 1 and 2, each seeing one reflexive point,
+    # p1 at 3 only, so 0, 1 and 2 carry equal valuations.  The box move
+    # leaves (empty, {3, 4}), which within length 4 only p1 & ~p1 (empty
+    # set, no bot) closes for free: [](p1 & ~p1) costs 0, []F costs 1.  In
+    # the global language A p1 (empty set) gives [] A p1 at length 3.  Bot
+    # is no cheaper than an empty element under FALSE_COUNT, so the search
+    # must keep those.
+    u = Universe([Model(Frame(5, [(1, 3), (2, 4), (3, 3), (4, 4)]), {1: 0b01000})])
+    pos = GamePosition(u, [0], [1, 2])
+    for language, length_cap in ((BASIC, 4), (GLOBAL, 3)):
+        found = min_cost_fgm(pos, MeasureKind.FALSE_COUNT, 3, language, length_cap)
+        assert found is not None and found[0] == 0, language
+        assert verify_closed_tree(found[1], language)
+        separator = min_separating(u, [0], [1, 2], MeasureKind.FALSE_COUNT, 1, length_cap, language)
+        assert separator is not None and separator[1].false_count == 0, language
+
+
 def test_modal_steps_are_the_kernel_functions():
     # the game tells the steps apart by identity, so a wrapped entry would
     # silently change its answers

@@ -133,6 +133,31 @@ def test_enumeration_stats_and_cap(monkeypatch):
     assert 0 < partial.denotations <= 10
 
 
+def test_cap_counts_candidates_dropped_on_their_masks(monkeypatch):
+    # []T denotes T's set and (F | T) and (F & T) denote operands' sets, so
+    # from level 2 on the enumerator drops candidates without measuring
+    # them; each must still count toward the cap, one by one, and the
+    # totals are those of an enumerator that measures every candidate
+    u = build_universe([(Frame(2, [(0, 1)]), 1)])
+    for language, length_cap, total in ((BASIC, 5, 286), (GLOBAL, 4, 264)):
+        stats = EnumerationStats()
+        full = list(enumerate_formulas(u, 1, length_cap, language, stats=stats))
+        assert stats.formulas == total
+        dens = [den for _, den, _ in full]
+        steps = u.steps(language).values()
+        assert any(pre_image(moves, den) == den for den in dens for pre_image, moves in steps)
+        assert any(da & db in (da, db) for da in dens for db in dens)
+        for cap in range(1, stats.formulas):
+            monkeypatch.setattr("modalmin.synth.ENUM_CAP", cap)
+            partial = EnumerationStats()
+            got = []
+            with pytest.raises(ResourceCapError):
+                for triple in enumerate_formulas(u, 1, length_cap, language, stats=partial):
+                    got.append(triple)
+            assert partial.formulas == cap + 1, (language, cap)
+            assert got == full[: len(got)], (language, cap)
+
+
 # --- separator search over index sets ---------------------------------------
 
 
