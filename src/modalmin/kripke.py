@@ -31,6 +31,7 @@ from .formula import (
     TrueConst,
     check_language,
     in_language,
+    subformulas,
     vars_of,
 )
 
@@ -180,42 +181,50 @@ class PointedModel:
 # Every modal step, in evaluation, validity, enumeration and the games, is one
 # of three operations on a Moves relation.  Its layout is a list of runs: model
 # k of a run of models over one frame of width W, from offset off on, holds
-# state s at index off + k*W + s, so one shift-and-mask moves a whole run.
-
-
-def _geometric(step: int, count: int) -> int:
-    """Sum of 2**(t*step) for t < count."""
-    return ((1 << (count * step)) - 1) // ((1 << step) - 1)
+# state s at index off + k*W + s, so a move s -> t shifts an index by t - s.
+# A relation is one table of its shifts over every run, each operation one
+# shift-and-mask per shift, and box and A the duals of diamond and E.
 
 
 class Moves:
     """One move relation over the runs given as (offset, frame, model count).
 
     A state moves to its frame successors, or with everywhere to every state
-    of its model (the relation of E and A).  Per run it keeps (off, W, rep,
-    span, rows, groups): rep has bit k*W set for every model k, span covers
-    the run, rows[s] is the state mask of s's targets, and groups pairs each
-    distinct target tuple with the mask of the states that share it.
+    of its model (the relation of E and A).  ahead pairs each shift d >= 0
+    with the mask of the indices i that move to i + d, back each d > 0 with
+    the mask of those that move to i - d, and full masks every index.  row
+    reads runs: per run (off, W, span, rows), span its index count.
     """
 
-    __slots__ = ("runs",)
+    __slots__ = ("ahead", "back", "full", "runs")
 
     def __init__(self, runs: Iterable[Sequence], everywhere: bool = False):
         self.runs = []
+        self.full = 0
+        sources: dict[int, int] = {}
         for off, frame, count in runs:
             w = frame.state_count
             rows = ((1 << w) - 1,) * w if everywhere else frame.succ_masks
-            sharing: dict[int, int] = {}
-            for s, row in enumerate(rows):
-                sharing[row] = sharing.get(row, 0) | 1 << s
-            groups = tuple((tuple(mask_bits(row)), states) for row, states in sharing.items())
-            rep = _geometric(w, count)
-            self.runs.append((off, w, rep, rep * ((1 << w) - 1), rows, groups))
+            # per shift, the states of one model that move by it (everywhere: O(W) steps, not W*W)
+            if everywhere:
+                states = {d: (1 << min(w, w - d)) - (1 << max(0, -d)) for d in range(1 - w, w)}
+            else:
+                states = {}
+                for s, row in enumerate(rows):
+                    for t in mask_bits(row):
+                        states[t - s] = states.get(t - s, 0) | 1 << s
+            rep = ((1 << count * w) - 1) // ((1 << w) - 1)  # bit k*W for every model k
+            for d, mask in states.items():
+                sources[d] = sources.get(d, 0) | (rep * mask) << off
+            self.runs.append((off, w, count * w, rows))
+            self.full |= ((1 << count * w) - 1) << off
+        self.ahead = tuple((d, src) for d, src in sources.items() if d >= 0)
+        self.back = tuple((-d, src) for d, src in sources.items() if d < 0)
 
     def row(self, i: int) -> int:
         """The indices one move away from index i."""
-        for off, w, _, span, rows, _ in self.runs:
-            if i - off < span.bit_length():
+        for off, w, span, rows in self.runs:
+            if i - off < span:
                 k, s = divmod(i - off, w)
                 return rows[s] << (off + k * w)
         raise IndexError(f"index {i} outside the layout")
@@ -224,43 +233,26 @@ class Moves:
 def forward_image(moves: Moves, m: int) -> int:
     """Indices one move away from some index in m: the game's greedy reply."""
     out = 0
-    for off, _, rep, span, rows, _ in moves.runs:
-        seg = m >> off & span
-        local = 0
-        for s, row in enumerate(rows):
-            local |= (seg >> s & rep) * row
-        out |= local << off
+    for d, src in moves.ahead:
+        out |= (m & src) << d
+    for d, src in moves.back:
+        out |= (m & src) >> d
     return out
 
 
 def some_pre_image(moves: Moves, m: int) -> int:
     """Indices with some move into m: the diamond and E."""
     out = 0
-    for off, _, rep, span, _, groups in moves.runs:
-        seg = m >> off & span
-        local = 0
-        for targets, states in groups:
-            acc = 0
-            for t in targets:
-                acc |= seg >> t
-            local |= (acc & rep) * states
-        out |= local << off
+    for d, src in moves.ahead:
+        out |= m >> d & src
+    for d, src in moves.back:
+        out |= m << d & src
     return out
 
 
 def all_pre_image(moves: Moves, m: int) -> int:
     """Indices with every move inside m, vacuously when there is none: box and A."""
-    out = 0
-    for off, _, rep, span, _, groups in moves.runs:
-        seg = m >> off & span
-        local = 0
-        for targets, states in groups:
-            acc = rep
-            for t in targets:
-                acc &= seg >> t
-            local |= acc * states
-        out |= local << off
-    return out
+    return moves.full ^ some_pre_image(moves, moves.full & ~m)
 
 
 # The modal connectives as kernel steps: the pre-image each one takes, and
@@ -274,11 +266,21 @@ MODAL_STEPS = {
 }
 
 
+def _steps(relation, language: str) -> dict[type, tuple]:
+    """The language's MODAL_STEPS in order, each with relation(everywhere), the Moves it reads."""
+    steps = ((node, step) for node, step in MODAL_STEPS.items() if in_language(node, language))
+    return {node: (pre_image, relation(everywhere)) for node, (pre_image, everywhere) in steps}
+
+
 def modal_steps(runs: Sequence[tuple[int, Frame, int]], language: str) -> dict[type, tuple]:
     """The language's MODAL_STEPS in order, with one Moves over the runs per relation they use."""
-    steps = {node: step for node, step in MODAL_STEPS.items() if in_language(node, language)}
-    moves = {everywhere: Moves(runs, everywhere) for everywhere in {e for _, e in steps.values()}}
-    return {node: (pre_image, moves[everywhere]) for node, (pre_image, everywhere) in steps.items()}
+    return _steps(functools.cache(functools.partial(Moves, runs)), language)
+
+
+def _language_of(phi: Formula) -> str:
+    """The smallest language phi is in, BASIC for a non-formula (which _den rejects)."""
+    nodes = subformulas(phi) if isinstance(phi, Formula) else ()
+    return BASIC if all(in_language(type(node), BASIC) for node in nodes) else GLOBAL
 
 
 # --- evaluation -------------------------------------------------------------
@@ -373,7 +375,7 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
         )
     chunk_codes = 1 << min(w * v, _CHUNK_CODE_BITS)
     full = (1 << (chunk_codes * w)) - 1
-    steps = modal_steps([(0, frame, chunk_codes)], GLOBAL)
+    steps = modal_steps([(0, frame, chunk_codes)], _language_of(phi))
     for masks in _coded_masks(w, v, chunk_codes):
         atoms = dict(zip(var_order, masks))
         if _den(phi, atoms.__getitem__, full, steps) != full:
@@ -533,14 +535,16 @@ class Universe:
 
     Model k holds its states in point order from the sum of the earlier
     models' state counts, and consecutive models over one frame form the
-    runs of the kernel's layout, from which modal_steps builds the move
-    relations.  Equal models at two positions are two models.  placed pairs
-    each model with its first index; models is a read-only sequence of the
-    pointed model at every index, each built when it is read; runs lists
-    the layout's runs as (offset, frame, model count).
+    runs of the kernel's layout.  Equal models at two positions are two
+    models.  placed pairs each model with its first index; models is a
+    read-only sequence of the pointed model at every index, each built
+    when it is read; runs lists the layout's runs as (offset, frame,
+    model count).  steps(language) is modal_steps over the runs, built on
+    first use per language, and both languages share one Moves per
+    relation, built on first use too.
     """
 
-    __slots__ = ("placed", "models", "runs", "_steps")
+    __slots__ = ("placed", "models", "runs", "steps")
 
     def __init__(self, models: Sequence[Model]):
         placed: list[tuple[int, Model]] = []
@@ -557,7 +561,8 @@ class Universe:
         self.placed = tuple(placed)
         self.models = _PointedModels(self.placed, size)
         self.runs = tuple(map(tuple, runs))
-        self._steps: dict[str, dict[type, tuple]] = {}
+        relation = functools.cache(functools.partial(Moves, self.runs))
+        self.steps = functools.cache(functools.partial(_steps, relation))
 
     def __len__(self):
         return len(self.models)
@@ -583,13 +588,7 @@ class Universe:
 
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        return _den(phi, self.lit_mask, (1 << len(self)) - 1, self.steps(GLOBAL))
-
-    def steps(self, language: str) -> dict[type, tuple]:
-        """modal_steps over the universe's runs, built on first use per language."""
-        if language not in self._steps:
-            self._steps[language] = modal_steps(self.runs, language)
-        return self._steps[language]
+        return _den(phi, self.lit_mask, (1 << len(self)) - 1, self.steps(_language_of(phi)))
 
     def colours(self, language: str) -> list[int]:
         """_refine's colour of every index: two share one iff they are bisimilar in the language."""

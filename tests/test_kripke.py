@@ -1,7 +1,9 @@
 """Frames, models, evaluation, validity, bisimulation, universes."""
 
+import functools
 import hashlib
 import random
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,7 +51,7 @@ from modalmin.kripke import (
     some_pre_image,
 )
 from modalmin.colouring import colour_assignment, k_complete, khat, phi_n
-from modalmin.gallery import lob_witnesses
+from modalmin.gallery import builtin_witnesses, lob_witnesses, reduced_witnesses
 
 from .conftest import rand_formula, rand_frame, rand_model, rand_pointed
 from .oracles import naive_bisimilar, naive_eval, naive_valid, rescanning_greedy_cover
@@ -559,12 +561,13 @@ def test_reduced_expansion_lob_4_layout_pinned():
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mask_kernel_matches_set_comprehensions(seed):
-    # a multi-run universe: runs of models over random frames, each model
+    # a multi-run universe: runs of models over random frames of up to 7
+    # states (shifts -6..6, as wide as lob-3's widest run), each model
     # possibly equal to the one before it, then a model whose state has no
     # successor at all
     rng = random.Random(seed)
     layout, succ_sets, same_sets = [], [], []
-    models = [Model(rand_frame(rng, 3), {1: rng.getrandbits(1)}) for _ in range(rng.randint(1, 3))]
+    models = [Model(rand_frame(rng, 7), {1: rng.getrandbits(1)}) for _ in range(rng.randint(1, 3))]
     models += [Model(Frame(1, []), {})]
     for model in models:
         for _ in range(rng.choice((1, 1, 2, 3))):
@@ -595,6 +598,22 @@ def test_mask_kernel_matches_set_comprehensions(seed):
     assert dead in members(some_pre_image(same, m | 1 << dead))
 
 
+def test_mask_kernel_matches_rows_on_lob_3_global():
+    # the reduced lob-3 universe of the global language: 790 indices in runs
+    # up to 7 states wide, over both relations
+    u, _, _ = reduced_witnesses(builtin_witnesses("lob-3"), 1, GLOBAL)
+    n = len(u)
+    assert n == 790 and max(frame.state_count for _, frame, _ in u.runs) == 7
+    steps = u.steps(GLOBAL)
+    rng = random.Random(20)
+    for moves in (steps[Dia][1], steps[ExistsMod][1]):
+        rows = [moves.row(i) for i in range(n)]
+        for m in [rng.getrandbits(n) for _ in range(4)] + [0, (1 << n) - 1]:
+            assert forward_image(moves, m) == functools.reduce(or_, (rows[i] for i in mask_bits(m)), 0)
+            assert some_pre_image(moves, m) == index_mask(i for i in range(n) if rows[i] & m)
+            assert all_pre_image(moves, m) == index_mask(i for i in range(n) if not rows[i] & ~m)
+
+
 def test_modal_steps_build_each_relation_the_language_uses_once(monkeypatch):
     u = build_universe([(CHAIN, 1), (LOOP, 1)])
     built = []
@@ -613,6 +632,34 @@ def test_modal_steps_build_each_relation_the_language_uses_once(monkeypatch):
     for i in range(len(u)):
         assert full[Dia][1].row(i) == basic[Dia][1].row(i) == Moves(u.runs).row(i)
         assert full[ExistsMod][1].row(i) == Moves(u.runs, everywhere=True).row(i)
+
+
+def test_universe_languages_share_the_successor_relation(monkeypatch):
+    built = []
+    monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
+    for first, second in ((BASIC, GLOBAL), (GLOBAL, BASIC)):
+        u = build_universe([(CHAIN, 1), (LOOP, 1)])
+        built.clear()
+        u.steps(first), u.steps(second), u.steps(first)
+        assert sorted(built) == [False, True]
+        assert u.steps(BASIC)[Dia][1] is u.steps(GLOBAL)[Dia][1] is u.steps(GLOBAL)[Box][1]
+    # a universe read only in the basic language never builds the same-model
+    # relation, and den reads it only for a formula with E or A
+    u = build_universe([(CHAIN, 1)])
+    built.clear()
+    u.steps(BASIC), u.den(parse("(~p1 | <> p1)")), u.steps(BASIC)
+    assert built == [False]
+    u.den(parse("A <> p1"))
+    assert built == [False, True]
+
+
+def test_frame_valid_builds_the_same_model_relation_only_for_e_and_a(monkeypatch):
+    built = []
+    monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
+    for text, relations in (("(~p1 | <> p1)", [False]), ("(p1 | ~p1)", [False]), ("(E p1 | A ~p1)", [False, True])):
+        built.clear()
+        assert frame_valid(CHAIN, parse(text)) == naive_valid(CHAIN, parse(text))
+        assert built == relations, text
 
 
 def test_universe_mask_and_variables():
