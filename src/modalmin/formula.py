@@ -301,13 +301,29 @@ def field(packed: int, kind: MeasureKind) -> int:
     return packed >> FIELD_SHIFT[kind] & FIELD_MASK
 
 
-def packed_dominates(a: int, b: int) -> bool:
-    """MeasureVector.dominates on packed vectors.
+def no_worse(kind: MeasureKind | None):
+    """The one dominance rule: no_worse(kind)(a, b) when a is no worse than b.
 
-    Each field of (b | guards) - a keeps its guard bit exactly when the
-    field of b is at least that of a.
+    a and b are (packed vector, variable mask) pairs.  A composite counts
+    the union of its children's variables, so VAR_COUNT compares masks by
+    inclusion, another kind its field.  kind None is the Pareto rule: each
+    field of (b | guards) - a keeps its guard bit exactly when b's field is
+    at least a's, and then the masks by inclusion.
     """
-    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
+    if kind is None:
+        return lambda a, b: ((b[0] | _GUARDS) - a[0]) & _GUARDS == _GUARDS and a[1] & ~b[1] == 0
+    if kind is MeasureKind.VAR_COUNT:
+        return lambda a, b: a[1] & ~b[1] == 0
+    shift = FIELD_SHIFT[kind]
+    return lambda a, b: a[0] >> shift & FIELD_MASK <= b[0] >> shift & FIELD_MASK
+
+
+def cost_key(kind: MeasureKind):
+    """Orders (packed vector, variable mask) pairs by kind, VAR_COUNT ties by the variables."""
+    shift = FIELD_SHIFT[kind]
+    if kind is MeasureKind.VAR_COUNT:
+        return lambda a: (a[0] >> shift & FIELD_MASK, [v for v in range(a[1].bit_length()) if a[1] >> v & 1])
+    return lambda a: a[0] >> shift & FIELD_MASK
 
 
 # The one measure rule: a node's measures are what its type adds (below) plus

@@ -26,7 +26,6 @@ from .formula import (
     FalseConst,
     Formula,
     MeasureKind,
-    Measured,
     NegLit,
     Or,
     PosLit,
@@ -35,8 +34,10 @@ from .formula import (
     check_length_cap,
     check_measure,
     compose,
+    cost_key,
     field,
     in_language,
+    no_worse,
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
@@ -366,9 +367,8 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 #
 # An element's measures are the (packed vector, variable mask) pair
 # formula.compose builds, but elements compare only on (measure minimized,
-# length), reading the one packed field by its shift.  For VAR_COUNT a
-# measure is at most another when its variables are a subset of the
-# other's, and ties order by the variables themselves.
+# length): by formula.no_worse(kind), the enumerator's rule, and in order
+# by formula.cost_key(kind).
 #
 # The modal moves are the language's MODAL_STEPS.  A right set's replies
 # over a relation do not depend on the length being built, so each (right
@@ -409,6 +409,8 @@ class _FamilySearch:
         self.element_count = 0
         self.longest = 0
         self.shift = FIELD_SHIFT[kind]
+        self.no_worse = no_worse(kind)
+        self.key = cost_key(kind)
         self.by_length = kind is MeasureKind.LENGTH
         # only a measure counting bot may prefer an empty element to it
         self.keep_empty = kind is MeasureKind.FALSE_COUNT
@@ -420,17 +422,6 @@ class _FamilySearch:
             (var, universe.lit_mask(var), compose(PosLit, var=var), compose(NegLit, var=var))
             for var in universe.variables
         ]
-
-    def no_worse(self, a: Measured, b: Measured) -> bool:
-        if self.kind is MeasureKind.VAR_COUNT:
-            return a[1] & ~b[1] == 0
-        return a[0] >> self.shift & FIELD_MASK <= b[0] >> self.shift & FIELD_MASK
-
-    def key(self, a: Measured):
-        cost = a[0] >> self.shift & FIELD_MASK
-        if self.kind is MeasureKind.VAR_COUNT:
-            return (cost, tuple(mask_bits(a[1])))
-        return cost
 
     def _insert(self, levels: list[list], element, node=None) -> None:
         # Given node, element's measured slot holds the children's pairs.  A

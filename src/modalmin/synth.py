@@ -1,11 +1,11 @@
 """Exhaustive formula synthesis and lower-bound certificates.
 
 Formulas are enumerated bottom-up over a fixed universe of pointed models,
-deduplicated by denotation: per denotation only Pareto-minimal measure
-vectors survive, and only survivors feed later combinations.  On top of the
-stream sit minimal-separator searches (over index sets, or frame-wise over a
-witness set) and certify_bound, which turns "no cheaper formula separates
-these frames" into a checkable Certificate.
+deduplicated by denotation, and only survivors feed later combinations.  The
+minimal-separator searches (over index sets, or frame-wise over a witness
+set) keep per denotation the entries minimal under the asked measure and
+Length; enumerate_formulas and certify_bound, which turns "no cheaper formula
+separates these frames" into a checkable Certificate, keep the Pareto front.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .formula import (
     check_length_cap,
     check_measure,
     compose,
-    packed_dominates,
+    no_worse,
     print_formula,
     unpack,
 )
@@ -72,8 +72,8 @@ def enumerate_formulas(
     Level k holds formulas of length exactly k: the atoms, then every unary
     and binary combination of retained smaller formulas.  A candidate is
     retained, yielded, and made available to later levels iff no retained
-    formula with the same denotation has a measure vector that is <= on
-    every component; within a level, newly dominated entries are dropped.
+    formula with the same denotation is no worse in every measure, its
+    variables a subset; within a level, newly dominated entries are dropped.
     Raises ResourceCapError once more than ENUM_CAP formulas have been
     considered, leaving partial counts in stats.
     """
@@ -81,8 +81,9 @@ def enumerate_formulas(
         yield phi, den, unpack(packed)
 
 
-def _enumerate(u, var_bound, length_cap, language, stats=None):
-    """enumerate_formulas with each measure vector packed into one int."""
+def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
+    """enumerate_formulas with packed vectors; under a measure kind it keeps
+    per denotation only the entries minimal in kind and Length (no_worse)."""
     check_language(language)
     if var_bound < 0:
         raise ValueError("var bound must be >= 0")
@@ -93,9 +94,10 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
     full = (1 << len(u)) - 1
     steps = u.steps(language).items()
     length_shift = FIELD_SHIFT[MeasureKind.LENGTH]
+    dominates = no_worse(kind)
 
-    # per denotation, the Pareto-minimal packed vectors retained so far
-    pareto: dict[int, list[int]] = {}
+    # per denotation, the kept (packed vector, variable mask) pairs
+    front: dict[int, list[Measured]] = {}
     # per length, the retained (formula, denotation, (packed vector, variable mask))
     by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
 
@@ -110,20 +112,20 @@ def _enumerate(u, var_bound, length_cap, language, stats=None):
             )
 
     def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
-        # the formula ctor(*args) is built only once the candidate is kept
+        # ctor(*args) is built only once kept.  Every entry in front is no
+        # longer than the candidate, so either may stand in for the other when
+        # no worse in kind; under Length a denotation's first entry wins.
         count(1)
         vec = measured[0]
-        kept = pareto.get(den)
+        kept = front.get(den)
         if kept is None:
-            pareto[den] = [vec]
+            front[den] = [measured]
             stats.denotations += 1
         else:
-            if any(packed_dominates(v, vec) for v in kept):
+            if any(dominates(m, measured) for m in kept):
                 return None
-            # only same-length entries can be newly dominated: every measure
-            # vector includes Length, so shorter retained entries never are
-            kept[:] = [v for v in kept if not packed_dominates(vec, v)]
-            kept.append(vec)
+            kept[:] = [m for m in kept if not dominates(measured, m)]
+            kept.append(measured)
         phi = ctor(*args)
         by_len.setdefault(vec >> length_shift & FIELD_MASK, []).append((phi, den, measured))
         return phi, den, vec
@@ -182,7 +184,8 @@ def _cheapest(found, kind: MeasureKind, separates) -> tuple[Formula, MeasureVect
     """The cheapest formula of a packed enumeration whose denotation separates.
 
     Minimizes the measure with ties broken by Length and then by the printed
-    form; a Length search stops after the first level that separates.
+    form, among the entries an enumeration under kind keeps; a Length search
+    stops after the first level that separates.
     """
     best = None
     shift, length_shift = FIELD_SHIFT[kind], FIELD_SHIFT[MeasureKind.LENGTH]
@@ -219,7 +222,7 @@ def min_separating(
     check_measure(kind, language)
     check_length_cap(length_cap)
     return _cheapest(
-        _enumerate(u, var_bound, length_cap, language),
+        _enumerate(u, var_bound, length_cap, language, kind=kind),
         kind,
         lambda den: lmask & ~den == 0 and rmask & den == 0,
     )
@@ -259,7 +262,7 @@ def min_separating_frames(
     check_length_cap(length_cap)
     u, separates = _frame_separation(w, var_bound, language)
     return _cheapest(
-        _enumerate(u, var_bound, length_cap, language),
+        _enumerate(u, var_bound, length_cap, language, kind=kind),
         kind,
         separates,
     )

@@ -26,12 +26,13 @@ from modalmin.formula import (
     TRUE,
     TrueConst,
     compose,
+    cost_key,
     field,
     measure,
     measure_all,
     nnf_negate,
+    no_worse,
     pack,
-    packed_dominates,
     parse,
     print_formula,
     subformulas,
@@ -304,8 +305,38 @@ def _vector_pairs(draw):
 @given(pair=_vector_pairs())
 def test_packed_dominance_is_the_tuple_rule(pair):
     a, b = pair
-    assert packed_dominates(pack(a), pack(b)) == a.dominates(b)
-    assert packed_dominates(pack(b), pack(a)) == b.dominates(a)
+    pareto = no_worse(None)
+    assert pareto((pack(a), 0), (pack(b), 0)) == a.dominates(b)
+    assert pareto((pack(b), 0), (pack(a), 0)) == b.dominates(a)
+
+
+_SMALL_MASKS = st.integers(0, 7)
+
+
+@given(pair=_vector_pairs(), amask=_SMALL_MASKS, bmask=_SMALL_MASKS)
+def test_no_worse_compares_one_measure_and_variables_by_inclusion(pair, amask, bmask):
+    a, b = (pack(pair[0]), amask), (pack(pair[1]), bmask)
+    subset = amask & ~bmask == 0
+    assert no_worse(None)(a, b) == (pair[0].dominates(pair[1]) and subset)
+    assert no_worse(MeasureKind.VAR_COUNT)(a, b) == subset
+    for kind in MeasureKind:
+        if kind is not MeasureKind.VAR_COUNT:
+            assert no_worse(kind)(a, b) == (pair[0].get(kind) <= pair[1].get(kind))
+
+
+def test_var_count_no_worse_is_inclusion_not_count():
+    # one variable each, but only {p1} fits inside {p1, p2}
+    zero = MeasureVector(*[0] * 11)
+    p1, p2, both = [
+        (pack(zero._replace(var_count=n)), mask) for n, mask in ((1, 0b10), (1, 0b100), (2, 0b110))
+    ]
+    rule = no_worse(MeasureKind.VAR_COUNT)
+    assert not rule(p2, p1) and not rule(p1, p2)
+    assert rule(p1, both) and not rule(both, p1)
+    assert not no_worse(None)(p2, p1)
+    key = cost_key(MeasureKind.VAR_COUNT)
+    assert key(p1) < key(p2) < key(both)
+    assert cost_key(MeasureKind.LENGTH)(both) == 0
 
 
 @given(

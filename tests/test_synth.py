@@ -1,5 +1,7 @@
 """Denotation-deduplicated enumeration, separator search, certificates."""
 
+import random
+
 import pytest
 
 from modalmin.formula import (
@@ -8,12 +10,18 @@ from modalmin.formula import (
     MeasureKind,
     measure,
     measure_all,
+    no_worse,
+    pack,
     parse,
     print_formula,
+    vars_of,
 )
+from modalmin.game import fgf_min_cost
 from modalmin.gallery import (
     axiom,
+    builtin_witnesses,
     lob_witnesses,
+    reduced_witnesses,
     symmetry_witnesses,
     transfer_witnesses,
 )
@@ -29,6 +37,7 @@ from modalmin.kripke import (
 )
 from modalmin.synth import (
     EnumerationStats,
+    _enumerate,
     certify_bound,
     enumerate_formulas,
     format_certificate,
@@ -36,7 +45,7 @@ from modalmin.synth import (
     min_separating_frames,
 )
 
-from .oracles import brute_denotations, brute_min_separating
+from .oracles import brute_denotations, brute_min_separating, brute_min_value, brute_table
 
 
 def _two_point_universe():
@@ -88,6 +97,58 @@ def test_enumeration_keeps_pareto_incomparable_vectors():
         for old in seen.get(den, ()):
             assert not old.dominates(vec)
         seen.setdefault(den, []).append(vec)
+
+
+def test_enumeration_keeps_equal_vectors_over_other_variables():
+    # p1 and p2 hold at the same states and measure alike, but a formula
+    # over p1 cannot stand in for one over p2 next to p1: (p1 | p2) counts
+    # two variables, (p1 | p1) one
+    u = Universe([Model(Frame(2, [(0, 1)]), {1: 0b01, 2: 0b01})])
+    found = {print_formula(phi) for phi, _, _ in enumerate_formulas(u, 2, 1)}
+    assert {"p1", "p2", "~p1", "~p2"} <= found
+
+
+def _measured(phi):
+    return pack(measure_all(phi)), sum(1 << var for var in vars_of(phi))
+
+
+def _lob_3_global_universe():
+    return reduced_witnesses(builtin_witnesses("lob-3"), 1, GLOBAL)[0]
+
+
+def test_enumerate_under_length_yields_each_denotation_once():
+    u = _lob_3_global_universe()
+    dens = [den for _, den, _ in _enumerate(u, 1, 8, GLOBAL, kind=MeasureKind.LENGTH)]
+    assert len(dens) == len(set(dens)) == 5830
+
+
+def _item_one_universe():
+    frame = Frame(3, [(0, 0), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+    return Universe([Model(frame, {1: 0b001, 2: 0b100})])
+
+
+@pytest.mark.parametrize(
+    "kind, universe, var_bound, length_cap",
+    [
+        (MeasureKind.VAR_COUNT, _item_one_universe, 2, 6),
+        (MeasureKind.MODAL_DEPTH, _lob_3_global_universe, 1, 7),
+        (MeasureKind.BOX_COUNT, _lob_3_global_universe, 1, 7),
+    ],
+)
+def test_enumerate_under_a_measure_keeps_no_entry_a_kept_one_is_no_worse_than(
+    kind, universe, var_bound, length_cap
+):
+    # entries are yielded shortest first, so every earlier entry of a
+    # denotation is no longer than a later one and must be worse in kind
+    u = universe()
+    rule = no_worse(kind)
+    seen: dict[int, list] = {}
+    for phi, den, packed in _enumerate(u, var_bound, length_cap, GLOBAL, kind=kind):
+        measured = _measured(phi)
+        assert measured[0] == packed
+        assert not any(rule(old, measured) for old in seen.get(den, ()))
+        seen.setdefault(den, []).append(measured)
+    assert any(len(entries) > 1 for entries in seen.values())
 
 
 def test_enumeration_rejects_open_universe():
@@ -245,6 +306,53 @@ def test_min_separating_non_length_measure():
     assert u.den(phi) == 0b001
 
 
+def _two_variable_universe(rng):
+    # brute_table enumerates the variables some model mentions, so both
+    # must hold somewhere for the oracle to search what the enumerator does
+    models = []
+    for _ in range(rng.randint(1, 2)):
+        count = rng.randint(1, 3)
+        edges = [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45]
+        models.append(Model(Frame(count, edges), {1: rng.getrandbits(count), 2: rng.getrandbits(count)}))
+    u = Universe(models)
+    return u if u.variables == [1, 2] else _two_variable_universe(rng)
+
+
+def test_min_separating_matches_brute_force_with_two_variables():
+    # a composite counts the union of its children's variables, so under
+    # VAR_COUNT an entry over p2 may not stand in for an equal-cost one over
+    # p1; this draw holds separators that need the entry over p1
+    rng = random.Random(3)
+    cases = 0
+    for _ in range(30):
+        u = _two_variable_universe(rng)
+        size = len(u)
+        language = rng.choice((BASIC, GLOBAL))
+        table = brute_table(u, 5, language)
+        if size < 2:
+            continue
+        for _ in range(4):
+            left = tuple(rng.sample(range(size), rng.randint(1, min(2, size - 1))))
+            rest = [i for i in range(size) if i not in left]
+            right = tuple(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
+            for kind in MeasureKind:
+                if not kind.applies_to(language):
+                    continue
+                got = min_separating(u, left, right, kind, 2, 5, language)
+                want = brute_min_value(table, left, right, kind, 99)
+                assert (None if got is None else got[1].get(kind)) == want, (left, right, kind)
+                cases += 1
+    assert cases > 1000
+
+
+def test_min_separating_var_count_with_two_variables_pinned():
+    # (p1 | p2) is shortest, but (p1 | [] ~p1) separates with one variable
+    u = _item_one_universe()
+    phi, vec = min_separating(u, [0, 2], [1], MeasureKind.VAR_COUNT, 2, 5)
+    assert (vec.var_count, vec.length) == (1, 4)
+    assert u.den(phi) == 0b101
+
+
 # --- frame-wise separation --------------------------------------------------
 
 
@@ -330,6 +438,15 @@ def test_certify_non_length_measures_transfer_1_2():
         refuted = certify_bound(w, kind, bound + 1, length_cap=8)
         assert refuted.verdict == "Refuted", kind
         assert measure(refuted.refutation, kind) == bound
+
+
+def test_certify_var_count_with_two_variables_agrees_with_the_game():
+    w = transfer_witnesses(0, 1)
+    cost, _, _ = fgf_min_cost(w, MeasureKind.VAR_COUNT, 2, 2, length_cap=5)
+    assert certify_bound(w, MeasureKind.VAR_COUNT, cost, 2, 5).verdict == "Proved"
+    refuted = certify_bound(w, MeasureKind.VAR_COUNT, cost + 1, 2, 5)
+    assert refuted.verdict == "Refuted"
+    assert measure(refuted.refutation, MeasureKind.VAR_COUNT) == cost == 1
 
 
 @pytest.mark.parametrize(
