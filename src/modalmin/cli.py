@@ -385,9 +385,10 @@ def _rng_frame(rng: random.Random, max_states: int = 5) -> Frame:
     return Frame(count, edges)
 
 
-def _rng_model(rng: random.Random, var_bound: int = 1, max_states: int = 3) -> PointedModel:
-    frame = _rng_frame(rng, max_states)
-    valuation = {v: rng.randrange(1 << frame.state_count) for v in range(1, var_bound + 1)}
+def _rng_model(rng: random.Random) -> PointedModel:
+    """A seeded pointed model over 2-3 states with p1 valued."""
+    frame = _rng_frame(rng, 3)
+    valuation = {1: rng.randrange(1 << frame.state_count)}
     return PointedModel(Model(frame, valuation), rng.randrange(frame.state_count))
 
 
@@ -435,47 +436,30 @@ def _axiom_splits(witnesses: WitnessSet) -> bool:
     )
 
 
-def _minimality_summary(witnesses: WitnessSet, bound: int) -> str:
-    parts = []
+def _minimality_claim(witnesses: WitnessSet, bound: int) -> tuple[str, str]:
+    """Length bound proved, refuted one above with a length-bound formula, met by the axiom."""
     cert = certify_bound(witnesses, MeasureKind.LENGTH, bound)
-    parts.append(f"{cert.verdict.lower()}@{bound}")
     above = certify_bound(witnesses, MeasureKind.LENGTH, bound + 1, length_cap=bound)
     tag = "none"
     if above.verdict == "Refuted" and above.refutation is not None:
         tag = f"len{measure(above.refutation, MeasureKind.LENGTH)}"
-    parts.append(f"refuted-above:{tag}")
     ax_len = measure(axiom(witnesses.prop), MeasureKind.LENGTH)
-    parts.append(f"axiom-len{ax_len}" if _axiom_splits(witnesses) else "axiom-fails")
-    return ",".join(parts)
-
-
-def _claim_transfer_0_1(seed: int) -> tuple[str, str]:
-    return "proved@4,refuted-above:len4,axiom-len4", _minimality_summary(transfer_witnesses(0, 1), 4)
-
-
-def _claim_transfer_2_1(seed: int) -> tuple[str, str]:
-    return "proved@6,refuted-above:len6,axiom-len6", _minimality_summary(transfer_witnesses(2, 1), 6)
-
-
-def _claim_s4(seed: int) -> tuple[str, str]:
-    return "proved@8,refuted-above:len8,axiom-len8", _minimality_summary(s4_witnesses(), 8)
-
-
-def _claim_lob(seed: int) -> tuple[str, str]:
-    return "proved@8,refuted-above:len8,axiom-len8", _minimality_summary(lob_witnesses(2), 8)
+    ax_tag = f"axiom-len{ax_len}" if _axiom_splits(witnesses) else "axiom-fails"
+    expected = f"proved@{bound},refuted-above:len{bound},axiom-len{bound}"
+    return expected, f"{cert.verdict.lower()}@{bound},refuted-above:{tag},{ax_tag}"
 
 
 def _claim_symmetry(seed: int) -> tuple[str, str]:
     witnesses = symmetry_witnesses()
-    parts = [_minimality_summary(witnesses, 5)]
+    expected, observed = _minimality_claim(witnesses, 5)
     found = fgf_min_cost(witnesses, MeasureKind.LENGTH, 1, 5)
     if found is None:
-        parts.append("game:absent")
+        game = "game:absent"
     else:
         cost, tree, _ = found
         tree_ok = verify_closed_tree(tree) and measure(psi_of_tree(tree), MeasureKind.LENGTH) == cost
-        parts.append(f"game:{cost},{'tree-ok' if tree_ok else 'tree-bad'}")
-    return "proved@5,refuted-above:len5,axiom-len5,game:5,tree-ok", ",".join(parts)
+        game = f"game:{cost},{'tree-ok' if tree_ok else 'tree-bad'}"
+    return f"{expected},game:5,tree-ok", f"{observed},{game}"
 
 
 def _claim_noncol_lower_bound(seed: int) -> tuple[str, str]:
@@ -589,10 +573,14 @@ def _claim_bisim_invariance(seed: int) -> tuple[str, str]:
 _CLAIMS: tuple[tuple[str, str, str, object], ...] = (
     ("noncol-equivalence", "n=2..3 fixed+seeded frames", "oracle", _claim_noncol_equivalence),
     ("noncol-formula-shape", "n=1..16", "direct", _claim_phi_shape),
-    ("transfer-0-1-minimal", "measure=length vars=1", "fixed", _claim_transfer_0_1),
-    ("transfer-2-1-minimal", "measure=length vars=1", "fixed", _claim_transfer_2_1),
-    ("reflexive-transitive-minimal", "measure=length vars=1", "fixed", _claim_s4),
-    ("transitive-cwf-minimal", "measure=length vars=1 depth=2", "fixed", _claim_lob),
+    ("transfer-0-1-minimal", "measure=length vars=1", "fixed",
+     lambda seed: _minimality_claim(transfer_witnesses(0, 1), 4)),
+    ("transfer-2-1-minimal", "measure=length vars=1", "fixed",
+     lambda seed: _minimality_claim(transfer_witnesses(2, 1), 6)),
+    ("reflexive-transitive-minimal", "measure=length vars=1", "fixed",
+     lambda seed: _minimality_claim(s4_witnesses(), 8)),
+    ("transitive-cwf-minimal", "measure=length vars=1 depth=2", "fixed",
+     lambda seed: _minimality_claim(lob_witnesses(2), 8)),
     ("symmetry-minimal", "measure=length vars=1", "fixed", _claim_symmetry),
     ("noncol-lower-bound", "n=2 language=global", "fixed", _claim_noncol_lower_bound),
     ("game-enum-agreement", "5 seeded universes", "oracle", _claim_game_enum_agreement),

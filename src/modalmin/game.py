@@ -41,6 +41,7 @@ from .formula import (
 )
 from .gallery import WitnessSet, reduced_witnesses
 from .kripke import (
+    MODAL_STEPS,
     PointedModel,
     ResourceCapError,
     Universe,
@@ -100,9 +101,6 @@ class GamePosition:
             and other.left == self.left
             and other.right == self.right
         )
-
-    def __hash__(self):
-        return hash((id(self.universe), self.left, self.right))
 
     def __repr__(self):
         return f"GamePosition(left={[*mask_bits(self.left)]}, right={[*mask_bits(self.right)]})"
@@ -206,7 +204,6 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
     out: list[str] = []
     # every child must share its parent's universe, so the root's serves all
     u = t.position.universe
-    steps = u.steps(GLOBAL)
 
     def visit(node: GameTree, path: str) -> None:
         left, right = node.position.left, node.position.right
@@ -257,7 +254,8 @@ def closed_tree_violations(t: GameTree, language: str = GLOBAL) -> list[str]:
             # left index, the reply keeps every right target; an
             # all_pre_image step swaps the two sides.
             child = node.children[0].position
-            pre_image, moves = steps[_NODE_OF_MOVE[node.move]]
+            pre_image, everywhere = MODAL_STEPS[_NODE_OF_MOVE[node.move]]
+            moves = u.relation(everywhere)
             sides = (("left", left, child.left), ("right", right, child.right))
             if pre_image is not some_pre_image:
                 sides = sides[::-1]

@@ -31,7 +31,6 @@ from .formula import (
     TrueConst,
     check_language,
     in_language,
-    subformulas,
     vars_of,
 )
 
@@ -65,7 +64,7 @@ def index_mask(indices: Iterable[int]) -> int:
 class Frame:
     """A finite directed graph: state_count states, successor bit masks."""
 
-    __slots__ = ("state_count", "succ_masks", "_hash")
+    __slots__ = ("state_count", "succ_masks")
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int]] = ()):
         if state_count < 1:
@@ -77,7 +76,6 @@ class Frame:
             masks[u] |= 1 << v
         self.state_count = state_count
         self.succ_masks = tuple(masks)
-        self._hash = hash((state_count, self.succ_masks))
 
     def successors_of(self, s: int) -> tuple[int, ...]:
         return tuple(mask_bits(self.succ_masks[s]))
@@ -98,7 +96,7 @@ class Frame:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.state_count, self.succ_masks))
 
     def __repr__(self):
         return f"Frame({self.state_count}, edges={list(self.edges())})"
@@ -110,7 +108,7 @@ class Model:
     Variables absent from the valuation are read as the empty set.
     """
 
-    __slots__ = ("frame", "valuation", "_hash")
+    __slots__ = ("frame", "valuation")
 
     def __init__(self, frame: Frame, valuation: dict[int, int] | None = None):
         self.frame = frame
@@ -124,7 +122,6 @@ class Model:
             if mask:
                 clean[var] = mask
         self.valuation = clean
-        self._hash = hash((frame, tuple(clean.items())))
 
     @classmethod
     def from_sets(cls, frame: Frame, sets: dict[int, Iterable[int]]) -> "Model":
@@ -145,7 +142,7 @@ class Model:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.frame, frozenset(self.valuation.items())))
 
     def __repr__(self):
         sets = {f"p{v}": tuple(mask_bits(m)) for v, m in self.valuation.items()}
@@ -153,14 +150,13 @@ class Model:
 
 
 class PointedModel:
-    __slots__ = ("model", "point", "_hash")
+    __slots__ = ("model", "point")
 
     def __init__(self, model: Model, point: int):
         if not (0 <= point < model.frame.state_count):
             raise ValueError(f"point {point} out of range")
         self.model = model
         self.point = point
-        self._hash = hash((model, point))
 
     def __eq__(self, other):
         return (
@@ -170,7 +166,7 @@ class PointedModel:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.model, self.point))
 
     def __repr__(self):
         return f"PointedModel({self.model!r}, point={self.point})"
@@ -257,7 +253,8 @@ def all_pre_image(moves: Moves, m: int) -> int:
 
 # The modal connectives as kernel steps: the pre-image each one takes, and
 # whether its relation is a layout's successor one or, everywhere, the
-# same-model one.  _den, the enumerator and the game read them via modal_steps.
+# same-model one.  _den and the tree checker read them directly, the
+# enumerator and the game through modal_steps.
 MODAL_STEPS = {
     Dia: (some_pre_image, False),
     Box: (all_pre_image, False),
@@ -266,41 +263,35 @@ MODAL_STEPS = {
 }
 
 
-def _steps(relation, language: str) -> dict[type, tuple]:
+def relations(runs: Sequence[tuple[int, Frame, int]]) -> abc.Callable[[bool], Moves]:
+    """A layout's relation cache: relation(everywhere) is its Moves, built on first read."""
+    return functools.cache(functools.partial(Moves, runs))
+
+
+def modal_steps(relation: abc.Callable[[bool], Moves], language: str) -> dict[type, tuple]:
     """The language's MODAL_STEPS in order, each with relation(everywhere), the Moves it reads."""
     steps = ((node, step) for node, step in MODAL_STEPS.items() if in_language(node, language))
     return {node: (pre_image, relation(everywhere)) for node, (pre_image, everywhere) in steps}
 
 
-def modal_steps(runs: Sequence[tuple[int, Frame, int]], language: str) -> dict[type, tuple]:
-    """The language's MODAL_STEPS in order, with one Moves over the runs per relation they use."""
-    return _steps(functools.cache(functools.partial(Moves, runs)), language)
-
-
-def _language_of(phi: Formula) -> str:
-    """The smallest language phi is in, BASIC for a non-formula (which _den rejects)."""
-    nodes = subformulas(phi) if isinstance(phi, Formula) else ()
-    return BASIC if all(in_language(type(node), BASIC) for node in nodes) else GLOBAL
-
-
 # --- evaluation -------------------------------------------------------------
 
 
-def _den(phi: Formula, lit, full: int, steps: dict[type, tuple]) -> int:
+def _den(phi: Formula, lit, full: int, relation: abc.Callable[[bool], Moves]) -> int:
     """Mask of the indices of a run layout where phi holds.
 
     lit(var) is the mask where p{var} holds, full the mask of every index
-    and steps the layout's modal_steps.
+    and relation the layout's relation cache.
     """
     kind = type(phi)
-    step = steps.get(kind)
+    step = MODAL_STEPS.get(kind)
     if step is not None:
-        pre_image, moves = step
-        return pre_image(moves, _den(phi.child, lit, full, steps))
+        pre_image, everywhere = step
+        return pre_image(relation(everywhere), _den(phi.child, lit, full, relation))
     if kind is Or:
-        return _den(phi.left, lit, full, steps) | _den(phi.right, lit, full, steps)
+        return _den(phi.left, lit, full, relation) | _den(phi.right, lit, full, relation)
     if kind is And:
-        return _den(phi.left, lit, full, steps) & _den(phi.right, lit, full, steps)
+        return _den(phi.left, lit, full, relation) & _den(phi.right, lit, full, relation)
     if kind is PosLit:
         return lit(phi.var)
     if kind is NegLit:
@@ -375,10 +366,10 @@ def frame_valid(frame: Frame, phi: Formula, cap_bits: int = VALIDITY_CAP_BITS) -
         )
     chunk_codes = 1 << min(w * v, _CHUNK_CODE_BITS)
     full = (1 << (chunk_codes * w)) - 1
-    steps = modal_steps([(0, frame, chunk_codes)], _language_of(phi))
+    relation = relations([(0, frame, chunk_codes)])
     for masks in _coded_masks(w, v, chunk_codes):
         atoms = dict(zip(var_order, masks))
-        if _den(phi, atoms.__getitem__, full, steps) != full:
+        if _den(phi, atoms.__getitem__, full, relation) != full:
             return False
     return True
 
@@ -539,12 +530,11 @@ class Universe:
     models.  placed pairs each model with its first index; models is a
     read-only sequence of the pointed model at every index, each built
     when it is read; runs lists the layout's runs as (offset, frame,
-    model count).  steps(language) is modal_steps over the runs, built on
-    first use per language, and both languages share one Moves per
-    relation, built on first use too.
+    model count), and relation is their relation cache, so both languages
+    share one Moves per relation, built when a modal step first reads it.
     """
 
-    __slots__ = ("placed", "models", "runs", "steps")
+    __slots__ = ("placed", "models", "runs", "relation")
 
     def __init__(self, models: Sequence[Model]):
         placed: list[tuple[int, Model]] = []
@@ -561,8 +551,7 @@ class Universe:
         self.placed = tuple(placed)
         self.models = _PointedModels(self.placed, size)
         self.runs = tuple(map(tuple, runs))
-        relation = functools.cache(functools.partial(Moves, self.runs))
-        self.steps = functools.cache(functools.partial(_steps, relation))
+        self.relation = relations(self.runs)
 
     def __len__(self):
         return len(self.models)
@@ -586,9 +575,13 @@ class Universe:
         """Bit i set iff p{var} holds at pointed model i."""
         return sum(model.val_mask(var) << off for off, model in self.placed)
 
+    def steps(self, language: str) -> dict[type, tuple]:
+        """modal_steps over this universe's relations."""
+        return modal_steps(self.relation, language)
+
     def den(self, phi: Formula) -> int:
         """Denotation bit mask: bit i set iff phi holds at pointed model i."""
-        return _den(phi, self.lit_mask, (1 << len(self)) - 1, self.steps(_language_of(phi)))
+        return _den(phi, self.lit_mask, (1 << len(self)) - 1, self.relation)
 
     def colours(self, language: str) -> list[int]:
         """_refine's colour of every index: two share one iff they are bisimilar in the language."""

@@ -150,9 +150,10 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
         # a candidate denoting an operand's set is counted, not measured: that
         # operand (or the same-length entry that evicted it) is retained and no
         # worse in every measure.  Entries sharing a denotation share its step
-        # images, in steps order.
+        # images, in steps order.  A level appends only to its own length, so
+        # the lower levels read here never change under the loops.
         images: dict[int, list[int]] = {}
-        for phi, den, measured in list(by_len.get(length - 1, ())):
+        for phi, den, measured in by_len.get(length - 1, ()):
             if den not in images:
                 images[den] = [pre_image(moves, den) for _, (pre_image, moves) in steps]
             for (ctor, _), image in zip(steps, images[den]):
@@ -164,8 +165,8 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
                     yield out
         for len1 in range(1, (length - 1) // 2 + 1):
             len2 = length - 1 - len1
-            ones = list(by_len.get(len1, ()))
-            twos = list(by_len.get(len2, ())) if len2 != len1 else ones
+            ones = by_len.get(len1, ())
+            twos = by_len.get(len2, ()) if len2 != len1 else ones
             for i1, (a, da, ma) in enumerate(ones):
                 start = i1 if len1 == len2 else 0
                 for b, db, mb in twos[start:]:

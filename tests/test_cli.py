@@ -357,6 +357,39 @@ def test_library_errors_exit_2_with_their_message(runner, tmp_path, args, messag
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+# usage errors the commands raise themselves, or that reach them from a
+# file; a capitalized argument stands for the file of that name below
+USAGE_FILES = {
+    "DUPLICATE_POSITIVES": format_witnesses(transfer_witnesses(0, 1)).replace("frame a2", "frame a1"),
+    "TWO_FRAMES": "frame a\nstates 1\nframe b\nstates 1\npoint 0\n",
+    "STATE_5": "frame m\nstates 2\nedge 0 1\nval p1 5\npoint 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["synth", "--frames", "builtin:k2", "--left", "1,x", "--right", "0", "--length-cap", "3"],
+         "bad left index list: '1,x'"),
+        (["noncol"], "pass --emit N, or --frame with --n"),
+        (["noncol", "--frame", "builtin:k2"], "--frame needs --n"),
+        (["valid", "--frame", "builtin:k0", "--formula", "p1"], "unknown builtin frame: 'k0'"),
+        (["valid", "--frame", "builtin:khat0", "--formula", "p1"], "unknown builtin frame: 'khat0'"),
+        (["game", "--witnesses", "DUPLICATE_POSITIVES", "--budget", "3"], "frame names must be unique"),
+        (["certify", "--witnesses", "DUPLICATE_POSITIVES", "--bound", "3"], "frame names must be unique"),
+        (["eval", "--model", "TWO_FRAMES", "--formula", "p1"], "model files contain exactly one frame"),
+        (["eval", "--model", "STATE_5", "--formula", "p1"], "line 4: state 5 out of range"),
+    ],
+)
+def test_usage_errors_exit_2_with_their_message(runner, tmp_path, args, message):
+    paths = {name: _model_file(tmp_path, name, text) for name, text in USAGE_FILES.items()}
+    result = runner.invoke(main, [paths.get(arg, arg) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1].startswith("Error: ")
+    assert result.output.splitlines()[-1].endswith(f" {message}")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_huge_lob_depth_ends_quickly(runner):
     with time_limit(20):
         result = runner.invoke(main, ["game", "--witnesses", "builtin:lob-100000", "--budget", "3"])

@@ -116,6 +116,13 @@ def test_parse_language_gate():
             parse(text, BASIC)
 
 
+def test_unknown_language_and_variable_zero_raise_value_error():
+    with pytest.raises(ValueError, match="unknown language 'modal'"):
+        parse("p1", "modal")
+    with pytest.raises(ValueError, match="variable indices start at 1"):
+        PosLit(0)
+
+
 def test_roundtrip_every_formula_up_to_length_5():
     for forms in formulas_up_to([1, 2], 5, GLOBAL).values():
         for phi in forms:

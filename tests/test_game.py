@@ -47,9 +47,11 @@ from modalmin.gallery import (
     symmetry_witnesses,
     transfer_witnesses,
 )
+from modalmin import kripke
 from modalmin.kripke import (
     Frame,
     Model,
+    Moves,
     PointedModel,
     ResourceCapError,
     Universe,
@@ -61,7 +63,6 @@ from modalmin.kripke import (
     frame_valid,
     index_mask,
     mask_bits,
-    modal_steps,
     some_pre_image,
 )
 from modalmin.synth import certify_bound, min_separating, min_separating_frames
@@ -522,8 +523,28 @@ def test_modal_steps_are_the_kernel_functions():
     # silently change its answers
     u = build_universe([(Frame(2, [(0, 1)]), 1)])
     for language in (BASIC, GLOBAL):
-        for node, (pre_image, _) in modal_steps(u.runs, language).items():
+        for node, (pre_image, _) in u.steps(language).items():
             assert pre_image is some_pre_image or pre_image is all_pre_image, node
+
+
+def test_checking_a_basic_tree_builds_only_the_successor_relation(monkeypatch):
+    # a basic-language tree with modal moves, moved onto a fresh universe of
+    # the same models: the checker builds the relation its moves read, once
+    u = build_universe([(Frame(3, [(0, 1), (1, 2)]), 1)])
+    _, tree = min_cost_fgm(GamePosition(u, [0, 3], [1, 2]), MeasureKind.LENGTH, 6, language=BASIC)
+    assert {"dia", "box"} & {node.move for node in tree.walk()}
+
+    def moved(node, fresh):
+        position = GamePosition(fresh, mask_bits(node.position.left), mask_bits(node.position.right))
+        return GameTree(node.move, position, [moved(c, fresh) for c in node.children], node.var, node.positive)
+
+    built = []
+    monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
+    for language in (BASIC, GLOBAL):
+        built.clear()
+        fresh = moved(tree, Universe([model for _, model in u.placed]))
+        assert verify_closed_tree(fresh, language)
+        assert built == [False], language
 
 
 def test_fgm_cost_monotone_in_left_set(rng):

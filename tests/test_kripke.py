@@ -48,6 +48,7 @@ from modalmin.kripke import (
     modal_steps,
     parse_frames,
     parse_model,
+    relations,
     some_pre_image,
 )
 from modalmin.colouring import colour_assignment, k_complete, khat, phi_n
@@ -101,6 +102,27 @@ def test_model_from_sets():
     assert model == Model(CHAIN, {1: 0b01, 2: 0b11})
     assert [model.holds(var, 0) for var in (1, 2)] == [True, True]
     assert [model.holds(var, 1) for var in (1, 2)] == [False, True]
+
+
+def test_equal_structures_built_apart_hash_equal(rng):
+    for _ in range(60):
+        frame = rand_frame(rng)
+        w = frame.state_count
+        # the same edges, shuffled and with one repeated, give an equal frame
+        edges = list(frame.edges())
+        rng.shuffle(edges)
+        twin = Frame(w, edges + edges[:1])
+        assert twin == frame and hash(twin) == hash(frame)
+        # the same valuation in another key order, plus variables valued empty
+        valuation = {var: rng.getrandbits(w) for var in rng.sample(range(1, 5), rng.randint(0, 3))}
+        items = list(valuation.items()) + [(var, 0) for var in range(5, 5 + rng.randint(0, 2))]
+        rng.shuffle(items)
+        model, other = Model(frame, valuation), Model(twin, dict(items))
+        assert model == other and hash(model) == hash(other)
+        point = rng.randrange(w)
+        assert PointedModel(model, point) == PointedModel(other, point)
+        assert hash(PointedModel(model, point)) == hash(PointedModel(other, point))
+        assert len({model, other, Model(Frame(w, edges), dict(reversed(items)))}) == 1
 
 
 def test_pointed_model_checks_point():
@@ -381,8 +403,7 @@ def test_universe_models_view_matches_eager_listing():
 
 def test_universe_structure_matches_frames():
     u = build_universe([(CHAIN, 1)])
-    steps = modal_steps(u.runs, GLOBAL)
-    succ, same = steps[Dia][1], steps[ExistsMod][1]
+    succ, same = u.relation(False), u.relation(True)
     for i, pm in enumerate(u.models):
         for j in mask_bits(succ.row(i)):
             other = u.models[j]
@@ -618,17 +639,20 @@ def test_modal_steps_build_each_relation_the_language_uses_once(monkeypatch):
     u = build_universe([(CHAIN, 1), (LOOP, 1)])
     built = []
     monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
-    modal_steps(u.runs, BASIC)
-    modal_steps(u.runs, GLOBAL)
-    assert built == [False, False, True]
+    relation = relations(u.runs)
+    assert built == []
+    modal_steps(relation, BASIC)
+    modal_steps(relation, GLOBAL)
+    assert built == [False, True]
     monkeypatch.undo()
-    basic = modal_steps(u.runs, BASIC)
+    relation = relations(u.runs)
+    basic = modal_steps(relation, BASIC)
     assert list(basic) == [Dia, Box]
     assert basic[Dia][1] is basic[Box][1]
-    full = modal_steps(u.runs, GLOBAL)
+    full = modal_steps(relation, GLOBAL)
     assert list(full) == [Dia, Box, ExistsMod, ForallMod]
     assert full[Dia][1] is full[Box][1] and full[ExistsMod][1] is full[ForallMod][1]
-    assert full[Dia][1] is not full[ExistsMod][1]
+    assert full[Dia][1] is basic[Dia][1] is not full[ExistsMod][1]
     for i in range(len(u)):
         assert full[Dia][1].row(i) == basic[Dia][1].row(i) == Moves(u.runs).row(i)
         assert full[ExistsMod][1].row(i) == Moves(u.runs, everywhere=True).row(i)
@@ -651,15 +675,36 @@ def test_universe_languages_share_the_successor_relation(monkeypatch):
     assert built == [False]
     u.den(parse("A <> p1"))
     assert built == [False, True]
+    # den builds a relation on first read, and the steps read the same Moves
+    u = build_universe([(CHAIN, 1)])
+    built.clear()
+    assert u.den(parse("E [] p1")) == u.den(parse("E [] p1"))
+    assert built == [True, False]
+    assert u.steps(GLOBAL)[ForallMod][1] is u.relation(True)
+    assert u.steps(BASIC)[Box][1] is u.relation(False)
+    assert built == [True, False]
 
 
 def test_frame_valid_builds_the_same_model_relation_only_for_e_and_a(monkeypatch):
     built = []
     monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
-    for text, relations in (("(~p1 | <> p1)", [False]), ("(p1 | ~p1)", [False]), ("(E p1 | A ~p1)", [False, True])):
+    for text, read in (("(~p1 | <> p1)", [False]), ("(p1 | ~p1)", []), ("(E p1 | A ~p1)", [True])):
         built.clear()
         assert frame_valid(CHAIN, parse(text)) == naive_valid(CHAIN, parse(text))
-        assert built == relations, text
+        assert built == read, text
+
+
+def test_frame_valid_builds_each_relation_once_per_call(monkeypatch):
+    # 8 states and 2 variables give 2^16 valuation codes, four chunks of
+    # 2^14; the formula is valid, so every chunk reads both relations
+    built = []
+    monkeypatch.setattr(kripke, "Moves", lambda runs, everywhere: built.append(everywhere) or Moves(runs, everywhere))
+    cycle = Frame(8, [(s, (s + 1) % 8) for s in range(8)])
+    phi = parse("((<> p2 | [] ~p2) & (E p1 | A ~p1))")
+    for _ in range(2):
+        built.clear()
+        assert frame_valid(cycle, phi)
+        assert built == [False, True]
 
 
 def test_universe_mask_and_variables():

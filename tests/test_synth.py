@@ -108,6 +108,12 @@ def test_enumeration_keeps_equal_vectors_over_other_variables():
     assert {"p1", "p2", "~p1", "~p2"} <= found
 
 
+def test_enumerate_rejects_an_unknown_language():
+    u = Universe([Model(Frame(1, [(0, 0)]), {1: 1})])
+    with pytest.raises(ValueError, match="unknown language 'modal'"):
+        next(enumerate_formulas(u, 1, 2, "modal"))
+
+
 def _measured(phi):
     return pack(measure_all(phi)), sum(1 << var for var in vars_of(phi))
 
