@@ -219,6 +219,9 @@ class MeasureKind(enum.Enum):
     EXISTS_COUNT = "exists"
     FORALL_COUNT = "forall"
 
+    # members compare by identity; Enum's own hash is a slow Python-level call
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name: str) -> "MeasureKind":
         for kind in cls:
@@ -268,25 +271,29 @@ class MeasureVector(NamedTuple):
 _KIND_INDEX = {kind: i for i, kind in enumerate(MeasureKind)}
 
 
-# Inside the enumerator and the game a measure vector is one int: measure i
-# (in MeasureKind order) sits at bit 32*i.  Bit 31 of each field is a guard
-# bit, clear in every vector, so a field holds 0..2**31 - 1 (no formula that
-# fits in memory comes near) and a field-wise subtraction borrows into its
-# own guard bit, not into the next field.  MeasureVector is built only where
-# a vector leaves the library: measure_all, the enumerator's yields and the
-# answers of the searches.
+# Inside the enumerator and the game a formula's measures are one int: measure
+# i (in MeasureKind order) sits at bit 32*i, and variable pv at bit _VBASE + v,
+# above every field.  Bit 31 of each field is a guard bit, clear in every
+# measure, so a field holds 0..2**31 - 1 (no formula that fits in memory comes
+# near) and a field-wise subtraction borrows into its own guard bit, not into
+# the next field.  Only this module reads the layout; MeasureVector is built
+# only where measures leave the library: measure_all, the enumerator's yields
+# and the answers of the searches.
 
 _FIELD_BITS = 31
 FIELD_MASK = (1 << _FIELD_BITS) - 1
 FIELD_SHIFT = {kind: 32 * i for i, kind in enumerate(MeasureKind)}
 _SHIFTS = tuple(FIELD_SHIFT.values())
 _GUARDS = sum(1 << shift + _FIELD_BITS for shift in _SHIFTS)
-_DEPTH = FIELD_SHIFT[MeasureKind.MODAL_DEPTH]
+_VBASE = 32 * len(MeasureKind)
+_DEPTH_BITS = FIELD_MASK << FIELD_SHIFT[MeasureKind.MODAL_DEPTH]
 _VARS = FIELD_SHIFT[MeasureKind.VAR_COUNT]
+# every field but var count (its guard bit too), no variable bits
+_KEEP = (1 << _VBASE) - 1 & ~((1 << 32) - 1 << _VARS)
 
 
 def pack(vec: MeasureVector) -> int:
-    """The packed form of a measure vector; every measure must fit a field."""
+    """The fields of a measure vector as one int; every measure must fit a field."""
     if not all(0 <= v <= FIELD_MASK for v in vec):
         raise ValueError(f"measure vector {tuple(vec)} has a field outside 0..{FIELD_MASK}")
     return sum(v << shift for v, shift in zip(vec, _SHIFTS))
@@ -297,41 +304,40 @@ def unpack(packed: int) -> MeasureVector:
 
 
 def field(packed: int, kind: MeasureKind) -> int:
-    """One measure of a packed vector."""
+    """One measure of a packed int."""
     return packed >> FIELD_SHIFT[kind] & FIELD_MASK
 
 
 def no_worse(kind: MeasureKind | None):
     """The one dominance rule: no_worse(kind)(a, b) when a is no worse than b.
 
-    a and b are (packed vector, variable mask) pairs.  A composite counts
-    the union of its children's variables, so VAR_COUNT compares masks by
-    inclusion, another kind its field.  kind None is the Pareto rule: each
-    field of (b | guards) - a keeps its guard bit exactly when b's field is
-    at least a's, and then the masks by inclusion.
+    A composite counts the union of its children's variables, so VAR_COUNT
+    compares variable sets by inclusion, another kind its field.  kind None
+    is the Pareto rule: each field of (b | guards) - a keeps its guard bit
+    exactly when b's field is at least a's, whatever the variable bits
+    above, and then the variables by inclusion.
     """
     if kind is None:
-        return lambda a, b: ((b[0] | _GUARDS) - a[0]) & _GUARDS == _GUARDS and a[1] & ~b[1] == 0
+        return lambda a, b: ((b | _GUARDS) - a) & _GUARDS == _GUARDS and (a & ~b) >> _VBASE == 0
     if kind is MeasureKind.VAR_COUNT:
-        return lambda a, b: a[1] & ~b[1] == 0
+        return lambda a, b: (a & ~b) >> _VBASE == 0
     shift = FIELD_SHIFT[kind]
-    return lambda a, b: a[0] >> shift & FIELD_MASK <= b[0] >> shift & FIELD_MASK
+    return lambda a, b: a >> shift & FIELD_MASK <= b >> shift & FIELD_MASK
 
 
 def cost_key(kind: MeasureKind):
-    """Orders (packed vector, variable mask) pairs by kind, VAR_COUNT ties by the variables."""
+    """Orders packed ints by kind, VAR_COUNT ties by the variables."""
     shift = FIELD_SHIFT[kind]
     if kind is MeasureKind.VAR_COUNT:
-        return lambda a: (a[0] >> shift & FIELD_MASK, [v for v in range(a[1].bit_length()) if a[1] >> v & 1])
-    return lambda a: a[0] >> shift & FIELD_MASK
+        return lambda a: (a >> shift & FIELD_MASK, [v for v in range(a.bit_length() - _VBASE) if a >> _VBASE + v & 1])
+    return lambda a: a >> shift & FIELD_MASK
 
 
 # The one measure rule: a node's measures are what its type adds (below) plus
 # the sum of its children's, except that modal depth takes the children's
-# maximum and var count the size of the union of their variables.  The rule
-# therefore works on (packed vector, variable mask) pairs, bit v of the mask
-# standing for pv.  measure_all folds it over a tree, the enumerator applies
-# it once per candidate and the game once per search element.
+# maximum and var count the size of the union of their variables.
+# measure_all folds it over a tree, the enumerator applies it once per
+# candidate and the game once per search element.
 
 _ZERO = MeasureVector(*[0] * len(MeasureVector._fields))
 
@@ -353,31 +359,27 @@ _OWN = {
     ForallMod: _own(modal_depth=1, forall_count=1),
 }
 
-Measured = tuple[int, int]
 
-
-def compose(node_type: type, parts: tuple[Measured, ...] = (), var: int = 0) -> Measured:
+def compose(node_type: type, parts: tuple[int, ...] = (), var: int = 0) -> int:
     """The measures of a node from its type and its children's measures.
 
-    parts holds the children's (packed vector, variable mask) pairs in
-    order; var is the variable of a literal leaf.
+    parts holds the children's packed ints in order; var is the variable
+    of a literal leaf.
     """
     own = _OWN[node_type]
     if not parts:
-        return own, 1 << var if var else 0
+        return own | 1 << _VBASE + var if var else own
     if len(parts) == 1:
-        ((a, vmask),) = parts
-        return a + own, vmask
-    (a, amask), (b, bmask) = parts
-    vmask = amask | bmask
-    # the sum adds both children's depths and var counts: take back the
-    # shallower depth and the variables counted twice
-    shallower = min(a >> _DEPTH & FIELD_MASK, b >> _DEPTH & FIELD_MASK)
-    twice = (a >> _VARS & FIELD_MASK) + (b >> _VARS & FIELD_MASK) - vmask.bit_count()
-    return a + b + own - (shallower << _DEPTH) - (twice << _VARS), vmask
+        return parts[0] + own
+    a, b = parts
+    # the sum takes both children's depths: take back the shallower one;
+    # then the variables and the var count are the union and its size
+    union = (a | b) >> _VBASE
+    shallower = min(a & _DEPTH_BITS, b & _DEPTH_BITS)
+    return (a + b + own - shallower) & _KEEP | union << _VBASE | union.bit_count() << _VARS
 
 
-def _measured(phi: Formula) -> Measured:
+def _measured(phi: Formula) -> int:
     return compose(
         type(phi),
         tuple(map(_measured, phi.children())),
@@ -386,11 +388,11 @@ def _measured(phi: Formula) -> Measured:
 
 
 def measure_all(phi: Formula) -> MeasureVector:
-    return unpack(_measured(phi)[0])
+    return unpack(_measured(phi))
 
 
 def measure(phi: Formula, kind: MeasureKind) -> int:
-    return field(_measured(phi)[0], kind)
+    return field(_measured(phi), kind)
 
 
 # --- parsing and printing ---------------------------------------------------

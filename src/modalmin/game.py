@@ -21,8 +21,6 @@ from .formula import (
     Dia,
     ExistsMod,
     ForallMod,
-    FIELD_MASK,
-    FIELD_SHIFT,
     FalseConst,
     Formula,
     MeasureKind,
@@ -363,10 +361,10 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # built, so every element a provenance holds is a surviving element, and the
 # winning element's tree is read off by walking its provenance down.
 #
-# An element's measures are the (packed vector, variable mask) pair
-# formula.compose builds, but elements compare only on (measure minimized,
-# length): by formula.no_worse(kind), the enumerator's rule, and in order
-# by formula.cost_key(kind).
+# An element's measures are the packed int formula.compose builds, but
+# elements compare only on (measure minimized, length): by
+# formula.no_worse(kind), the enumerator's rule, and in order by
+# formula.cost_key(kind).  The cost is read through formula.field.
 #
 # The modal moves are the language's MODAL_STEPS.  A right set's replies
 # over a relation do not depend on the length being built, so each (right
@@ -406,7 +404,6 @@ class _FamilySearch:
         self.lifted: dict[tuple, list[tuple]] = {}
         self.element_count = 0
         self.longest = 0
-        self.shift = FIELD_SHIFT[kind]
         self.no_worse = no_worse(kind)
         self.key = cost_key(kind)
         self.by_length = kind is MeasureKind.LENGTH
@@ -422,7 +419,7 @@ class _FamilySearch:
         ]
 
     def _insert(self, levels: list[list], element, node=None) -> None:
-        # Given node, element's measured slot holds the children's pairs.  A
+        # Given node, element's measured slot holds the children's ints.  A
         # Length cost is the length, every stored element is at most as long
         # and only those of its own length can be evicted, so for Length the
         # masks alone decide and only a kept element is composed.
@@ -430,7 +427,7 @@ class _FamilySearch:
         by_length = self.by_length
         if node is not None and not by_length:
             measured = compose(node, measured)
-        if (length if by_length else measured[0] >> self.shift & FIELD_MASK) > self.budget:
+        if (length if by_length else field(measured, self.kind)) > self.budget:
             return
         for level in levels:
             for m2, a2, _, _ in level:
@@ -641,15 +638,15 @@ def min_cost_fgm(
         # The bot leaf always closes an empty left side; prefer it on ties
         # even when a wider element shadowed it in the family.
         bot = search.bot
-        if field(bot[0], kind) <= budget and (
+        if field(bot, kind) <= budget and (
             best is None
             or (search.key(bot), 1) <= (search.key(best[1]), best[2])
         ):
-            return field(bot[0], kind), GameTree("bot", GamePosition(u, (), mask_bits(rmask)))
+            return field(bot, kind), GameTree("bot", GamePosition(u, (), mask_bits(rmask)))
     if best is None:
         return None
     tree = search.build(best, lmask, rmask)
-    return field(best[1][0], kind), tree
+    return field(best[1], kind), tree
 
 
 def fgf_min_cost(
@@ -697,4 +694,4 @@ def fgf_min_cost(
     k, element = found
     tree = search.build(element, target, rmasks[k])
     choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[rmasks[k]])}
-    return field(element[1][0], kind), tree, choice
+    return field(element[1], kind), tree, choice

@@ -220,7 +220,7 @@ class Moves:
     def row(self, i: int) -> int:
         """The indices one move away from index i."""
         for off, w, span, rows in self.runs:
-            if i - off < span:
+            if 0 <= i - off < span:
                 k, s = divmod(i - off, w)
                 return rows[s] << (off + k * w)
         raise IndexError(f"index {i} outside the layout")

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from .formula import (
     And,
     BASIC,
-    FIELD_MASK,
-    FIELD_SHIFT,
     FalseConst,
     Formula,
     MeasureKind,
-    Measured,
     MeasureVector,
     NegLit,
     Or,
@@ -31,6 +28,7 @@ from .formula import (
     check_length_cap,
     check_measure,
     compose,
+    field,
     no_worse,
     print_formula,
     unpack,
@@ -82,7 +80,7 @@ def enumerate_formulas(
 
 
 def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
-    """enumerate_formulas with packed vectors; under a measure kind it keeps
+    """enumerate_formulas with packed measures; under a measure kind it keeps
     per denotation only the entries minimal in kind and Length (no_worse)."""
     check_language(language)
     if var_bound < 0:
@@ -93,13 +91,12 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
     cap = ENUM_CAP
     full = (1 << len(u)) - 1
     steps = u.steps(language).items()
-    length_shift = FIELD_SHIFT[MeasureKind.LENGTH]
     dominates = no_worse(kind)
 
-    # per denotation, the kept (packed vector, variable mask) pairs
-    front: dict[int, list[Measured]] = {}
-    # per length, the retained (formula, denotation, (packed vector, variable mask))
-    by_len: dict[int, list[tuple[Formula, int, Measured]]] = {}
+    # per denotation, the kept packed measures
+    front: dict[int, list[int]] = {}
+    # per length, the retained (formula, denotation, packed measures)
+    by_len: dict[int, list[tuple[Formula, int, int]]] = {}
 
     def count(n: int) -> None:
         # a dropped candidate counts too; the one passing the cap is the last
@@ -111,12 +108,12 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
                 f"({stats.denotations} denotations reached)"
             )
 
-    def admit(ctor: type[Formula], args: tuple, den: int, measured: Measured):
-        # ctor(*args) is built only once kept.  Every entry in front is no
-        # longer than the candidate, so either may stand in for the other when
-        # no worse in kind; under Length a denotation's first entry wins.
+    def admit(ctor: type[Formula], args: tuple, den: int, measured: int):
+        # ctor(*args) is built only once kept, and filed under the level
+        # being built, length.  Every entry in front is no longer than the
+        # candidate, so either may stand in for the other when no worse in
+        # kind; under Length a denotation's first entry wins.
         count(1)
-        vec = measured[0]
         kept = front.get(den)
         if kept is None:
             front[den] = [measured]
@@ -127,8 +124,8 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
             kept[:] = [m for m in kept if not dominates(measured, m)]
             kept.append(measured)
         phi = ctor(*args)
-        by_len.setdefault(vec >> length_shift & FIELD_MASK, []).append((phi, den, measured))
-        return phi, den, vec
+        by_len.setdefault(length, []).append((phi, den, measured))
+        return phi, den, measured
 
     atoms = [(FalseConst, (), 0, compose(FalseConst)), (TrueConst, (), full, compose(TrueConst))]
     for var in range(1, var_bound + 1):
@@ -189,13 +186,12 @@ def _cheapest(found, kind: MeasureKind, separates) -> tuple[Formula, MeasureVect
     stops after the first level that separates.
     """
     best = None
-    shift, length_shift = FIELD_SHIFT[kind], FIELD_SHIFT[MeasureKind.LENGTH]
     for phi, den, packed in found:
-        length = packed >> length_shift & FIELD_MASK
+        length = field(packed, MeasureKind.LENGTH)
         if best is not None and kind is MeasureKind.LENGTH and length > best[0][1]:
             break
         if separates(den):
-            key = (packed >> shift & FIELD_MASK, length, print_formula(phi))
+            key = (field(packed, kind), length, print_formula(phi))
             if best is None or key < best[0]:
                 best = (key, phi, packed)
     return None if best is None else (best[1], unpack(best[2]))
@@ -355,10 +351,9 @@ def certify_bound(
         )
 
     u, separates = _frame_separation(w, var_bound, language)
-    shift = FIELD_SHIFT[kind]
     try:
         for phi, den, packed in _enumerate(u, var_bound, length_cap, language, stats):
-            if packed >> shift & FIELD_MASK >= claimed_bound:
+            if field(packed, kind) >= claimed_bound:
                 continue
             if separates(den):
                 if not all(frame_valid(fr, phi) for fr in w.positives) or any(

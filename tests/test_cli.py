@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from modalmin.cli import _CLAIMS, main
 from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
-from modalmin.kripke import UNIVERSE_CAP, VALIDITY_CAP_BITS
+from modalmin.kripke import UNIVERSE_CAP, VALIDITY_CAP_BITS, ResourceCapError
 
 from .conftest import time_limit
 
@@ -576,6 +576,26 @@ def test_reproduce_all_pass(runner, tmp_path):
         assert re.search(r"\[(fixed|oracle|direct)\]", line)
     assert lines[-1].startswith(f"reproduce: {len(_CLAIMS)} claims, {len(_CLAIMS)} passed, 0 failed")
     assert out.read_text().rstrip("\n").splitlines() == lines
+
+
+def test_reproduce_reports_a_mismatch_and_a_cap_and_exits_1(runner, monkeypatch):
+    def capped(seed):
+        raise ResourceCapError("universe would exceed 7 pointed models")
+
+    claims = list(_CLAIMS)
+    claims[1] = (*claims[1][:3], lambda seed: ("n=16", "n=15"))
+    claims[2] = (*claims[2][:3], capped)
+    monkeypatch.setattr("modalmin.cli._CLAIMS", tuple(claims[:3]))
+    result = runner.invoke(main, ["reproduce"])
+    assert result.exit_code == 1
+    lines = _strip_times(result.output)
+    assert lines[0].startswith(f"[PASS] {_CLAIMS[0][0]} ")
+    assert lines[1:] == [
+        f"[FAIL] {_CLAIMS[1][0]} ({_CLAIMS[1][1]}) expected=n=16 [{_CLAIMS[1][2]}] observed=n=15",
+        f"[FAIL] {_CLAIMS[2][0]} ({_CLAIMS[2][1]}) expected=completed [{_CLAIMS[2][2]}]"
+        " observed=resource-cap:universe would exceed 7 pointed models",
+        "reproduce: 3 claims, 1 passed, 2 failed,",
+    ]
 
 
 def test_reproduce_deterministic_modulo_timing(runner):

@@ -208,6 +208,11 @@ def test_game_setup_shapes():
         assert _code(pm.model, loop_state, var_order) in right_codes
 
 
+def test_game_setup_needs_a_colour():
+    with pytest.raises(ValueError, match="at least one colour"):
+        noncol_game_setup(0)
+
+
 def test_game_setup_left_models_pairwise_non_bisimilar():
     universe, left, _ = noncol_game_setup(2)
     for i in left:

@@ -25,6 +25,7 @@ from modalmin.formula import (
     PosLit,
     TRUE,
     TrueConst,
+    _VBASE,
     compose,
     cost_key,
     field,
@@ -228,6 +229,7 @@ def test_var_count_is_number_of_distinct_variables():
     assert measure(parse("((p1 | ~p1) & p1)"), MeasureKind.VAR_COUNT) == 1
     assert measure(parse("(p1 | (p2 & ~p7))"), MeasureKind.VAR_COUNT) == 3
     assert measure(parse("(T | F)"), MeasureKind.VAR_COUNT) == 0
+    assert measure_all(parse("(p1 & (<> p40 | ~p100))")).var_count == 3
 
 
 @given(phi=formulas())
@@ -285,6 +287,11 @@ _HALF_VECTORS = st.lists(
 _VAR_MASKS = st.integers(0, 2**64 - 1)
 
 
+def _with_vars(vec: MeasureVector, vmask: int) -> int:
+    # bit v of vmask stands for pv
+    return pack(vec) | vmask << _VBASE
+
+
 @given(vec=_VECTORS)
 def test_pack_roundtrip(vec):
     packed = pack(vec)
@@ -313,8 +320,8 @@ def _vector_pairs(draw):
 def test_packed_dominance_is_the_tuple_rule(pair):
     a, b = pair
     pareto = no_worse(None)
-    assert pareto((pack(a), 0), (pack(b), 0)) == a.dominates(b)
-    assert pareto((pack(b), 0), (pack(a), 0)) == b.dominates(a)
+    assert pareto(pack(a), pack(b)) == a.dominates(b)
+    assert pareto(pack(b), pack(a)) == b.dominates(a)
 
 
 _SMALL_MASKS = st.integers(0, 7)
@@ -322,7 +329,7 @@ _SMALL_MASKS = st.integers(0, 7)
 
 @given(pair=_vector_pairs(), amask=_SMALL_MASKS, bmask=_SMALL_MASKS)
 def test_no_worse_compares_one_measure_and_variables_by_inclusion(pair, amask, bmask):
-    a, b = (pack(pair[0]), amask), (pack(pair[1]), bmask)
+    a, b = _with_vars(pair[0], amask), _with_vars(pair[1], bmask)
     subset = amask & ~bmask == 0
     assert no_worse(None)(a, b) == (pair[0].dominates(pair[1]) and subset)
     assert no_worse(MeasureKind.VAR_COUNT)(a, b) == subset
@@ -335,7 +342,7 @@ def test_var_count_no_worse_is_inclusion_not_count():
     # one variable each, but only {p1} fits inside {p1, p2}
     zero = MeasureVector(*[0] * 11)
     p1, p2, both = [
-        (pack(zero._replace(var_count=n)), mask) for n, mask in ((1, 0b10), (1, 0b100), (2, 0b110))
+        _with_vars(zero._replace(var_count=n), mask) for n, mask in ((1, 0b10), (1, 0b100), (2, 0b110))
     ]
     rule = no_worse(MeasureKind.VAR_COUNT)
     assert not rule(p2, p1) and not rule(p1, p2)
@@ -344,6 +351,9 @@ def test_var_count_no_worse_is_inclusion_not_count():
     key = cost_key(MeasureKind.VAR_COUNT)
     assert key(p1) < key(p2) < key(both)
     assert cost_key(MeasureKind.LENGTH)(both) == 0
+    # as composed, variables far apart
+    p1, p40 = compose(PosLit, var=1), compose(NegLit, var=40)
+    assert key(p1) < key(p40) < key(compose(Or, (p1, p40))) == (2, [1, 40])
 
 
 @given(
@@ -362,8 +372,8 @@ def test_packed_binary_compose_is_the_tuple_rule(a, b, amask, bmask, node):
         var_count=(amask | bmask).bit_count(),
         **{count: getattr(summed, count) + 1},
     )
-    packed, vmask = compose(node_type, ((pack(a), amask), (pack(b), bmask)))
-    assert vmask == amask | bmask
+    packed = compose(node_type, (_with_vars(a, amask), _with_vars(b, bmask)))
+    assert packed >> _VBASE == amask | bmask
     assert unpack(packed) == expected
 
 
@@ -379,7 +389,22 @@ def test_packed_unary_compose_is_the_tuple_rule(a, amask, node):
     expected = a._replace(
         length=a.length + 1, modal_depth=a.modal_depth + 1, **{count: getattr(a, count) + 1}
     )
-    assert compose(node_type, ((pack(a), amask),)) == (pack(expected), amask)
+    assert compose(node_type, (_with_vars(a, amask),)) == _with_vars(expected, amask)
+
+
+def test_pareto_rule_with_top_field_below_and_variables_differing():
+    # the top field (FORALL_COUNT) sits right below the variable bits, which
+    # in (b | guards) - a go negative when b's read lower than a's: neither
+    # may leak into the other's verdict
+    zero = MeasureVector(*[0] * 11)
+    pareto = no_worse(None)
+    for a_forall, b_forall in ((2, 1), (1, 2), (FIELD_MASK, 0), (0, FIELD_MASK), (3, 3)):
+        a_vec = zero._replace(forall_count=a_forall, length=5)
+        b_vec = zero._replace(forall_count=b_forall, length=5)
+        for amask, bmask in ((0b10, 0b110), (0b110, 0b10), (0b100, 0b10), (0b10, 0b100), (0, 1 << 100)):
+            a, b = _with_vars(a_vec, amask), _with_vars(b_vec, bmask)
+            expected = a_forall <= b_forall and amask & ~bmask == 0
+            assert pareto(a, b) == expected, (a_forall, b_forall, amask, bmask)
 
 
 # --- negation ---------------------------------------------------------------

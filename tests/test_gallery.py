@@ -135,6 +135,21 @@ def test_witness_set_asserts_coherence():
             positive_names=("a",),
             negative_names=(),
         )
+    for positive_names, negative_names, side in ((("a", "b"), ("c",), "positive"), (("a",), (), "negative")):
+        with pytest.raises(ValueError, match=f"{side} frames and names differ in length"):
+            WitnessSet(
+                name="misnamed",
+                prop=FrameProperty.transfer(0, 1),
+                positives=(loop,),
+                negatives=(chain,),
+                positive_names=positive_names,
+                negative_names=negative_names,
+            )
+
+
+def test_check_property_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown frame property kind: 'dense'"):
+        check_property(Frame(1, [(0, 0)]), FrameProperty("dense"))
 
 
 @pytest.mark.parametrize("m,n", TRANSFER_PAIRS)

@@ -100,6 +100,11 @@ def test_psi_of_tree_rejects_open_nodes():
     u = _universe_pair()
     with pytest.raises(ValueError):
         psi_of_tree(GameTree("or", GamePosition(u, [0], [1]), children=()))
+    for var, positive in ((None, None), (1, None), (None, True)):
+        with pytest.raises(ValueError, match="literal leaf without a literal"):
+            psi_of_tree(GameTree("lit", GamePosition(u, [0], [1]), var=var, positive=positive))
+    with pytest.raises(ValueError, match="unknown move: 'bogus'"):
+        GameTree("bogus", GamePosition(u, [0], [1]))
 
 
 def test_literal_leaf_legality():
@@ -419,6 +424,39 @@ def test_fgm_matches_enumeration_oracle(rng):
     assert checked > 100
 
 
+def test_fgm_matches_the_oracle_on_two_variables():
+    # the one-variable tests never compare the game's variable dominance
+    # with brute force: here every universe values both p1 and p2.  At this
+    # seed a game that compared var counts instead of variable sets answers
+    # wrong on two cases.
+    rng = random.Random(6)
+    checked = 0
+    while checked < 1000:
+        count = rng.randint(1, 3)
+        frames = [
+            Frame(count, [(a, b) for a in range(count) for b in range(count) if rng.random() < 0.45])
+            for _ in range(rng.randint(1, 2))
+        ]
+        u = Universe([
+            Model(frame, {1: rng.getrandbits(count), 2: rng.getrandbits(count)}) for frame in frames
+        ])
+        if u.variables != [1, 2]:
+            continue
+        indices = range(len(u.models))
+        pick = min(2, len(u.models))
+        left = rng.sample(indices, rng.randint(0, pick))
+        right = rng.sample(indices, rng.randint(0, pick))
+        pos = GamePosition(u, left, right)
+        for language, kinds in ((BASIC, BASIC_KINDS), (GLOBAL, ALL_KINDS)):
+            table = brute_table(u, 5, language)
+            for kind in kinds:
+                budget = 5 if kind is MeasureKind.LENGTH else rng.randint(1, 4)
+                got = min_cost_fgm(pos, kind, budget, language=language, length_cap=5)
+                want = brute_min_value(table, left, right, kind, budget)
+                assert (got if got is None else got[0]) == want, (kind, left, right, language)
+                checked += 1
+
+
 def _enumerated_value(u, left, right, kind, budget, var_bound, language):
     """min_separating's value within the budget, at length cap 6."""
     if set(left) & set(right):
@@ -457,7 +495,7 @@ def test_every_stored_element_walks_to_its_own_tree(rng):
                 tree = search.build(e, e[0], r)
                 assert verify_closed_tree(tree, language), (e[3][0], kind, language)
                 assert node_count(tree) == e[2]
-                assert measure(psi_of_tree(tree), kind) == field(e[1][0], kind)
+                assert measure(psi_of_tree(tree), kind) == field(e[1], kind)
                 walked += 1
     assert walked > 1000
 
@@ -761,6 +799,8 @@ def test_check_weight_parent_excess_clause():
     parent = GameTree("or", leaf_pos, children=(left, right))
     assert check_weight(parent, {parent: 3, left: 1, right: 1})
     assert not check_weight(parent, {parent: 4, left: 1, right: 1})
+    # a negative weight fails even where the excess clause holds
+    assert not check_weight(parent, {parent: -1, left: 1, right: 1})
 
 
 def test_special_pair_weight_matches_pairwise_valuations(rng):

@@ -376,6 +376,23 @@ def test_build_universe_cap(monkeypatch):
     monkeypatch.setattr(kripke, "UNIVERSE_CAP", 7)
     with pytest.raises(ResourceCapError):
         build_universe([(CHAIN, 1)])
+    # pointed seeds count toward the cap too
+    seeds = [PointedModel(Model(CHAIN, {1: val}), s) for val in (0b01, 0b10) for s in range(2)]
+    monkeypatch.setattr(kripke, "UNIVERSE_CAP", 4)
+    assert len(build_universe(seeds)) == 4
+    monkeypatch.setattr(kripke, "UNIVERSE_CAP", 3)
+    with pytest.raises(ResourceCapError, match="exceed 3 pointed models"):
+        build_universe(seeds)
+
+
+def test_moves_row_rejects_an_index_outside_the_layout():
+    u = build_universe([(CHAIN, 1)])
+    for everywhere in (False, True):
+        moves = u.relation(everywhere)
+        assert moves.row(len(u) - 1)
+        for i in (len(u), -1):
+            with pytest.raises(IndexError, match=f"index {i} outside the layout"):
+                moves.row(i)
 
 
 def test_universe_models_view_matches_eager_listing():

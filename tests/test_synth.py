@@ -8,6 +8,7 @@ from modalmin.formula import (
     BASIC,
     GLOBAL,
     MeasureKind,
+    _VBASE,
     measure,
     measure_all,
     no_worse,
@@ -115,7 +116,7 @@ def test_enumerate_rejects_an_unknown_language():
 
 
 def _measured(phi):
-    return pack(measure_all(phi)), sum(1 << var for var in vars_of(phi))
+    return pack(measure_all(phi)) | sum(1 << _VBASE + var for var in vars_of(phi))
 
 
 def _lob_3_global_universe():
@@ -151,7 +152,7 @@ def test_enumerate_under_a_measure_keeps_no_entry_a_kept_one_is_no_worse_than(
     seen: dict[int, list] = {}
     for phi, den, packed in _enumerate(u, var_bound, length_cap, GLOBAL, kind=kind):
         measured = _measured(phi)
-        assert measured[0] == packed
+        assert measured == packed
         assert not any(rule(old, measured) for old in seen.get(den, ()))
         seen.setdefault(den, []).append(measured)
     assert any(len(entries) > 1 for entries in seen.values())

@@ -18,6 +18,8 @@ The corpus, in this order:
   - certify --out at each set's pinned length bound;
   - reproduce --out;
   - synth on four builtin frames, six measures, both languages, two index pairs;
+  - two variables: synth on three builtin frames under var-count and length,
+    both languages; game and certify under var-count;
   - valid of each set's axiom on every one of its witness frames;
   - valid and noncol over 16 valuation-code bits, more than one of
     frame_valid's chunks holds;
@@ -151,6 +153,26 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
                          "--length-cap", "6", "--measure", measure, "--language", language],
                         [],
                     ))
+    for frames, left, right in (("k2", "10", "2,8"), ("k3", "27", "3,24"), ("khat2", "84", "4,80")):
+        for measure in ("var-count", "length"):
+            for language in ("basic", "global"):
+                commands.append((
+                    ["synth", "--frames", f"builtin:{frames}", "--vars", "2", "--left", left, "--right", right,
+                     "--length-cap", "6", "--measure", measure, "--language", language],
+                    [],
+                ))
+    for name in ("symmetry", "transfer-0-1"):
+        commands.append((
+            ["game", "--witnesses", f"builtin:{name}", "--vars", "2", "--measure", "var-count",
+             "--budget", "2", "--length-cap", "6"],
+            [],
+        ))
+    for name, cap in (("symmetry", "6"), ("s4", "5")):
+        commands.append((
+            ["certify", "--witnesses", f"builtin:{name}", "--vars", "2", "--measure", "var-count",
+             "--bound", "2", "--length-cap", cap],
+            [],
+        ))
     for name in [*SETS, "lob-3", "lob-4"]:
         witnesses = builtin_witnesses(name)
         formula = print_formula(axiom(witnesses.prop))
