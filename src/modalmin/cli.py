@@ -98,6 +98,13 @@ def _read_text(path: str) -> str:
         raise click.UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _parse_file(parser, path: str, what: str):
     """Parse a file with one of the text-format parsers; bad input is a usage error."""
     try:
@@ -110,14 +117,15 @@ def _load_frames(spec: str) -> list[tuple[str, Frame]]:
     """A frame source: ``builtin:kN``, ``builtin:khatN``, or a frame file."""
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
+        prefix, build = ("khat", khat) if name.startswith("khat") else ("k", k_complete)
         try:
-            if name.startswith("khat"):
-                return [(name, khat(int(name[4:])))]
-            if name.startswith("k"):
-                return [(name, k_complete(int(name[1:])))]
+            n = int(name[len(prefix):]) if name.startswith(prefix) else 0
         except ValueError:
-            pass
-        raise click.UsageError(f"unknown builtin frame: {name!r}")
+            n = 0
+        if n < 1:
+            raise click.UsageError(f"unknown builtin frame: {name!r}")
+        # build raises ValueError past MAX_STATES edges, which _capped makes exit 2
+        return [(name, build(n))]
     return _parse_file(parse_frames, spec, "frame")
 
 
@@ -337,7 +345,7 @@ def game(
     if tree_path is not None:
         lines: list[str] = []
         _render_tree(tree, 0, lines)
-        Path(tree_path).write_text("\n".join(lines) + "\n")
+        _write_text(tree_path, "\n".join(lines) + "\n")
 
 
 @main.command()
@@ -369,7 +377,7 @@ def certify(
     text = format_certificate(cert)
     click.echo(text, nl=False)
     if out_path is not None:
-        Path(out_path).write_text(text)
+        _write_text(out_path, text)
 
 
 # --- the reproduce report ---------------------------------------------------
@@ -614,7 +622,7 @@ def reproduce(seed: int, out_path: str | None) -> None:
     click.echo(summary)
     lines.append(summary)
     if out_path is not None:
-        Path(out_path).write_text("\n".join(lines) + "\n")
+        _write_text(out_path, "\n".join(lines) + "\n")
     if failed:
         sys.exit(1)
 

@@ -21,7 +21,7 @@ from .formula import (
     NegLit,
     ExistsMod,
 )
-from .kripke import Frame, Model, PointedModel, Universe, frame_valid, index_mask, mask_bits
+from .kripke import MAX_STATES, Frame, Model, PointedModel, Universe, frame_valid, index_mask, mask_bits
 
 __all__ = [
     "colour_code_width",
@@ -93,6 +93,8 @@ def k_complete(n: int) -> Frame:
     """The complete loopless digraph on n states."""
     if n < 1:
         raise ValueError("need at least one state")
+    if n * (n - 1) > MAX_STATES:
+        raise ValueError(f"k{n} would have {n * (n - 1)} edges, more than {MAX_STATES}")
     return Frame(
         n, [(u, v) for u in range(n) for v in range(n) if u != v]
     )
@@ -107,6 +109,8 @@ def khat(n: int) -> Frame:
     """
     if n < 1:
         raise ValueError("need at least one state")
+    if 2 * n * (n - 1) + 1 > MAX_STATES:
+        raise ValueError(f"khat{n} would have {2 * n * (n - 1) + 1} edges, more than {MAX_STATES}")
     edges = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges += [(n + u, n + v) for u in range(n) for v in range(n) if u != v]
     edges.append((n, n))

@@ -10,7 +10,8 @@ form by construction.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterator
 
 BASIC = "basic"
 GLOBAL = "global"
@@ -245,20 +246,10 @@ def check_length_cap(length_cap: int | None) -> None:
         raise ValueError("length cap must be non-negative")
 
 
-class MeasureVector(NamedTuple):
-    """All eleven measures of one formula; basic formulas have zero E/A counts."""
+class MeasureVector(namedtuple("MeasureVector", [kind.name.lower() for kind in MeasureKind])):
+    """One field per MeasureKind, in its order; basic formulas have zero E/A counts."""
 
-    length: int
-    modal_depth: int
-    var_count: int
-    false_count: int
-    true_count: int
-    or_count: int
-    and_count: int
-    dia_count: int
-    box_count: int
-    exists_count: int
-    forall_count: int
+    __slots__ = ()
 
     def get(self, kind: MeasureKind) -> int:
         return self[_KIND_INDEX[kind]]

@@ -12,6 +12,7 @@ models, held as int index masks.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .formula import (
     BASIC,
@@ -77,28 +78,24 @@ _MOVE_OF_NODE = {node: move for move, node in _NODE_OF_MOVE.items()}
 _ARITY = {"lit": 0, **{move: len(node._fields) for move, node in _NODE_OF_MOVE.items()}}
 
 
+@dataclass(init=False, repr=False, slots=True)
 class GamePosition:
     """A pair of index sets over a shared universe of pointed models.
 
     The left set holds the pointed models the eventual formula must satisfy,
     the right set those it must refute.  Both are given as indices and kept
     as int index masks; Universe.mask rejects an index outside the universe.
+    Equal positions share one Universe object, which compares by identity.
     """
 
-    __slots__ = ("universe", "left", "right")
+    universe: Universe
+    left: int
+    right: int
 
     def __init__(self, universe: Universe, left, right):
         self.universe = universe
         self.left = universe.mask(left)
         self.right = universe.mask(right)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GamePosition)
-            and other.universe is self.universe
-            and other.left == self.left
-            and other.right == self.right
-        )
 
     def __repr__(self):
         return f"GamePosition(left={[*mask_bits(self.left)]}, right={[*mask_bits(self.right)]})"
@@ -294,7 +291,7 @@ def check_weight(t: GameTree, f: dict[GameTree, float]) -> bool:
         if not node.children:
             if w > 1:
                 return False
-        elif w > sum(f[c] for c in node.children) + 1:
+        elif w > sum(f.get(c, 0) for c in node.children) + 1:
             return False
     return True
 

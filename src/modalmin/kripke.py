@@ -12,8 +12,9 @@ import functools
 import itertools
 from bisect import bisect_right
 from collections import abc
+from dataclasses import dataclass
 from operator import add, lshift, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formula import (
     BASIC,
@@ -61,10 +62,12 @@ def index_mask(indices: Iterable[int]) -> int:
     return out
 
 
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class Frame:
     """A finite directed graph: state_count states, successor bit masks."""
 
-    __slots__ = ("state_count", "succ_masks")
+    state_count: int
+    succ_masks: tuple[int, ...]
 
     def __init__(self, state_count: int, edges: Iterable[tuple[int, int]] = ()):
         if state_count < 1:
@@ -88,27 +91,19 @@ class Frame:
             for v in self.successors_of(u):
                 yield (u, v)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Frame)
-            and other.state_count == self.state_count
-            and other.succ_masks == self.succ_masks
-        )
-
-    def __hash__(self):
-        return hash((self.state_count, self.succ_masks))
-
     def __repr__(self):
         return f"Frame({self.state_count}, edges={list(self.edges())})"
 
 
+@dataclass(init=False, repr=False, slots=True)
 class Model:
     """A frame with a valuation; valuation sets are state bit masks.
 
     Variables absent from the valuation are read as the empty set.
     """
 
-    __slots__ = ("frame", "valuation")
+    frame: Frame
+    valuation: dict[int, int]
 
     def __init__(self, frame: Frame, valuation: dict[int, int] | None = None):
         self.frame = frame
@@ -134,13 +129,6 @@ class Model:
     def holds(self, var: int, state: int) -> bool:
         return bool(self.val_mask(var) >> state & 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Model)
-            and other.frame == self.frame
-            and other.valuation == self.valuation
-        )
-
     def __hash__(self):
         return hash((self.frame, frozenset(self.valuation.items())))
 
@@ -149,24 +137,14 @@ class Model:
         return f"Model({self.frame!r}, {sets})"
 
 
+@dataclass(repr=False, unsafe_hash=True, slots=True)
 class PointedModel:
-    __slots__ = ("model", "point")
+    model: Model
+    point: int
 
-    def __init__(self, model: Model, point: int):
-        if not (0 <= point < model.frame.state_count):
-            raise ValueError(f"point {point} out of range")
-        self.model = model
-        self.point = point
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointedModel)
-            and other.point == self.point
-            and other.model == self.model
-        )
-
-    def __hash__(self):
-        return hash((self.model, self.point))
+    def __post_init__(self):
+        if not (0 <= self.point < self.model.frame.state_count):
+            raise ValueError(f"point {self.point} out of range")
 
     def __repr__(self):
         return f"PointedModel({self.model!r}, point={self.point})"
@@ -646,12 +624,9 @@ def build_universe(seeds: Iterable[PointedModel | tuple[Frame, int]]) -> Univers
 # representatives coincide with read-offs over the full expansion.
 
 
-class ReducedExpansion:
-    __slots__ = ("universe", "class_reps")
-
-    def __init__(self, universe: Universe, class_reps: dict[str, tuple[int, ...]]):
-        self.universe = universe
-        self.class_reps = class_reps
+class ReducedExpansion(NamedTuple):
+    universe: Universe
+    class_reps: dict[str, tuple[int, ...]]
 
 
 def _greedy_cover(covers: Sequence[int]) -> list[int]:

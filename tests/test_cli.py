@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from modalmin.cli import _CLAIMS, main
 from modalmin.formula import MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
-from modalmin.kripke import UNIVERSE_CAP, VALIDITY_CAP_BITS, ResourceCapError
+from modalmin.kripke import MAX_STATES, UNIVERSE_CAP, VALIDITY_CAP_BITS, ResourceCapError
 
 from .conftest import time_limit
 
@@ -379,11 +379,17 @@ USAGE_FILES = {
         (["certify", "--witnesses", "DUPLICATE_POSITIVES", "--bound", "3"], "frame names must be unique"),
         (["eval", "--model", "TWO_FRAMES", "--formula", "p1"], "model files contain exactly one frame"),
         (["eval", "--model", "STATE_5", "--formula", "p1"], "line 4: state 5 out of range"),
+        # refused before a single edge is built, so at once
+        (["colour", "--frame", "builtin:k100000", "--n", "2"],
+         f"k100000 would have 9999900000 edges, more than {MAX_STATES}"),
+        (["colour", "--frame", "builtin:khat100000", "--n", "2"],
+         f"khat100000 would have 19999800001 edges, more than {MAX_STATES}"),
     ],
 )
 def test_usage_errors_exit_2_with_their_message(runner, tmp_path, args, message):
     paths = {name: _model_file(tmp_path, name, text) for name, text in USAGE_FILES.items()}
-    result = runner.invoke(main, [paths.get(arg, arg) for arg in args])
+    with time_limit(10):
+        result = runner.invoke(main, [paths.get(arg, arg) for arg in args])
     assert result.exit_code == 2, result.output
     assert result.output.splitlines()[-1].startswith("Error: ")
     assert result.output.splitlines()[-1].endswith(f" {message}")
@@ -395,6 +401,25 @@ def test_huge_lob_depth_ends_quickly(runner):
         result = runner.invoke(main, ["game", "--witnesses", "builtin:lob-100000", "--budget", "3"])
     assert result.exit_code == 2, result.output
     assert result.output.splitlines()[-1] == f"Error: lob-100000 needs formulas nested deeper than {MAX_NESTING}"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--witnesses", "builtin:symmetry", "--bound", "3", "--out"],
+        ["game", "--witnesses", "builtin:symmetry", "--budget", "5", "--emit-tree"],
+        ["reproduce", "--out"],
+    ],
+)
+def test_unwritable_output_exits_2_after_printing_the_result(runner, tmp_path, monkeypatch, args):
+    monkeypatch.setattr("modalmin.cli._CLAIMS", _CLAIMS[:2])
+    path = tmp_path / "missing" / "x.txt"
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert lines[-1].startswith(f"Error: cannot write {path}: ")
+    assert len(lines) > 3 and not lines[0].startswith(("Usage:", "Error:"))
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_synth_index_outside_the_universe_exits_2(runner):

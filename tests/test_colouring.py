@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from modalmin import colouring
 from modalmin.colouring import (
     colour_assignment,
     colour_code_width,
@@ -27,7 +28,7 @@ from modalmin.formula import (
     subformulas,
     vars_of,
 )
-from modalmin.kripke import Frame, bisimilar, frame_valid
+from modalmin.kripke import MAX_STATES, Frame, bisimilar, frame_valid
 
 from .conftest import rand_frame
 from .oracles import brute_colourable
@@ -102,6 +103,18 @@ def test_khat_shape():
     assert len(list(doubled.edges())) == 13
     for n in range(1, 9):
         assert [s for s in range(2 * n) if khat(n).has_edge(s, s)] == [n]
+
+
+def test_complete_frames_past_max_states_edges_are_refused(monkeypatch):
+    for build, n, name, edges in ((k_complete, 776, "k776", 601_400), (khat, 549, "khat549", 601_705)):
+        with pytest.raises(ValueError, match=f"^{name} would have {edges} edges, more than {MAX_STATES}$"):
+            build(n)
+    # the bound is inclusive: k4 has 12 edges and khat3 13
+    monkeypatch.setattr(colouring, "MAX_STATES", 13)
+    assert len(list(k_complete(4).edges())) == 12 and len(list(khat(3).edges())) == 13
+    for build, n in ((k_complete, 5), (khat, 4)):
+        with pytest.raises(ValueError, match="more than 13"):
+            build(n)
 
 
 # --- colouring search -------------------------------------------------------

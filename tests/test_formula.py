@@ -198,6 +198,12 @@ def test_measure_families():
 def test_measure_kind_names_roundtrip():
     for kind in MeasureKind:
         assert MeasureKind.from_name(kind.value) is kind
+    # a measure vector's fields are the kinds' names, in MeasureKind's order
+    assert MeasureVector._fields == (
+        "length", "modal_depth", "var_count", "false_count", "true_count", "or_count",
+        "and_count", "dia_count", "box_count", "exists_count", "forall_count",
+    )
+    assert MeasureVector._fields == tuple(kind.name.lower() for kind in MeasureKind)
     with pytest.raises(ValueError):
         MeasureKind.from_name("size")
 

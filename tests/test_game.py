@@ -125,6 +125,8 @@ def test_game_position_rejects_indices_outside_the_universe():
         with pytest.raises(ValueError, match=f"index {bad} outside the 2-element universe"):
             GamePosition(u, [bad], [1])
     assert GamePosition(u, (1,), [0]) == GamePosition(u, [1], (0,))
+    # the same masks over another universe of the same models are another position
+    assert GamePosition(u, [1], [0]) != GamePosition(_universe_pair(), [1], [0])
 
 
 def test_checker_reports_every_literal_index_on_the_wrong_side():
@@ -801,6 +803,9 @@ def test_check_weight_parent_excess_clause():
     assert not check_weight(parent, {parent: 4, left: 1, right: 1})
     # a negative weight fails even where the excess clause holds
     assert not check_weight(parent, {parent: -1, left: 1, right: 1})
+    # so do children without a weight
+    assert not check_weight(parent, {parent: 3})
+    assert not check_weight(parent, {parent: 0, left: 0})
 
 
 def test_special_pair_weight_matches_pairwise_valuations(rng):

@@ -123,6 +123,15 @@ def test_equal_structures_built_apart_hash_equal(rng):
         assert PointedModel(model, point) == PointedModel(other, point)
         assert hash(PointedModel(model, point)) == hash(PointedModel(other, point))
         assert len({model, other, Model(Frame(w, edges), dict(reversed(items)))}) == 1
+        # nothing but an instance of the same class is equal, not even its fields
+        pointed = PointedModel(model, point)
+        for value, fields in (
+            (frame, (w, frame.succ_masks)),
+            (model, (frame, model.valuation)),
+            (pointed, (model, point)),
+        ):
+            assert value != fields and value != frame.succ_masks
+        assert frame != model != pointed != frame
 
 
 def test_pointed_model_checks_point():

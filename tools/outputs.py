@@ -28,7 +28,10 @@ The corpus, in this order:
   - bisim, both languages: every pair of small pointed models whose frames
     hold a lasso, a self-loop and a dead end, and two pairs of 800-state
     paths;
-  - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1.
+  - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1;
+  - the exit-code contract: certify --out, game --emit-tree and reproduce
+    --out into a directory that does not exist, and colour on the largest
+    builtin complete frames accepted and the smallest refused.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
 """
@@ -210,6 +213,15 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
         directory = tmp / f"fuzz-{seed}"
         directory.mkdir()
         commands.append((_case(seed, directory)[1], []))
+    unwritable = str(tmp / "missing" / "x.txt")
+    for args in (
+        ["certify", "--witnesses", "builtin:symmetry", "--bound", "3", "--out"],
+        ["game", "--witnesses", "builtin:symmetry", "--budget", "5", "--emit-tree"],
+        ["reproduce", "--out"],
+    ):
+        commands.append((args + [unwritable], []))
+    for frame in ("k775", "k776", "khat548", "khat549"):
+        commands.append((["colour", "--frame", f"builtin:{frame}", "--n", "2"], []))
     return commands
 
 
