@@ -31,15 +31,18 @@ from .formula import (
     GLOBAL,
     LANGUAGES,
     MeasureKind,
+    check_query,
     measure,
     measure_all,
     nnf_negate,
     parse,
+    parse_int,
     print_formula,
 )
 from .gallery import (
     WitnessSet,
     axiom,
+    builtin_frame,
     builtin_witnesses,
     lob_witnesses,
     parse_witnesses,
@@ -117,15 +120,7 @@ def _load_frames(spec: str) -> list[tuple[str, Frame]]:
     """A frame source: ``builtin:kN``, ``builtin:khatN``, or a frame file."""
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
-        prefix, build = ("khat", khat) if name.startswith("khat") else ("k", k_complete)
-        try:
-            n = int(name[len(prefix):]) if name.startswith(prefix) else 0
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise click.UsageError(f"unknown builtin frame: {name!r}")
-        # build raises ValueError past MAX_STATES edges, which _capped makes exit 2
-        return [(name, build(n))]
+        return [(name, builtin_frame(name))]
     return _parse_file(parse_frames, spec, "frame")
 
 
@@ -151,7 +146,7 @@ def _parse_formula(text: str, language: str) -> "Formula":
 
 def _parse_indices(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(parse_int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"bad {what} index list: {text!r}") from None
 
@@ -280,9 +275,8 @@ def synth(
 ) -> None:
     """Exhaustively search for a minimal formula true on the left indices, false on the right."""
     kind = MeasureKind.from_name(measure_name)
-    # checked before the universe is built, so a huge --vars with this measure exits 2, not 3
-    if not kind.applies_to(language):
-        raise click.UsageError(f"measure {measure_name} needs --language global")
+    # checked before any frame is read, so a bad query exits 2 even with a --vars past the universe cap
+    check_query(kind, language, length_cap)
     frames = _load_frames(frames_spec)
     universe = build_universe([(frame, var_bound) for _, frame in frames])
     left = _parse_indices(left_text, "left")

@@ -10,6 +10,7 @@ form by construction.
 from __future__ import annotations
 
 import enum
+import re
 from collections import namedtuple
 from typing import Iterator
 
@@ -22,6 +23,13 @@ def check_language(language: str) -> str:
     if language not in LANGUAGES:
         raise ValueError(f"unknown language {language!r}, expected one of {LANGUAGES}")
     return language
+
+
+def parse_int(text: str) -> int:
+    """The integer text spells in ASCII digits after an optional '-'; anything else is a ValueError."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 class ParseError(ValueError):
@@ -235,13 +243,11 @@ class MeasureKind(enum.Enum):
         return any(field(own, self) for node, own in _OWN.items() if in_language(node, language))
 
 
-def check_measure(kind: MeasureKind, language: str) -> None:
+def check_query(kind: MeasureKind, language: str, length_cap: int | None) -> None:
+    """The one check of a search query: language, measure, then cap (None is no cap)."""
+    check_language(language)
     if not kind.applies_to(language):
         raise ValueError(f"measure {kind.value} needs the global language")
-
-
-def check_length_cap(length_cap: int | None) -> None:
-    """Rejects a negative length cap given by a caller; None is no cap given."""
     if length_cap is not None and length_cap < 0:
         raise ValueError("length cap must be non-negative")
 
@@ -392,6 +398,7 @@ _CONST_BY_TAG = {c._tag: c for c in (TRUE, FALSE)}
 _BINARY_BY_TAG = {cls._tag: cls for cls in (Or, And)}
 # the prefix connectives by the first character of their tags
 _UNARY_BY_LEAD = {cls._tag[0]: cls for cls in (Dia, Box, ExistsMod, ForallMod)}
+_DIGITS = re.compile("[0-9]*")
 
 # The deepest connective nesting parse accepts: p1 has depth 0, <> p1 depth 1.
 # Printing, evaluation and the measures recurse once or twice per level, so a
@@ -481,16 +488,15 @@ class _Parser:
         raise ParseError(f"unexpected character {ch!r}", self.pos)
 
     def var_index(self) -> int:
-        # caller sits on 'p'; index syntax is a nonzero digit then digits
+        # caller sits on 'p'; index syntax is a nonzero ASCII digit then ASCII digits
         self.pos += 1
-        start = self.pos
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        digits = _DIGITS.match(self.text, self.pos).group()
+        if not digits:
             raise ParseError("expected a variable index", self.pos)
-        if self.text[self.pos] == "0":
+        if digits[0] == "0":
             raise ParseError("variable indices start at 1", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
+        self.pos += len(digits)
+        return int(digits)
 
 
 # --- dual negation ----------------------------------------------------------

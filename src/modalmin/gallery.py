@@ -9,10 +9,12 @@ property can be expressed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from .colouring import k_complete, khat
 from .formula import MAX_NESTING, Formula, Or, And, Dia, Box, PosLit, NegLit
 from .kripke import (
     Frame,
@@ -43,6 +45,7 @@ __all__ = [
     "lob_witnesses",
     "symmetry_witnesses",
     "axiom",
+    "builtin_frame",
     "builtin_witnesses",
     "format_witnesses",
     "parse_witnesses",
@@ -429,29 +432,35 @@ def axiom(prop: FrameProperty) -> Formula:
     raise ValueError(f"no axiom registered for property: {prop}")
 
 
-def builtin_witnesses(name: str) -> WitnessSet:
-    """Resolve a builtin witness set name.
+# Each builtin name's pattern, what it names and the builder called on its
+# numbers.  A number is ASCII digits with no sign and no leading zero, so each
+# builtin has one spelling; kN and khatN need a state.
+_N, _N1 = "(0|[1-9][0-9]*)", "([1-9][0-9]*)"
+_BUILTINS = {
+    f"k{_N1}": (Frame, k_complete),
+    f"khat{_N1}": (Frame, khat),
+    "s4": (WitnessSet, s4_witnesses),
+    "symmetry": (WitnessSet, symmetry_witnesses),
+    f"lob-{_N}": (WitnessSet, lob_witnesses),
+    f"transfer-{_N}-{_N}": (WitnessSet, transfer_witnesses),
+}
 
-    Supported: ``transfer-M-N``, ``s4``, ``lob-D``, ``symmetry``.
-    """
-    if name == "s4":
-        return s4_witnesses()
-    if name == "symmetry":
-        return symmetry_witnesses()
-    if name.startswith("lob-"):
-        try:
-            depth = int(name[4:])
-        except ValueError:
-            raise ValueError(f"bad witness set name: {name!r}") from None
-        return lob_witnesses(depth)
-    if name.startswith("transfer-"):
-        parts = name.split("-")
-        if len(parts) == 3:
-            try:
-                return transfer_witnesses(int(parts[1]), int(parts[2]))
-            except ValueError as exc:
-                raise ValueError(f"bad witness set name: {name!r}") from exc
-    raise ValueError(f"unknown witness set: {name!r}")
+
+def _builtin(name: str, kind: type, what: str):
+    for pattern, (built, build) in _BUILTINS.items():
+        if built is kind and (match := re.fullmatch(pattern, name)):
+            return build(*map(int, match.groups()))
+    raise ValueError(f"unknown {what}: {name!r}")
+
+
+def builtin_frame(name: str) -> Frame:
+    """The builtin frame ``kN`` (colouring.k_complete) or ``khatN`` (colouring.khat)."""
+    return _builtin(name, Frame, "builtin frame")
+
+
+def builtin_witnesses(name: str) -> WitnessSet:
+    """The builtin witness set ``s4``, ``symmetry``, ``lob-D`` or ``transfer-M-N``."""
+    return _builtin(name, WitnessSet, "witness set")
 
 
 def format_witnesses(w: WitnessSet) -> str:

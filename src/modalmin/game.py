@@ -30,8 +30,7 @@ from .formula import (
     PosLit,
     TrueConst,
     check_language,
-    check_length_cap,
-    check_measure,
+    check_query,
     compose,
     cost_key,
     field,
@@ -563,11 +562,9 @@ class _FamilySearch:
 
 def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> int:
     """Checks a search's arguments; returns the tree length it searches to."""
-    check_language(language)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    check_measure(kind, language)
-    check_length_cap(length_cap)
+    check_query(kind, language, length_cap)
     if kind is MeasureKind.LENGTH:
         return budget if length_cap is None else min(budget, length_cap)
     if length_cap is None:

@@ -32,6 +32,7 @@ from .formula import (
     TrueConst,
     check_language,
     in_language,
+    parse_int,
     vars_of,
 )
 
@@ -740,7 +741,7 @@ def format_frame(name: str, frame: Frame) -> str:
 
 def _int_field(text: str, lineno: int) -> int:
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise ValueError(f"line {lineno}: expected an integer, got {text!r}") from None
 

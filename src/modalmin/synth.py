@@ -25,8 +25,7 @@ from .formula import (
     PosLit,
     TrueConst,
     check_language,
-    check_length_cap,
-    check_measure,
+    check_query,
     compose,
     field,
     no_worse,
@@ -146,14 +145,11 @@ def _enumerate(u, var_bound, length_cap, language, stats=None, kind=None):
             return
         # a candidate denoting an operand's set is counted, not measured: that
         # operand (or the same-length entry that evicted it) is retained and no
-        # worse in every measure.  Entries sharing a denotation share its step
-        # images, in steps order.  A level appends only to its own length, so
+        # worse in every measure.  A level appends only to its own length, so
         # the lower levels read here never change under the loops.
-        images: dict[int, list[int]] = {}
         for phi, den, measured in by_len.get(length - 1, ()):
-            if den not in images:
-                images[den] = [pre_image(moves, den) for _, (pre_image, moves) in steps]
-            for (ctor, _), image in zip(steps, images[den]):
+            for ctor, (pre_image, moves) in steps:
+                image = pre_image(moves, den)
                 if image == den:
                     count(1)
                     continue
@@ -216,8 +212,7 @@ def min_separating(
     rmask = u.mask(right)
     if lmask & rmask:
         raise ValueError("left and right index sets must be disjoint")
-    check_measure(kind, language)
-    check_length_cap(length_cap)
+    check_query(kind, language, length_cap)
     return _cheapest(
         _enumerate(u, var_bound, length_cap, language, kind=kind),
         kind,
@@ -255,8 +250,7 @@ def min_separating_frames(
     Validity is read off denotations over a bisimulation-reduced expansion
     of all witness frames; ties break as in min_separating.
     """
-    check_measure(kind, language)
-    check_length_cap(length_cap)
+    check_query(kind, language, length_cap)
     u, separates = _frame_separation(w, var_bound, language)
     return _cheapest(
         _enumerate(u, var_bound, length_cap, language, kind=kind),
@@ -322,11 +316,9 @@ def certify_bound(
     reported.  The enumeration's cap yields Inconclusive with partial
     statistics; the expansion's cap raises ResourceCapError.
     """
-    check_language(language)
     if claimed_bound < 0:
         raise ValueError("claimed bound must be non-negative")
-    check_length_cap(length_cap)
-    check_measure(kind, language)
+    check_query(kind, language, length_cap)
     if length_cap is None:
         if kind is MeasureKind.LENGTH:
             length_cap = claimed_bound - 1

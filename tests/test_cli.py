@@ -363,6 +363,10 @@ USAGE_FILES = {
     "DUPLICATE_POSITIVES": format_witnesses(transfer_witnesses(0, 1)).replace("frame a2", "frame a1"),
     "TWO_FRAMES": "frame a\nstates 1\nframe b\nstates 1\npoint 0\n",
     "STATE_5": "frame m\nstates 2\nedge 0 1\nval p1 5\npoint 0\n",
+    "POINTED": "frame m\nstates 2\nedge 0 1\nval p1 0\npoint 0\n",
+    "STATES_1_0": "frame a\nstates 1_0\n",
+    "STATES_PLUS_2": "frame a\nstates +2\n",
+    "EDGE_ARABIC_0": "frame a\nstates 2\nedge \u0660 1\n",
 }
 
 
@@ -384,6 +388,27 @@ USAGE_FILES = {
          f"k100000 would have 9999900000 edges, more than {MAX_STATES}"),
         (["colour", "--frame", "builtin:khat100000", "--n", "2"],
          f"khat100000 would have 19999800001 edges, more than {MAX_STATES}"),
+        # a builtin name's number is ASCII digits with no sign and no leading zero
+        *((["colour", "--frame", f"builtin:{name}", "--n", "2"], f"unknown builtin frame: {name!r}")
+          for name in ("k+3", "k1_0", "k03", "k\u0663")),
+        *((["game", "--witnesses", f"builtin:{name}", "--budget", "3"], f"unknown witness set: {name!r}")
+          for name in ("lob-+2", "lob-02", "lob-1_0", "transfer- 1-2")),
+        (["game", "--witnesses", "builtin:transfer-1-1", "--budget", "3"],
+         "transfer witnesses need distinct exponents"),
+        # so is every number in a file or an index list
+        *((["valid", "--frame", name, "--formula", "p1"], f"line {line}: expected an integer, got {field!r}")
+          for name, line, field in (("STATES_1_0", 2, "1_0"), ("STATES_PLUS_2", 2, "+2"),
+                                    ("EDGE_ARABIC_0", 3, "\u0660"))),
+        (["synth", "--frames", "builtin:k3", "--left", "1_0", "--right", "2", "--length-cap", "3"],
+         "bad left index list: '1_0'"),
+        (["synth", "--frames", "builtin:k3", "--left", "0", "--right", "+2", "--length-cap", "3"],
+         "bad right index list: '+2'"),
+        (["eval", "--model", "POINTED", "--formula", "<> p\u00b2"],
+         "bad formula: expected a variable index (at position 4)"),
+        (["eval", "--model", "POINTED", "--formula", "p\u0663"],
+         "bad formula: expected a variable index (at position 1)"),
+        (["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1", "--length-cap", "3",
+          "--measure", "exists"], "measure exists needs the global language"),
     ],
 )
 def test_usage_errors_exit_2_with_their_message(runner, tmp_path, args, message):
@@ -435,7 +460,10 @@ def test_huge_transfer_exponents_end_quickly(runner, tmp_path):
     with time_limit(20):
         builtin = runner.invoke(main, ["game", "--witnesses", f"builtin:{name}", "--budget", "3"])
     assert builtin.exit_code == 2, builtin.output
-    assert builtin.output.splitlines()[-1] == f"Error: bad witness set name: '{name}'"
+    # the name matches transfer-M-N, so the builder's own error passes through
+    assert builtin.output.splitlines()[-1] == (
+        f"Error: the transfer 1 100000000000000000000 axiom nests deeper than {MAX_NESTING}"
+    )
     assert builtin.exception is None or isinstance(builtin.exception, SystemExit)
     # R^(10^20) of a loop is the loop and of an edge is empty, so the set checks out
     text = "witnesses w\nproperty transfer 1 100000000000000000000\npositive:\n"
@@ -453,6 +481,8 @@ def test_certify_negative_length_cap_exits_2(runner):
         ["game", "--witnesses", "builtin:symmetry", "--budget", "5"],
         ["game", "--witnesses", "builtin:symmetry", "--budget", "5", "--measure", "diamond"],
         ["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1"],
+        # reported before the universe is built, which passes its cap
+        ["synth", "--frames", "builtin:k2", "--vars", "100000000000000000000", "--left", "0", "--right", "1"],
     ):
         result = runner.invoke(main, args + ["--length-cap", "-1"])
         assert result.exit_code == 2, (args, result.output)

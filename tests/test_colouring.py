@@ -106,6 +106,9 @@ def test_khat_shape():
 
 
 def test_complete_frames_past_max_states_edges_are_refused(monkeypatch):
+    for build in (k_complete, khat):
+        with pytest.raises(ValueError, match="^need at least one state$"):
+            build(0)
     for build, n, name, edges in ((k_complete, 776, "k776", 601_400), (khat, 549, "khat549", 601_705)):
         with pytest.raises(ValueError, match=f"^{name} would have {edges} edges, more than {MAX_STATES}$"):
             build(n)

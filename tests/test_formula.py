@@ -27,6 +27,7 @@ from modalmin.formula import (
     TrueConst,
     _VBASE,
     compose,
+    check_query,
     cost_key,
     field,
     measure,
@@ -35,6 +36,7 @@ from modalmin.formula import (
     no_worse,
     pack,
     parse,
+    parse_int,
     print_formula,
     subformulas,
     unpack,
@@ -85,7 +87,7 @@ def test_print_canonical_forms():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "(p1 |", "p0", "q1", "(p1 | p2", "p1 p2", "<>", "(p1 & & p2)", "~T"],
+    ["", "(p1 |", "p0", "q1", "(p1 | p2", "p1 p2", "<>", "(p1 & & p2)", "~T", "<> p\u00b2", "p\u0663"],
 )
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ParseError):
@@ -96,6 +98,11 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("(p1 | q2)")
     assert err.value.position == 6
+    # a variable index is ASCII digits: a superscript or Arabic-Indic digit is none
+    for text, position in (("<> p\u00b2", 4), ("p\u0663", 1), ("(~p\u0661 | p1)", 3)):
+        with pytest.raises(ParseError, match="^expected a variable index ") as err:
+            parse(text)
+        assert err.value.position == position
 
 
 def test_parse_nesting_limit():
@@ -122,6 +129,25 @@ def test_unknown_language_and_variable_zero_raise_value_error():
         parse("p1", "modal")
     with pytest.raises(ValueError, match="variable indices start at 1"):
         PosLit(0)
+
+
+def test_parse_int_takes_ascii_digits_after_an_optional_minus_only():
+    assert [parse_int(text) for text in ("0", "7", "-1", "0012", "600000")] == [0, 7, -1, 12, 600000]
+    for text in ("", "-", "+2", "1_0", " 3", "3 ", "\u0663", "2\u00b2", "--1", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="^not a decimal integer: "):
+            parse_int(text)
+
+
+def test_check_query_checks_language_then_measure_then_cap():
+    check_query(MeasureKind.EXISTS_COUNT, GLOBAL, None)
+    check_query(MeasureKind.LENGTH, BASIC, 0)
+    for kind, language, cap, message in (
+        (MeasureKind.EXISTS_COUNT, "modal", -1, "unknown language 'modal'"),
+        (MeasureKind.FORALL_COUNT, BASIC, -1, "measure forall needs the global language"),
+        (MeasureKind.LENGTH, BASIC, -1, "length cap must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_query(kind, language, cap)
 
 
 def test_roundtrip_every_formula_up_to_length_5():

@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
+from modalmin.colouring import k_complete, khat
 from modalmin.formula import MAX_NESTING, MeasureKind, measure, parse, print_formula
 from modalmin.gallery import (
     CONVERSE_WELL_FOUNDED,
@@ -16,6 +18,7 @@ from modalmin.gallery import (
     TRANSITIVE_CWF,
     WitnessSet,
     axiom,
+    builtin_frame,
     builtin_witnesses,
     check_property,
     format_witnesses,
@@ -287,9 +290,27 @@ def test_builtin_witness_names():
     assert builtin_witnesses("transfer-1-2").name == "transfer-1-2"
     assert builtin_witnesses("lob-3").name == "lob-3"
     assert builtin_witnesses("symmetry").name == "symmetry"
-    for bad in ("lob-x", "transfer-1", "reflexive", ""):
-        with pytest.raises(ValueError):
+    assert builtin_witnesses("transfer-0-1").name == "transfer-0-1"
+    # a number is ASCII digits with no sign and no leading zero; frames are not witness sets
+    for bad in (
+        "lob-x", "transfer-1", "reflexive", "", "lob-+2", "lob-02", "lob-1_0", "lob-\u0663",
+        "transfer- 1-2", "transfer-01-2", "transfer-1-2 ", "k3", "S4",
+    ):
+        with pytest.raises(ValueError, match=f"^unknown witness set: {re.escape(repr(bad))}$"):
             builtin_witnesses(bad)
+    # a builder's own error passes through unchanged
+    for name, message in (("transfer-1-1", "transfer witnesses need distinct exponents"),
+                          ("lob-0", "depth must be at least 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            builtin_witnesses(name)
+
+
+def test_builtin_frame_names():
+    assert builtin_frame("k3") == k_complete(3)
+    assert builtin_frame("khat2") == khat(2)
+    for bad in ("k0", "khat0", "k+3", "k1_0", "k03", "k\u0663", "k", "khat", "k3 ", "s4", "K3"):
+        with pytest.raises(ValueError, match=f"^unknown builtin frame: {re.escape(repr(bad))}$"):
+            builtin_frame(bad)
 
 
 def test_witness_file_roundtrip():

@@ -111,6 +111,8 @@ def test_literal_leaf_legality():
     u = _universe_pair()
     good = GameTree("lit", GamePosition(u, [0], [1]), var=1, positive=True)
     assert verify_closed_tree(good)
+    assert repr(good) == "GameTree('lit', children=0)"
+    assert repr(good.position) == "GamePosition(left=[0], right=[1])"
     # right side satisfies the literal: illegal
     bad = GameTree("lit", GamePosition(u, [0], [0]), var=1, positive=True)
     violations = closed_tree_violations(bad)

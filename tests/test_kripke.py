@@ -137,6 +137,9 @@ def test_equal_structures_built_apart_hash_equal(rng):
 def test_pointed_model_checks_point():
     with pytest.raises(ValueError):
         PointedModel(Model(CHAIN, {}), 2)
+    assert repr(PointedModel(Model(CHAIN, {1: 0b10}), 1)) == (
+        "PointedModel(Model(Frame(2, edges=[(0, 1), (1, 1)]), {'p1': (1,)}), point=1)"
+    )
 
 
 # --- evaluation -------------------------------------------------------------
@@ -771,6 +774,11 @@ def test_parse_frames_multiple_and_comments():
         "frame x\nstates 0\n",
         "frame x\nstates 2\nedge 0 y\n",
         "frame x\nstates 1000000000000000\n",
+        # every number is ASCII digits after an optional '-'
+        "frame x\nstates 1_0\n",
+        "frame x\nstates +2\n",
+        "frame x\nstates 2\nedge \u0660 \u0661\n",
+        "frame x\nstates 2\nedge 0 1\u00b2\n",
     ],
 )
 def test_parse_frames_rejects_malformed(text):
@@ -788,6 +796,10 @@ def test_parse_frames_rejects_malformed(text):
         ("frame m\nstates 2\nval p1 0 z\n", 3),
         ("frame m\nstates 2\nval p0 1\n", 3),
         ("frame m\npoint 0\nstates x\n", 3),
+        ("frame m\nstates 2\nval p+1 0\n", 3),
+        ("frame m\nstates 2\nval p1 \u0661\n", 3),
+        ("frame m\nstates 1_0\n", 2),
+        ("frame m\nstates 2\npoint +1\n", 3),
     ],
 )
 def test_parse_model_rejects_malformed_with_line_number(text, line):

@@ -401,7 +401,7 @@ def test_certify_transfer_0_1_proved_at_4():
     assert cert.distinct_denotations > 0
 
 
-def test_certify_transfer_0_1_refuted_at_5():
+def test_certify_transfer_0_1_refuted_at_5(monkeypatch):
     cert = certify_bound(transfer_witnesses(0, 1), MeasureKind.LENGTH, 5)
     assert cert.verdict == "Refuted"
     assert cert.scope == "full"
@@ -409,6 +409,10 @@ def test_certify_transfer_0_1_refuted_at_5():
     w = transfer_witnesses(0, 1)
     assert all(frame_valid(f, cert.refutation) for f in w.positives)
     assert not any(frame_valid(f, cert.refutation) for f in w.negatives)
+    # a refutation the frames themselves disagree with is never reported
+    monkeypatch.setattr("modalmin.synth.frame_valid", lambda frame, phi: False)
+    with pytest.raises(RuntimeError, match="refutation failed independent re-validation"):
+        certify_bound(w, MeasureKind.LENGTH, 5)
 
 
 def test_certify_vacuous_and_invalid_claims():

@@ -31,7 +31,11 @@ The corpus, in this order:
   - the argument lists of tests/test_fuzz.py's _case, seeds 0..FUZZ_SEEDS-1;
   - the exit-code contract: certify --out, game --emit-tree and reproduce
     --out into a directory that does not exist, and colour on the largest
-    builtin complete frames accepted and the smallest refused.
+    builtin complete frames accepted and the smallest refused;
+  - malformed numbers and queries: builtin names with a sign, an
+    underscore, a leading zero or a non-ASCII digit, frame files and
+    formulas with such numbers, a --left list with an underscore, and synth
+    queries whose measure or length cap is invalid.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
 """
@@ -222,6 +226,23 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
         commands.append((args + [unwritable], []))
     for frame in ("k775", "k776", "khat548", "khat549"):
         commands.append((["colour", "--frame", f"builtin:{frame}", "--n", "2"], []))
+    for frame in ("k+3", "k1_0", "k03", "k\u0663"):
+        commands.append((["colour", "--frame", f"builtin:{frame}", "--n", "2"], []))
+    for name in ("lob-+2", "lob-02", "transfer- 1-2", "transfer-1-1"):
+        commands.append((["game", "--witnesses", f"builtin:{name}", "--budget", "3"], []))
+    for k, text in enumerate(("states 1_0", "states +2", "states 2\nedge \u0660 1")):
+        path = tmp / f"frame-bad-number-{k}.txt"
+        path.write_text(f"frame a\n{text}\n")
+        commands.append((["valid", "--frame", str(path), "--formula", "p1"], []))
+    for formula in ("<> p\u00b2", "p\u0663"):
+        commands.append((["eval", "--model", str(paths["loop"]), "--formula", formula], []))
+    synth = ["synth", "--frames", "builtin:k3", "--right", "2"]
+    for extra in (
+        ["--left", "1_0", "--length-cap", "6"],
+        ["--left", "0", "--length-cap", "6", "--measure", "exists", "--language", "basic"],
+        ["--left", "0", "--vars", "100000000000000000000", "--length-cap", "-1"],
+    ):
+        commands.append((synth + extra, []))
     return commands
 
 
