@@ -78,6 +78,26 @@ from .kripke import (
 from .synth import certify_bound, enumerate_formulas, format_certificate, min_separating
 
 
+class _Integer(click.types.IntParamType):
+    """click's integer type, read by formula.parse_int.
+
+    A value that int() alone would take (`+3`, `1_0`, other scripts' digits)
+    is then a usage error, like one too long for int().
+    """
+
+    @staticmethod
+    def _number_class(value) -> int:
+        # a default arrives as an int already
+        return value if isinstance(value, int) else parse_int(value)
+
+
+class _IntegerRange(_Integer, click.IntRange):
+    """An _Integer option within click.IntRange's bounds."""
+
+
+_INTEGER = _Integer()
+
+
 def _capped(fn):
     """The exit-code boundary: any ValueError the command raises exits 2, a resource cap 3."""
 
@@ -172,7 +192,7 @@ def main() -> None:
 
 @main.command("eval")
 @click.option("--model", "model_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--point", type=int, default=None, help="Evaluation state; defaults to the file's point line.")
+@click.option("--point", type=_INTEGER, default=None, help="Evaluation state; defaults to the file's point line.")
 @click.option("--formula", "formula_text", required=True)
 @_capped
 def eval_cmd(model_path: str, point: int | None, formula_text: str) -> None:
@@ -190,7 +210,7 @@ def eval_cmd(model_path: str, point: int | None, formula_text: str) -> None:
 @click.option("--frame", "frame_spec", required=True)
 @click.option("--formula", "formula_text", required=True)
 @click.option(
-    "--cap-bits", type=click.IntRange(0, VALIDITY_CAP_BITS), default=VALIDITY_CAP_BITS, show_default=True
+    "--cap-bits", type=_IntegerRange(0, VALIDITY_CAP_BITS), default=VALIDITY_CAP_BITS, show_default=True
 )
 @_capped
 def valid(frame_spec: str, formula_text: str, cap_bits: int) -> None:
@@ -218,7 +238,7 @@ def bisim(left_path: str, right_path: str, language: str) -> None:
 
 @main.command()
 @click.option("--frame", "frame_spec", required=True)
-@click.option("--n", "n", required=True, type=int)
+@click.option("--n", "n", required=True, type=_INTEGER)
 @_capped
 def colour(frame_spec: str, n: int) -> None:
     """Search for a proper n-colouring; prints the assignment if one exists."""
@@ -232,9 +252,9 @@ def colour(frame_spec: str, n: int) -> None:
 
 
 @main.command()
-@click.option("--emit", "emit_n", type=int, default=None, help="Print the non-n-colourability formula.")
+@click.option("--emit", "emit_n", type=_INTEGER, default=None, help="Print the non-n-colourability formula.")
 @click.option("--frame", "frame_spec", default=None)
-@click.option("--n", "n", type=int, default=None)
+@click.option("--n", "n", type=_INTEGER, default=None)
 @_capped
 def noncol(emit_n: int | None, frame_spec: str | None, n: int | None) -> None:
     """Emit the non-colourability formula, or compare its validity with a colouring search."""
@@ -257,11 +277,11 @@ def noncol(emit_n: int | None, frame_spec: str | None, n: int | None) -> None:
 
 @main.command()
 @click.option("--frames", "frames_spec", required=True, help="Frame file or builtin; expanded with all valuations.")
-@click.option("--vars", "var_bound", type=int, default=1, show_default=True)
+@click.option("--vars", "var_bound", type=_INTEGER, default=1, show_default=True)
 @click.option("--left", "left_text", required=True, help="Comma-separated universe indices.")
 @click.option("--right", "right_text", required=True)
 @click.option("--measure", "measure_name", default="length", show_default=True)
-@click.option("--length-cap", type=int, required=True)
+@click.option("--length-cap", type=_INTEGER, required=True)
 @_language_option
 @_capped
 def synth(
@@ -305,9 +325,9 @@ def _render_tree(tree, depth: int, lines: list[str]) -> None:
 @main.command()
 @click.option("--witnesses", "witness_spec", required=True, help="Witness file or builtin:NAME.")
 @click.option("--measure", "measure_name", default="length", show_default=True)
-@click.option("--vars", "var_bound", type=int, default=None, help="Defaults to the witness set's bound.")
-@click.option("--budget", type=int, required=True)
-@click.option("--length-cap", type=int, default=None)
+@click.option("--vars", "var_bound", type=_INTEGER, default=None, help="Defaults to the witness set's bound.")
+@click.option("--budget", type=_INTEGER, required=True)
+@click.option("--length-cap", type=_INTEGER, default=None)
 @click.option("--emit-tree", "tree_path", type=click.Path(dir_okay=False), default=None)
 @_language_option
 @_capped
@@ -345,9 +365,9 @@ def game(
 @main.command()
 @click.option("--witnesses", "witness_spec", required=True, help="Witness file or builtin:NAME.")
 @click.option("--measure", "measure_name", default="length", show_default=True)
-@click.option("--bound", "claimed_bound", type=int, required=True)
-@click.option("--vars", "var_bound", type=int, default=None, help="Defaults to the witness set's bound.")
-@click.option("--length-cap", type=int, default=None)
+@click.option("--bound", "claimed_bound", type=_INTEGER, required=True)
+@click.option("--vars", "var_bound", type=_INTEGER, default=None, help="Defaults to the witness set's bound.")
+@click.option("--length-cap", type=_INTEGER, default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_language_option
 @_capped
@@ -591,7 +611,7 @@ _CLAIMS: tuple[tuple[str, str, str, object], ...] = (
 
 
 @main.command()
-@click.option("--seed", type=int, default=2023, show_default=True)
+@click.option("--seed", type=_INTEGER, default=2023, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def reproduce(seed: int, out_path: str | None) -> None:
     """Re-run every shipped check; one verdict line per claim, exit 1 on any FAIL."""

@@ -25,10 +25,20 @@ def check_language(language: str) -> str:
     return language
 
 
+# no count, index or cap comes near this many digits; Python's int() itself
+# refuses more than 4,300, with a message that names no position
+MAX_DIGITS = 100
+
+
 def parse_int(text: str) -> int:
-    """The integer text spells in ASCII digits after an optional '-'; anything else is a ValueError."""
+    """The integer text spells in at most MAX_DIGITS ASCII digits after an optional '-'.
+
+    Anything else is a ValueError.
+    """
     if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(f"not a decimal integer: {text!r}")
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"number longer than {MAX_DIGITS} digits")
     return int(text)
 
 
@@ -495,8 +505,12 @@ class _Parser:
             raise ParseError("expected a variable index", self.pos)
         if digits[0] == "0":
             raise ParseError("variable indices start at 1", self.pos)
+        try:
+            index = parse_int(digits)
+        except ValueError as err:
+            raise ParseError(str(err), self.pos) from None
         self.pos += len(digits)
-        return int(digits)
+        return index
 
 
 # --- dual negation ----------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 
 from .colouring import k_complete, khat
-from .formula import MAX_NESTING, Formula, Or, And, Dia, Box, PosLit, NegLit
+from .formula import MAX_NESTING, Formula, Or, And, Dia, Box, PosLit, NegLit, parse_int
 from .kripke import (
     Frame,
     Universe,
@@ -449,7 +449,11 @@ _BUILTINS = {
 def _builtin(name: str, kind: type, what: str):
     for pattern, (built, build) in _BUILTINS.items():
         if built is kind and (match := re.fullmatch(pattern, name)):
-            return build(*map(int, match.groups()))
+            try:
+                numbers = [parse_int(n) for n in match.groups()]
+            except ValueError:
+                break  # too many digits for any builtin
+            return build(*numbers)
     raise ValueError(f"unknown {what}: {name!r}")
 
 

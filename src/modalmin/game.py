@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .formula import (
     BASIC,
@@ -371,6 +373,14 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # finished level never changes, so no list goes stale, and the lists hold
 # at most one element per step and stored element.
 #
+# The frame game asks for the cheapest cover among many right sets, one per
+# choice of the opponent.  A formula false on a right set is false on each
+# of its classes, so a right set is covered within a length only if every
+# class's singleton family is; _cheapest_cover deepens the singletons of
+# the classes not yet covered in lockstep with its sweep and builds only the
+# right sets whose classes are all covered.  A family's content does not
+# depend on which others were built, so this changes no answer.
+#
 # An element is only ever evicted by one that dominates it, so a candidate
 # is dropped unmeasured when its mask shows a stored element no worse: an or
 # whose union is an operand's set, and, unless the measure is FALSE_COUNT,
@@ -575,13 +585,25 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
 def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_cap: int):
     """The cheapest element covering target against one of the right sets.
 
-    Deepens every right set level by level, to eff_cap, or, for Length, to
+    Deepens the right sets level by level, to eff_cap, or, for Length, to
     the first level with a cover, stopping early once no family can gain
     an element.  Returns (position in rmasks, element), preferring by
     (measure key, length, position), or None.
+
+    With more than one right set to choose from, the singleton family of
+    each class is deepened with the sweep until it covers target (the class
+    is then live), and only right sets whose classes are all live are built
+    and read (see the search comment above _FamilySearch).
     """
+    # the classes whose singleton family has no cover yet
+    dead = reduce(or_, rmasks) if len(rmasks) > 1 else 0
     for upto in range(1, eff_cap + 1):
-        for rmask in rmasks:
+        # levels below upto were checked at earlier steps and never change
+        for b in mask_bits(dead):
+            if any(target & ~e[0] == 0 for e in search.compute(1 << b, upto)[upto]):
+                dead ^= 1 << b
+        live = [(k, rmask) for k, rmask in enumerate(rmasks) if not rmask & dead]
+        for _, rmask in live:
             search.compute(rmask, upto)
         # A tree of length L > 1 has a child of length at least L // 2.  A
         # family 3 levels deep has asked for every family its moves lead
@@ -593,7 +615,7 @@ def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_c
         if search.kind is MeasureKind.LENGTH or last:
             covers = [
                 (k, e)
-                for k, rmask in enumerate(rmasks)
+                for k, rmask in live
                 for level in search.cells[rmask]
                 for e in level
                 if target & ~e[0] == 0

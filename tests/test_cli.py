@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from modalmin.cli import _CLAIMS, main
-from modalmin.formula import MAX_NESTING
+from modalmin.formula import MAX_DIGITS, MAX_NESTING
 from modalmin.gallery import format_witnesses, transfer_witnesses
 from modalmin.kripke import MAX_STATES, UNIVERSE_CAP, VALIDITY_CAP_BITS, ResourceCapError
 
@@ -409,6 +409,10 @@ USAGE_FILES = {
          "bad formula: expected a variable index (at position 1)"),
         (["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1", "--length-cap", "3",
           "--measure", "exists"], "measure exists needs the global language"),
+        # a number too long for int() names no builtin, and is a parse error at its first digit
+        (["colour", "--frame", "builtin:k" + "1" * 5000, "--n", "2"], f"unknown builtin frame: {'k' + '1' * 5000!r}"),
+        (["eval", "--model", "POINTED", "--formula", "p" + "1" * 5000],
+         f"bad formula: number longer than {MAX_DIGITS} digits (at position 1)"),
     ],
 )
 def test_usage_errors_exit_2_with_their_message(runner, tmp_path, args, message):
@@ -418,6 +422,36 @@ def test_usage_errors_exit_2_with_their_message(runner, tmp_path, args, message)
     assert result.exit_code == 2, result.output
     assert result.output.splitlines()[-1].startswith("Error: ")
     assert result.output.splitlines()[-1].endswith(f" {message}")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# every integer option (bisim has none), after the other arguments its command needs
+_SYNTH = ["synth", "--frames", "builtin:k2", "--left", "0", "--right", "1", "--length-cap", "3"]
+_INTEGER_OPTIONS = [
+    (["eval", "--model", "MODEL", "--formula", "p1"], "--point"),
+    (["valid", "--frame", "builtin:k2", "--formula", "p1"], "--cap-bits"),
+    (["colour", "--frame", "builtin:k2"], "--n"),
+    (["noncol"], "--emit"),
+    (["noncol", "--frame", "builtin:k2"], "--n"),
+    (_SYNTH, "--vars"),
+    (_SYNTH, "--length-cap"),
+    *((["game", "--witnesses", "builtin:symmetry", "--budget", "3"], option)
+      for option in ("--vars", "--budget", "--length-cap")),
+    *((["certify", "--witnesses", "builtin:symmetry", "--bound", "3"], option)
+      for option in ("--bound", "--vars", "--length-cap")),
+    (["reproduce"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("value", ["٥", "1_0", "+3", "1" * 5000], ids=["arabic-5", "underscore", "plus", "5000-digits"])
+@pytest.mark.parametrize("args, option", _INTEGER_OPTIONS)
+def test_hostile_integer_options_exit_2(runner, tmp_path, args, option, value):
+    # int() alone would take the first three; the last is past its 4,300 digits
+    model = _model_file(tmp_path, "model.txt", SINGLE_MODEL)
+    with time_limit(10):
+        result = runner.invoke(main, [model if arg == "MODEL" else arg for arg in args] + [option, value])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1].startswith(f"Error: Invalid value for '{option}': ")
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 

@@ -10,6 +10,7 @@ from modalmin.formula import (
     FALSE,
     GLOBAL,
     FIELD_MASK,
+    MAX_DIGITS,
     MAX_NESTING,
     And,
     Box,
@@ -136,6 +137,19 @@ def test_parse_int_takes_ascii_digits_after_an_optional_minus_only():
     for text in ("", "-", "+2", "1_0", " 3", "3 ", "\u0663", "2\u00b2", "--1", "1.0", "0x1"):
         with pytest.raises(ValueError, match="^not a decimal integer: "):
             parse_int(text)
+    # past MAX_DIGITS digits, short of int()'s own 4,300-digit limit and past it
+    assert parse_int("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    for text in ("1" * (MAX_DIGITS + 1), "-" + "1" * (MAX_DIGITS + 1), "1" * 5000):
+        with pytest.raises(ValueError, match=f"^number longer than {MAX_DIGITS} digits$"):
+            parse_int(text)
+
+
+def test_parse_refuses_a_variable_index_past_max_digits_at_its_first_digit():
+    assert parse("p" + "1" * MAX_DIGITS) == PosLit(int("1" * MAX_DIGITS))
+    for text, position in (("p" + "1" * 5000, 1), ("<> ~p" + "2" * (MAX_DIGITS + 1), 5)):
+        with pytest.raises(ParseError, match=f"^number longer than {MAX_DIGITS} digits ") as err:
+            parse(text)
+        assert err.value.position == position
 
 
 def test_check_query_checks_language_then_measure_then_cap():

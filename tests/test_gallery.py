@@ -294,7 +294,7 @@ def test_builtin_witness_names():
     # a number is ASCII digits with no sign and no leading zero; frames are not witness sets
     for bad in (
         "lob-x", "transfer-1", "reflexive", "", "lob-+2", "lob-02", "lob-1_0", "lob-\u0663",
-        "transfer- 1-2", "transfer-01-2", "transfer-1-2 ", "k3", "S4",
+        "transfer- 1-2", "transfer-01-2", "transfer-1-2 ", "k3", "S4", "lob-" + "1" * 5000,
     ):
         with pytest.raises(ValueError, match=f"^unknown witness set: {re.escape(repr(bad))}$"):
             builtin_witnesses(bad)
@@ -308,7 +308,8 @@ def test_builtin_witness_names():
 def test_builtin_frame_names():
     assert builtin_frame("k3") == k_complete(3)
     assert builtin_frame("khat2") == khat(2)
-    for bad in ("k0", "khat0", "k+3", "k1_0", "k03", "k\u0663", "k", "khat", "k3 ", "s4", "K3"):
+    # a number past formula.MAX_DIGITS digits names no builtin
+    for bad in ("k0", "khat0", "k+3", "k1_0", "k03", "k\u0663", "k", "khat", "k3 ", "s4", "K3", "k" + "1" * 5000):
         with pytest.raises(ValueError, match=f"^unknown builtin frame: {re.escape(repr(bad))}$"):
             builtin_frame(bad)
 

@@ -22,6 +22,7 @@ from modalmin.game import (
     GamePosition,
     GameTree,
     _FamilySearch,
+    _cheapest_cover,
     _is_exact_image,
     _minimal_hitting_masks,
     check_weight,
@@ -44,6 +45,7 @@ from modalmin.gallery import (
     builtin_witnesses,
     check_property,
     parse_witnesses,
+    reduced_witnesses,
     symmetry_witnesses,
     transfer_witnesses,
 )
@@ -739,19 +741,20 @@ def test_fgf_negatives_sharing_classes(negatives, language):
 _GALLERY = (REFLEXIVE, TRANSITIVE, SYMMETRIC, CONVERSE_WELL_FOUNDED, REFLEXIVE_TRANSITIVE, TRANSITIVE_CWF)
 
 
-def _random_witnesses(rng) -> WitnessSet:
+def _random_witnesses(rng, negatives=(1, 2)) -> WitnessSet:
     """1-4 random frames of 1-3 states, split by a random gallery property.
 
-    A draw is redrawn unless both sides are non-empty and at most two frames
-    are negative: the frame game's right sets multiply with every negative
-    frame's classes, and three negatives can take it past half a minute.
+    A draw is redrawn unless both sides are non-empty and the number of
+    negative frames is one of negatives: the frame game's right sets
+    multiply with every negative frame's classes, and three negatives can
+    take it past half a minute.
     """
     while True:
         frames = [rand_frame(rng, 3) for _ in range(rng.randint(1, 4))]
         prop = rng.choice(_GALLERY)
         pos = tuple(f for f in frames if check_property(f, prop))
         neg = tuple(f for f in frames if not check_property(f, prop))
-        if pos and 1 <= len(neg) <= 2:
+        if pos and len(neg) in negatives:
             names = tuple(f"a{k}" for k in range(len(pos))), tuple(f"b{k}" for k in range(len(neg)))
             return WitnessSet("random", prop, pos, neg, *names)
 
@@ -782,6 +785,104 @@ def test_frame_routes_agree_on_random_witness_sets():
                 assert certify_bound(w, kind, cost, 1, cap, language).verdict == "Proved"
                 assert certify_bound(w, kind, cost + 1, 1, cap, language).verdict == "Refuted"
     assert separated > 300
+
+
+def _one_right_set_at_a_time(w, kind, budget, language, length_cap):
+    """fgf_min_cost's answer, from a sweep over each right set alone.
+
+    The right sets and their order are fgf_min_cost's: one per choice of a
+    free class in each negative frame, in product order, each set kept with
+    its first choice.  Each right set's cheapest cover comes from a sweep
+    over it alone, which has nothing to prune; the families are shared, as
+    a family's content does not depend on which others were built.  The
+    answer is the minimum by (measure key, length, position).
+    """
+    u, target, negatives = reduced_witnesses(w, 1, language)
+    free = [(nm, [*mask_bits(neg & ~target)]) for nm, neg in negatives]
+    combos = {}
+    for combo in itertools.product(*(indices for _, indices in free)):
+        combos.setdefault(index_mask(combo), combo)
+    eff_cap = min(budget, length_cap) if kind is MeasureKind.LENGTH else length_cap
+    search = _FamilySearch(u, kind, budget, language)
+    best = None
+    for k, (rmask, combo) in enumerate(combos.items()):
+        found = _cheapest_cover(search, target, [rmask], eff_cap)
+        if found is not None:
+            e = found[1]
+            rank = (search.key(e[1]), e[2], k)
+            if best is None or rank < best[0]:
+                choice = {nm: u.models[i] for (nm, _), i in zip(free, combo)}
+                best = rank, (field(e[1], kind), psi_of_tree(search.build(e, target, rmask)), choice)
+    return None if best is None else best[1]
+
+
+def test_fgf_matches_searching_each_right_set_alone():
+    # fgf_min_cost builds only the right sets whose every class a singleton
+    # search has separated; that must change no answer and no tie
+    rng = random.Random(7)
+    answered = 0
+    for _ in range(12):
+        w = _random_witnesses(rng, negatives=(2,))
+        for language in (BASIC, GLOBAL):
+            for kind in (k for k in MeasureKind if k.applies_to(language)):
+                budget, cap = (5, 5) if kind is MeasureKind.LENGTH else (2, 4)
+                played = fgf_min_cost(w, kind, 1, budget, language, length_cap=cap)
+                if played is not None:
+                    played = (played[0], psi_of_tree(played[1]), played[2])
+                    answered += 1
+                assert played == _one_right_set_at_a_time(w, kind, budget, language, cap), (kind, language)
+    assert answered > 150
+
+
+def test_fgf_builds_no_right_set_with_a_class_nothing_separates(monkeypatch):
+    # lob-3 global: no pointed model of b1 has a singleton cover within
+    # length 5, so none of the opponent's 256 right sets can be covered and
+    # none is ever built
+    w = builtin_witnesses("lob-3")
+    _, target, negatives = reduced_witnesses(w, 1, GLOBAL)
+    combos = itertools.product(*(mask_bits(neg & ~target) for _, neg in negatives))
+    rmasks = {index_mask(combo) for combo in combos}
+    assert len(rmasks) == 256
+    computed = set()
+    compute = _FamilySearch.compute
+    monkeypatch.setattr(
+        _FamilySearch, "compute", lambda self, rmask, upto: computed.add(rmask) or compute(self, rmask, upto)
+    )
+    assert fgf_min_cost(w, MeasureKind.LENGTH, 1, 5, GLOBAL) is None
+    assert computed and not computed & rmasks
+
+
+# The minimum of every basic measure, in MeasureKind order, on each shipped
+# set but lob-4, within length 8
+_BASIC_MINIMA = {
+    "transfer-0-1": (4, 1, 1, 0, 0, 1, 0, 1, 0),
+    "transfer-1-0": (4, 1, 1, 0, 0, 1, 0, 0, 1),
+    "transfer-1-2": (6, 2, 1, 0, 0, 1, 0, 2, 1),
+    "transfer-2-1": (6, 2, 1, 0, 0, 1, 0, 1, 2),
+    "transfer-2-0": (5, 2, 1, 0, 0, 1, 0, 0, 2),
+    "transfer-0-2": (5, 2, 1, 0, 0, 1, 0, 2, 0),
+    "s4": (8, 2, 1, 0, 0, 1, 1, 1, 2),
+    "lob-1": (8, 2, 1, 0, 0, 1, 1, 1, 2),
+    "lob-2": (8, 2, 1, 0, 0, 1, 1, 1, 2),
+    "lob-3": (8, 2, 1, 0, 0, 1, 1, 1, 2),
+    "symmetry": (5, 2, 1, 0, 0, 1, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", _BASIC_MINIMA)
+def test_frame_routes_agree_on_the_shipped_sets_for_every_basic_measure(name):
+    # the frame-wise enumeration, the frame game (Length to budget 8, the
+    # others to budget 4) and the certificate, Proved at the minimum and
+    # Refuted one above, all within length 8
+    w = builtin_witnesses(name)
+    for kind, minimum in zip(BASIC_KINDS, _BASIC_MINIMA[name]):
+        found = min_separating_frames(w, kind, 1, 8, BASIC)
+        assert found is not None and found[1].get(kind) == minimum, kind
+        budget = 8 if kind is MeasureKind.LENGTH else 4
+        played = fgf_min_cost(w, kind, 1, budget, BASIC, length_cap=8)
+        assert played is not None and played[0] == minimum, kind
+        assert certify_bound(w, kind, minimum, 1, 8, BASIC).verdict == "Proved", kind
+        assert certify_bound(w, kind, minimum + 1, 1, 8, BASIC).verdict == "Refuted", kind
 
 
 # --- weight functions -------------------------------------------------------

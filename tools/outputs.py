@@ -36,6 +36,12 @@ The corpus, in this order:
     underscore, a leading zero or a non-ASCII digit, frame files and
     formulas with such numbers, a --left list with an underscore, and synth
     queries whose measure or length cap is invalid.
+  - lob-3 global games whose sweeps skip the right sets of classes no
+    singleton search separates yet: Length at budgets 5 and 6, and the
+    other measures of MEASURES and GLOBAL_MEASURES at budget 3 within
+    length 6.
+  - integer options that int() alone would take: game --budget ٥ and
+    colour --n 1_0.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
 """
@@ -243,6 +249,15 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
         ["--left", "0", "--vars", "100000000000000000000", "--length-cap", "-1"],
     ):
         commands.append((synth + extra, []))
+    lob3 = ["game", "--witnesses", "builtin:lob-3", "--language", "global"]
+    for budget in ("5", "6"):
+        commands.append((lob3 + ["--budget", budget], []))
+    for measure in MEASURES[1:] + GLOBAL_MEASURES:
+        tree = out("tree")
+        args = lob3 + ["--budget", "3", "--length-cap", "6", "--measure", measure, "--emit-tree", tree]
+        commands.append((args, [tree]))
+    commands.append((["game", "--witnesses", "builtin:symmetry", "--budget", "\u0665"], []))
+    commands.append((["colour", "--frame", "builtin:k3", "--n", "1_0"], []))
     return commands
 
 
