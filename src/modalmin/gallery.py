@@ -127,14 +127,14 @@ def _is_cwf(frame: Frame) -> bool:
     return not _rank_order(frame)[1]
 
 
+# reflexivity is R^0 subset of R^1, transitivity R^2 subset of R^1
+_AS_TRANSFER = {"reflexive": FrameProperty.transfer(0, 1), "transitive": FrameProperty.transfer(2, 1)}
+
+
 def check_property(frame: Frame, prop: FrameProperty) -> bool:
-    # reflexivity is R^0 subset of R^1, transitivity R^2 subset of R^1
+    prop = _AS_TRANSFER.get(prop.kind, prop)
     if prop.kind == "transfer":
         return _has_transfer(frame, prop.m, prop.n)
-    if prop.kind == "reflexive":
-        return _has_transfer(frame, 0, 1)
-    if prop.kind == "transitive":
-        return _has_transfer(frame, 2, 1)
     if prop.kind == "symmetric":
         return _is_symmetric(frame)
     if prop.kind == "cwf":
@@ -421,6 +421,7 @@ def axiom(prop: FrameProperty) -> Formula:
     """
     p = PosLit(1)
     np = NegLit(1)
+    prop = _AS_TRANSFER.get(prop.kind, prop)
     if prop.kind == "transfer":
         return Or(_iterate(Box, np, prop.m), _iterate(Dia, p, prop.n))
     if prop.kind == "reflexive-transitive":

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .formula import (
     BASIC,
@@ -373,13 +371,14 @@ def _minimal_hitting_masks(option_masks: list[int]) -> list[int]:
 # finished level never changes, so no list goes stale, and the lists hold
 # at most one element per step and stored element.
 #
-# The frame game asks for the cheapest cover among many right sets, one per
-# choice of the opponent.  A formula false on a right set is false on each
-# of its classes, so a right set is covered within a length only if every
-# class's singleton family is; _cheapest_cover deepens the singletons of
-# the classes not yet covered in lockstep with its sweep and builds only the
-# right sets whose classes are all covered.  A family's content does not
-# depend on which others were built, so this changes no answer.
+# Both games ask _cheapest_cover for the cheapest cover among the right sets
+# the opponent may choose, one class per negative frame; in the model game
+# every pick is forced.  A formula false on a right set is false on each of
+# its classes, so a right set is covered within a length only if every
+# class's singleton family is; the sweep deepens the singletons of the
+# classes not yet covered in lockstep and lists and builds only the right
+# sets whose classes are all covered.  A family's content does not depend
+# on which others were built, so this changes no answer.
 #
 # An element is only ever evicted by one that dominates it, so a candidate
 # is dropped unmeasured when its mask shows a stored element no worse: an or
@@ -582,28 +581,33 @@ def _length_bound(kind, budget: int, language: str, length_cap: int | None) -> i
     return length_cap
 
 
-def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_cap: int):
-    """The cheapest element covering target against one of the right sets.
+def _cheapest_cover(search: _FamilySearch, target: int, choices: list[list[int]], eff_cap: int):
+    """The cheapest element covering target against one of the opponent's right sets.
 
-    Deepens the right sets level by level, to eff_cap, or, for Length, to
-    the first level with a cover, stopping early once no family can gain
-    an element.  Returns (position in rmasks, element), preferring by
-    (measure key, length, position), or None.
-
-    With more than one right set to choose from, the singleton family of
+    choices holds, per negative frame, the classes the opponent may pick
+    there; a right set holds one pick from each.  Deepens level by level,
+    to eff_cap, or, for Length, to the first level with a cover, stopping
+    early once no family can gain an element.  The singleton family of
     each class is deepened with the sweep until it covers target (the class
-    is then live), and only right sets whose classes are all live are built
-    and read (see the search comment above _FamilySearch).
+    is then live), and only right sets of live classes are built and read
+    (see the search comment above _FamilySearch).  Returns (picks, right
+    set, element), preferring by (measure key, length, picks), or None.
     """
     # the classes whose singleton family has no cover yet
-    dead = reduce(or_, rmasks) if len(rmasks) > 1 else 0
+    dead = index_mask(itertools.chain.from_iterable(choices))
     for upto in range(1, eff_cap + 1):
         # levels below upto were checked at earlier steps and never change
         for b in mask_bits(dead):
             if any(target & ~e[0] == 0 for e in search.compute(1 << b, upto)[upto]):
                 dead ^= 1 << b
-        live = [(k, rmask) for k, rmask in enumerate(rmasks) if not rmask & dead]
-        for _, rmask in live:
+        # product yields ascending pick tuples, so keeping each right set's
+        # first picks breaks its ties as in the opponent's whole product
+        live: dict[int, tuple[int, ...]] = {}
+        for picks in itertools.product(*([r for r in rs if not dead >> r & 1] for rs in choices)):
+            live.setdefault(index_mask(picks), picks)
+            if len(live) > POSITION_CAP:
+                raise ResourceCapError(f"frame game search exceeded {POSITION_CAP} elements")
+        for rmask in live:
             search.compute(rmask, upto)
         # A tree of length L > 1 has a child of length at least L // 2.  A
         # family 3 levels deep has asked for every family its moves lead
@@ -614,14 +618,14 @@ def _cheapest_cover(search: _FamilySearch, target: int, rmasks: list[int], eff_c
         last = upto == eff_cap or (depth >= 3 and 2 * search.longest < depth)
         if search.kind is MeasureKind.LENGTH or last:
             covers = [
-                (k, e)
-                for k, rmask in live
+                (picks, rmask, e)
+                for rmask, picks in live.items()
                 for level in search.cells[rmask]
                 for e in level
                 if target & ~e[0] == 0
             ]
             if covers:
-                return min(covers, key=lambda c: (search.key(c[1][1]), c[1][2], c[0]))
+                return min(covers, key=lambda c: (search.key(c[2][1]), c[2][2], c[0]))
             if last:
                 break
     return None
@@ -648,8 +652,8 @@ def min_cost_fgm(
         return None
 
     search = _FamilySearch(u, kind, budget, language)
-    found = _cheapest_cover(search, lmask, [rmask], eff_cap)
-    best = None if found is None else found[1]
+    found = _cheapest_cover(search, lmask, [[r] for r in mask_bits(rmask)], eff_cap)
+    best = None if found is None else found[2]
     if lmask == 0 and eff_cap >= 1:
         # The bot leaf always closes an empty left side; prefer it on ties
         # even when a wider element shadowed it in the family.
@@ -690,24 +694,11 @@ def fgf_min_cost(
     if not all(free for _, free in candidates):
         return None
 
-    if eff_cap < 1:
-        return None
-    # product yields the combos in ascending tuple order, so keeping each
-    # right set's first combo breaks ties as the combos themselves would.
-    # Every family gets its bot element at length 1, so more right sets
-    # than POSITION_CAP would pass the cap in the first sweep anyway.
-    cap = POSITION_CAP
-    combos: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(*(free for _, free in candidates)):
-        combos.setdefault(index_mask(combo), combo)
-        if len(combos) > cap:
-            raise ResourceCapError(f"frame game search exceeded {cap} elements")
-    rmasks = list(combos)
     search = _FamilySearch(u, kind, budget, language)
-    found = _cheapest_cover(search, target, rmasks, eff_cap)
+    found = _cheapest_cover(search, target, [free for _, free in candidates], eff_cap)
     if found is None:
         return None
-    k, element = found
-    tree = search.build(element, target, rmasks[k])
-    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, combos[rmasks[k]])}
+    picks, rmask, element = found
+    tree = search.build(element, target, rmask)
+    choice = {nm: u.models[i] for (nm, _), i in zip(candidates, picks)}
     return field(element[1], kind), tree, choice

@@ -321,7 +321,7 @@ def certify_bound(
     check_query(kind, language, length_cap)
     if length_cap is None:
         if kind is MeasureKind.LENGTH:
-            length_cap = claimed_bound - 1
+            length_cap = max(claimed_bound - 1, 0)
         else:
             length_cap = claimed_bound + 2
     t0 = time.perf_counter()

@@ -521,11 +521,17 @@ def test_certify_negative_length_cap_exits_2(runner):
         result = runner.invoke(main, args + ["--length-cap", "-1"])
         assert result.exit_code == 2, (args, result.output)
         assert result.output.splitlines()[-1] == "Error: length cap must be non-negative"
-    # a zero bound still certifies vacuously under its default cap of -1
+    # a zero bound still certifies vacuously, under a default cap of 0 that
+    # the command itself would take
     vacuous = _invoke(runner, "certify", "--witnesses", "builtin:symmetry", "--bound", "0")
     assert vacuous.exit_code == 0
-    assert "length-cap -1" in vacuous.output.splitlines()
-    assert "verdict Proved" in vacuous.output.splitlines()
+    lines = vacuous.output.splitlines()
+    assert {"length-cap 0", "verdict Proved", "scope full"} <= set(lines)
+    explicit = _invoke(runner, "certify", "--witnesses", "builtin:symmetry", "--bound", "0", "--length-cap", "0")
+    assert explicit.exit_code == 0
+    assert [ln for ln in explicit.output.splitlines() if not ln.startswith("wall-time")] == [
+        ln for ln in lines if not ln.startswith("wall-time")
+    ]
 
 
 def test_universe_cap_exits_3_with_one_message(runner):

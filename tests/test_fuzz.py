@@ -2,9 +2,10 @@
 
 Frame, model and witness files start well formed and are then mutated, and
 formulas are either printed random formulas, mutated ones or random text.
-Whatever the input, a command ends in exit 0, 2 or 3, never in a traceback
-(exit 1 is the code of a failed reproduction).  Budgets and caps stay small,
-so that every run is quick.
+Integer options take small values, -1, malformed numbers and, where a run
+still ends quickly, a huge one.  Whatever the input, a command ends in exit
+0, 2 or 3, never in a traceback (exit 1 is the code of a failed
+reproduction).  Budgets and caps stay small, so that every run is quick.
 """
 
 import random
@@ -73,39 +74,51 @@ def _formula_text(rng: random.Random) -> str:
     return "".join(rng.choice("p1T~<>[]EA()|& ") for _ in range(rng.randint(0, 12)))
 
 
+_HUGE = "100000000000000000000"
+_SMALL = ["-1", "0", "1", "2", "2", "3", "3"]
+_SMALL_OR_HUGE = _SMALL + [_HUGE]
+# values every integer option refuses: a non-ASCII digit, an underscore, a
+# sign and more digits than formula.parse_int reads
+_MALFORMED = ["\u0665", "1_0", "+3", "1" * 5000]
+
+
 def _arguments(rng: random.Random, files) -> list[str]:
     frame, model, other_model, witnesses = files
 
-    def number() -> str:
-        return str(rng.choice([-1, 0, 1, 2, 2, 3, 3]))
+    def number(values=_SMALL) -> str:
+        """One of values, or now and then a malformed one."""
+        return rng.choice(_MALFORMED if rng.random() < 0.1 else values)
 
     def indices() -> str:
         return ",".join(str(rng.randint(-1, 8)) for _ in range(rng.randint(1, 2)))
 
     language = ["--language", rng.choice(["basic", "global"])]
     command = rng.choice(["eval", "valid", "bisim", "colour", "noncol", "synth", "game", "certify"])
+    # a huge value only where it still ends quickly: a game or certificate
+    # may search to a huge budget, bound or length cap
     if command == "eval":
-        point = ["--point", number()] if rng.random() < 0.3 else []
+        point = ["--point", number(_SMALL_OR_HUGE)] if rng.random() < 0.3 else []
         return ["eval", "--model", model, "--formula", _formula_text(rng)] + point
     if command == "valid":
-        return ["valid", "--frame", frame, "--formula", _formula_text(rng), "--cap-bits", str(rng.randint(0, 12))]
+        cap_bits = number([str(rng.randint(0, 12))] * 4 + ["-1", _HUGE])
+        return ["valid", "--frame", frame, "--formula", _formula_text(rng), "--cap-bits", cap_bits]
     if command == "bisim":
         return ["bisim", "--left", model, "--right", other_model] + language
     if command == "colour":
-        return ["colour", "--frame", frame, "--n", number()]
+        return ["colour", "--frame", frame, "--n", number(_SMALL_OR_HUGE)]
     if command == "noncol":
         if rng.random() < 0.3:
-            return ["noncol", "--emit", number()]
-        return ["noncol", "--frame", frame, "--n", number()]
+            return ["noncol", "--emit", number(_SMALL_OR_HUGE)]
+        return ["noncol", "--frame", frame, "--n", number(_SMALL_OR_HUGE)]
     if command == "synth":
         return [
-            "synth", "--frames", frame, "--vars", rng.choice(["0", "1", "-1", "100000000000000000000"]),
-            "--left", indices(), "--right", indices(), "--length-cap", number(),
+            "synth", "--frames", frame, "--vars", number(["0", "1", "-1", _HUGE]),
+            "--left", indices(), "--right", indices(), "--length-cap", number(_SMALL_OR_HUGE),
             "--measure", rng.choice(["length", "box", "exists", "size"]),
         ] + language
     caps = ["--length-cap", number()] if rng.random() < 0.5 else []
     if rng.random() < 0.3:
-        caps += ["--vars", rng.choice(["0", "-1", "100000000000000000000"])]
+        caps += ["--vars", number(["0", "-1", _HUGE])]
     if command == "game":
         return ["game", "--witnesses", witnesses, "--budget", number()] + caps + language
     return ["certify", "--witnesses", witnesses, "--bound", number()] + caps + language

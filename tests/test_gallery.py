@@ -99,12 +99,13 @@ def test_reflexive_point_breaks_cwf():
 
 
 def test_transfer_matches_axiom_validity_on_random_frames(rng):
-    # the frame correspondence the axioms encode, cross-checked structurally
+    # the frame correspondence the axioms encode, cross-checked structurally,
+    # for the transfers and every named property that has an axiom
+    named = [REFLEXIVE, TRANSITIVE, SYMMETRIC, REFLEXIVE_TRANSITIVE, TRANSITIVE_CWF]
     for _ in range(60):
         frame = rand_frame(rng, max_states=3)
-        for m, n in ((0, 1), (1, 0), (1, 2), (2, 1)):
-            prop = FrameProperty.transfer(m, n)
-            assert check_property(frame, prop) == frame_valid(frame, axiom(prop))
+        for prop in [FrameProperty.transfer(m, n) for m, n in ((0, 1), (1, 0), (1, 2), (2, 1))] + named:
+            assert check_property(frame, prop) == frame_valid(frame, axiom(prop)), prop
 
 
 def test_lob_axiom_matches_property_on_random_frames(rng):
@@ -263,11 +264,13 @@ def test_axiom_shapes_and_lengths():
     assert measure(axiom(TRANSITIVE_CWF), MeasureKind.LENGTH) == 8
     assert print_formula(axiom(REFLEXIVE_TRANSITIVE)) == "((~p1 & [] [] ~p1) | <> p1)"
     assert print_formula(axiom(FrameProperty.transfer(0, 2))) == "(~p1 | <> <> p1)"
+    assert print_formula(axiom(REFLEXIVE)) == "(~p1 | <> p1)"
+    assert print_formula(axiom(TRANSITIVE)) == "([] [] ~p1 | <> p1)"
 
 
 def test_axiom_rejects_unsupported_property():
-    with pytest.raises(ValueError):
-        axiom(REFLEXIVE)
+    with pytest.raises(ValueError, match="no axiom registered for property: cwf"):
+        axiom(CONVERSE_WELL_FOUNDED)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from modalmin.game import (
     GamePosition,
     GameTree,
     _FamilySearch,
-    _cheapest_cover,
     _is_exact_image,
     _minimal_hitting_masks,
     check_weight,
@@ -69,7 +68,7 @@ from modalmin.kripke import (
 )
 from modalmin.synth import certify_bound, min_separating, min_separating_frames
 
-from .conftest import rand_frame
+from .conftest import rand_frame, time_limit
 from .oracles import brute_exact_image, brute_min_value, brute_table
 
 BASIC_KINDS = tuple(k for k in MeasureKind if k.applies_to(BASIC))
@@ -705,8 +704,8 @@ def _symmetric_witnesses(negatives, var_bound):
 
 
 def test_fgf_caps_the_opponent_choices_before_building_them(monkeypatch):
-    # 342,720 choices of one class per negative frame; the right sets past
-    # the cap are never built
+    # 342,720 choices of one class per negative frame; the sweep stops once
+    # more right sets than the cap are live, before it builds one past it
     monkeypatch.setattr("modalmin.game.POSITION_CAP", 1000)
     w = _symmetric_witnesses([(nm, nm) for nm in ("b1", "b2", "b3")], 2)
     tracemalloc.start()
@@ -717,6 +716,16 @@ def test_fgf_caps_the_opponent_choices_before_building_them(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_fgf_lists_no_right_set_before_its_classes_are_live():
+    # the same 342,720 choices at the default cap: within length 3 too few
+    # classes have a singleton cover for the live right sets to pass the
+    # cap, and no formula of length 3 separates the frames
+    w = _symmetric_witnesses([(nm, nm) for nm in ("b1", "b2", "b3")], 2)
+    with time_limit(10):
+        assert fgf_min_cost(w, MeasureKind.LENGTH, 2, 3) is None
+    assert min_separating_frames(w, MeasureKind.LENGTH, 2, 3) is None
 
 
 @pytest.mark.parametrize("language", (BASIC, GLOBAL))
@@ -746,8 +755,7 @@ def _random_witnesses(rng, negatives=(1, 2)) -> WitnessSet:
 
     A draw is redrawn unless both sides are non-empty and the number of
     negative frames is one of negatives: the frame game's right sets
-    multiply with every negative frame's classes, and three negatives can
-    take it past half a minute.
+    multiply with every negative frame's classes.
     """
     while True:
         frames = [rand_frame(rng, 3) for _ in range(rng.randint(1, 4))]
@@ -788,14 +796,14 @@ def test_frame_routes_agree_on_random_witness_sets():
 
 
 def _one_right_set_at_a_time(w, kind, budget, language, length_cap):
-    """fgf_min_cost's answer, from a sweep over each right set alone.
+    """fgf_min_cost's answer, from every right set grown to the length cap.
 
-    The right sets and their order are fgf_min_cost's: one per choice of a
-    free class in each negative frame, in product order, each set kept with
-    its first choice.  Each right set's cheapest cover comes from a sweep
-    over it alone, which has nothing to prune; the families are shared, as
-    a family's content does not depend on which others were built.  The
-    answer is the minimum by (measure key, length, position).
+    The right sets are fgf_min_cost's: one per choice of a free class in
+    each negative frame, each kept with its first picks in product order.
+    Each family is grown to the length cap with no pruning; the families
+    are shared, as a family's content does not depend on which others were
+    built.  The answer is the cheapest covering element of any level by
+    (measure key, length, picks).
     """
     u, target, negatives = reduced_witnesses(w, 1, language)
     free = [(nm, [*mask_bits(neg & ~target)]) for nm, neg in negatives]
@@ -805,33 +813,49 @@ def _one_right_set_at_a_time(w, kind, budget, language, length_cap):
     eff_cap = min(budget, length_cap) if kind is MeasureKind.LENGTH else length_cap
     search = _FamilySearch(u, kind, budget, language)
     best = None
-    for k, (rmask, combo) in enumerate(combos.items()):
-        found = _cheapest_cover(search, target, [rmask], eff_cap)
-        if found is not None:
-            e = found[1]
-            rank = (search.key(e[1]), e[2], k)
-            if best is None or rank < best[0]:
-                choice = {nm: u.models[i] for (nm, _), i in zip(free, combo)}
-                best = rank, (field(e[1], kind), psi_of_tree(search.build(e, target, rmask)), choice)
+    for rmask, combo in combos.items():
+        for level in search.compute(rmask, eff_cap):
+            for e in level:
+                rank = (search.key(e[1]), e[2], combo)
+                if target & ~e[0] == 0 and (best is None or rank < best[0]):
+                    choice = {nm: u.models[i] for (nm, _), i in zip(free, combo)}
+                    best = rank, (field(e[1], kind), psi_of_tree(search.build(e, target, rmask)), choice)
     return None if best is None else best[1]
+
+
+def _check_against_one_right_set_at_a_time(rng, negatives, sets):
+    """Checks fgf_min_cost on seeded random sets; returns how many answered.
+
+    Every measure of both languages: the cost against min_separating_frames,
+    and cost, formula and choice against _one_right_set_at_a_time.
+    """
+    answered = 0
+    for _ in range(sets):
+        w = _random_witnesses(rng, negatives)
+        for language in (BASIC, GLOBAL):
+            for kind in (k for k in MeasureKind if k.applies_to(language)):
+                budget, cap = (5, 5) if kind is MeasureKind.LENGTH else (2, 4)
+                played = fgf_min_cost(w, kind, 1, budget, language, length_cap=cap)
+                found = min_separating_frames(w, kind, 1, cap, language)
+                cost = None if found is None or found[1].get(kind) > budget else found[1].get(kind)
+                assert (None if played is None else played[0]) == cost, (kind, language)
+                if played is not None:
+                    played = (played[0], psi_of_tree(played[1]), played[2])
+                    answered += 1
+                assert played == _one_right_set_at_a_time(w, kind, budget, language, cap), (kind, language)
+    return answered
 
 
 def test_fgf_matches_searching_each_right_set_alone():
     # fgf_min_cost builds only the right sets whose every class a singleton
     # search has separated; that must change no answer and no tie
-    rng = random.Random(7)
-    answered = 0
-    for _ in range(12):
-        w = _random_witnesses(rng, negatives=(2,))
-        for language in (BASIC, GLOBAL):
-            for kind in (k for k in MeasureKind if k.applies_to(language)):
-                budget, cap = (5, 5) if kind is MeasureKind.LENGTH else (2, 4)
-                played = fgf_min_cost(w, kind, 1, budget, language, length_cap=cap)
-                if played is not None:
-                    played = (played[0], psi_of_tree(played[1]), played[2])
-                    answered += 1
-                assert played == _one_right_set_at_a_time(w, kind, budget, language, cap), (kind, language)
-    assert answered > 150
+    assert _check_against_one_right_set_at_a_time(random.Random(7), (2,), 12) > 150
+
+
+def test_fgf_matches_searching_each_right_set_alone_on_three_negatives():
+    # three negative frames of at most 3 states; at 4 states most draws take
+    # the unpruned reference past the element cap
+    assert _check_against_one_right_set_at_a_time(random.Random(5), (3,), 8) == 160
 
 
 def test_fgf_builds_no_right_set_with_a_class_nothing_separates(monkeypatch):

@@ -420,8 +420,9 @@ def test_certify_vacuous_and_invalid_claims():
     assert certify_bound(w, MeasureKind.LENGTH, 0).verdict == "Proved"
     with pytest.raises(ValueError):
         certify_bound(w, MeasureKind.LENGTH, -1)
-    # the default Length cap of a zero bound is -1; a caller's negative cap is an error
-    assert certify_bound(w, MeasureKind.LENGTH, 0).length_cap == -1
+    # the default Length cap is floored at 0; a caller's negative cap is an error
+    vacuous = certify_bound(w, MeasureKind.LENGTH, 0)
+    assert (vacuous.length_cap, vacuous.scope) == (0, "full")
     with pytest.raises(ValueError, match="length cap must be non-negative"):
         certify_bound(w, MeasureKind.LENGTH, 5, length_cap=-1)
     with pytest.raises(ValueError):

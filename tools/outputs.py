@@ -42,6 +42,8 @@ The corpus, in this order:
     length 6.
   - integer options that int() alone would take: game --budget ٥ and
     colour --n 1_0.
+  - the three-negative symmetric set of tests/test_game.py (342,720
+    opponent choices, var bound 2): Length games at budgets 3 and 4.
 The witness files, frame files and fuzz inputs are written by this script's
 own checkout, so both runs of a comparison feed identical inputs.
 """
@@ -63,9 +65,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from modalmin.formula import print_formula  # noqa: E402
-from modalmin.gallery import axiom, builtin_witnesses  # noqa: E402
+from modalmin.gallery import axiom, builtin_witnesses, format_witnesses  # noqa: E402
 from modalmin.kripke import Frame, format_frame  # noqa: E402
 from tests.test_fuzz import _case  # noqa: E402
+from tests.test_game import _symmetric_witnesses  # noqa: E402
 
 # the sets the game and certify families run, with their length minima
 # (m+n+3 for transfer-m-n)
@@ -258,6 +261,10 @@ def _corpus(tmp: Path) -> list[tuple[list[str], list[str]]]:
         commands.append((args, [tree]))
     commands.append((["game", "--witnesses", "builtin:symmetry", "--budget", "\u0665"], []))
     commands.append((["colour", "--frame", "builtin:k3", "--n", "1_0"], []))
+    three = tmp / "symmetric-three-negatives.txt"
+    three.write_text(format_witnesses(_symmetric_witnesses([(nm, nm) for nm in ("b1", "b2", "b3")], 2)))
+    for budget in ("3", "4"):
+        commands.append((["game", "--witnesses", str(three), "--vars", "2", "--budget", budget], []))
     return commands
 
 
